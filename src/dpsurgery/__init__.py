@@ -13,7 +13,7 @@ from .knots import BraidWord, KnotDiagram, KnotGroupData, braid_to_diagram, \
     UNKNOT, TREFOIL, FIGURE_EIGHT
 from .laurent import LaurentPoly
 from .alexander import alexander_polynomial, alexander_of_braid, \
-    coefficient_multiset, knot_family, substitute_square
+    coefficient_multiset, knot_family
 from .configurations import AmbientManifold, Configuration, EmbeddingTag, \
     SmoothSurface, SurfaceComponent, algebraic_intersection, blow_up_on_component, \
     complement_h1, smooth_and_stabilize, spheres_presentation, tori_presentation

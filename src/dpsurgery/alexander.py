@@ -11,9 +11,9 @@ comparable across knots.
 
 from __future__ import annotations
 
-from .knots import BraidWord, KnotDiagram, braid_to_diagram, torus_knot, wirtinger_presentation
+from .knots import BraidWord, KnotDiagram, KnotGroupData, braid_to_diagram, \
+    knot_group_from_braid, torus_knot, wirtinger_presentation
 from .laurent import LaurentPoly
-from .presentations import Presentation
 from .words import Word
 
 
@@ -21,18 +21,15 @@ def fox_derivative_row(relator: Word, ngens: int) -> list[LaurentPoly]:
     """Abelianized Fox derivatives of one relator (every generator -> t)."""
     row = [LaurentPoly.zero() for _ in range(ngens)]
     exponent = 0
-    for g, e in relator.letters:
-        if e == 1:
-            row[g] = row[g] + LaurentPoly.term(1, exponent)
-            exponent += 1
-        else:
+    for x in relator.letters:
+        g = x >> 1
+        if x & 1:
             exponent -= 1
             row[g] = row[g] + LaurentPoly.term(-1, exponent)
+        else:
+            row[g] = row[g] + LaurentPoly.term(1, exponent)
+            exponent += 1
     return row
-
-
-def alexander_matrix(p: Presentation) -> list[list[LaurentPoly]]:
-    return [fox_derivative_row(r, p.ngens) for r in p.relators]
 
 
 def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
@@ -153,7 +150,11 @@ def normalize_alexander(raw: LaurentPoly) -> LaurentPoly:
 
 def alexander_polynomial(d: KnotDiagram) -> LaurentPoly:
     """Normalized Alexander polynomial of a knot diagram."""
-    data = wirtinger_presentation(d)
+    return wirtinger_alexander(wirtinger_presentation(d))
+
+
+def wirtinger_alexander(data: KnotGroupData) -> LaurentPoly:
+    """Normalized Alexander polynomial of a Wirtinger presentation."""
     p = data.presentation
     meridian = data.meridian
     relators = p.relators[:-1] if p.relators else ()
@@ -168,18 +169,13 @@ def alexander_of_braid(b: BraidWord) -> LaurentPoly:
     return alexander_polynomial(braid_to_diagram(b))
 
 
-def substitute_square(p: LaurentPoly) -> LaurentPoly:
-    """Double every exponent (the rim-torus square substitution)."""
-    return p.substitute_square()
-
-
 def coefficient_multiset(p: LaurentPoly) -> tuple[int, ...]:
     """All nonzero coefficients with multiplicity, as a sorted tuple."""
     return tuple(sorted(c for _, c in p.terms()))
 
 
-def knot_family(count: int) -> list[tuple[BraidWord, LaurentPoly]]:
-    """(2, 2r+1) torus knots r = 1..count with their Alexander polynomials.
+def knot_family(count: int) -> list[tuple[BraidWord, KnotGroupData, LaurentPoly]]:
+    """(2, 2r+1) torus knots r = 1..count with knot groups and Alexander polynomials.
 
     The coefficient multisets are pairwise distinct by construction (the
     r-th polynomial has exactly 2r+1 nonzero coefficients); the function
@@ -191,11 +187,12 @@ def knot_family(count: int) -> list[tuple[BraidWord, LaurentPoly]]:
     seen: dict[tuple[int, ...], int] = {}
     for r in range(1, count + 1):
         braid = torus_knot(r)
-        delta = alexander_of_braid(braid)
+        knot = knot_group_from_braid(braid)
+        delta = wirtinger_alexander(knot)
         multiset = coefficient_multiset(delta)
         if multiset in seen:
             raise RuntimeError(f"coefficient multiset collision between K_{seen[multiset]} "
                                f"and K_{r}")
         seen[multiset] = r
-        family.append((braid, delta))
+        family.append((braid, knot, delta))
     return family

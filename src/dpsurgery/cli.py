@@ -103,7 +103,7 @@ def _cmd_alexander(args, bounds: Bounds) -> Report:
             raise ParamError(f"unused parameters: {', '.join(sorted(params))}")
         if count < 1:
             raise ParamError("count must be >= 1")
-        for index, (braid, delta) in enumerate(knot_family(count), start=1):
+        for index, (braid, _, delta) in enumerate(knot_family(count), start=1):
             multiset = coefficient_multiset(delta)
             lines.append(CheckLine(
                 f"alexander K_{index} {braid.format()}", PASS,
@@ -239,9 +239,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
-    bounds = Bounds(getattr(args, "bounds_cosets", 100_000),
-                    getattr(args, "bounds_rules", 500))
     try:
+        bounds = Bounds(getattr(args, "bounds_cosets", 100_000),
+                        getattr(args, "bounds_rules", 500))
         report = args.func(args, bounds)
     except (ParamError, ScenarioError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

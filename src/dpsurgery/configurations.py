@@ -19,22 +19,20 @@ from .words import Word, commutator, free_reduce
 
 @dataclass(frozen=True)
 class EmbeddingTag:
-    kind: str  # "standard" | "twist-spun" | "opaque"
+    kind: str  # "standard" | "twist-spun"
     knot: BraidWord | None = None
     twist: int | None = None
     note: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("standard", "twist-spun", "opaque"):
+        if self.kind not in ("standard", "twist-spun"):
             raise ValueError(f"unknown embedding tag kind {self.kind!r}")
 
     def describe(self) -> str:
         if self.kind == "standard":
             return "Standard"
-        if self.kind == "twist-spun":
-            base = f"ConnectSumTwistSpun({self.knot.format()}, {self.twist})"
-            return base + (f" [{self.note}]" if self.note else "")
-        return f"Opaque({self.note})"
+        base = f"ConnectSumTwistSpun({self.knot.format()}, {self.twist})"
+        return base + (f" [{self.note}]" if self.note else "")
 
 
 def tag_standard() -> EmbeddingTag:
@@ -44,10 +42,6 @@ def tag_standard() -> EmbeddingTag:
 def tag_twist_spun(knot: BraidWord, twist: int, general: bool = False) -> EmbeddingTag:
     note = "general gluing matrix; no embedding claim" if general else ""
     return EmbeddingTag("twist-spun", knot, twist, note)
-
-
-def tag_opaque(note: str) -> EmbeddingTag:
-    return EmbeddingTag("opaque", note=note)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Bounded Todd-Coxeter coset enumeration, deduction-first (Felsch) strategy.
 
-The table is over the alphabet of generators and their inverses (column 2i
-is generator i, column 2i+1 its inverse).  New cosets are only introduced
-at the first undefined table entry once all pending deductions have been
-processed, which makes runs deterministic for a fixed presentation, subgroup
-and cap.  The cap bounds the number of table rows ever allocated; hitting it
+The table's columns are the word letters (column 2i is generator i, column
+2i+1 its inverse, x ^ 1 the inverse column of x), so relators and subgroup
+generators are scanned straight from `Word.letters`.  New cosets are only
+introduced at the first undefined table entry once all pending deductions
+have been processed, which makes runs deterministic for a fixed
+presentation, subgroup and cap.  The cap bounds the number of table rows ever allocated; hitting it
 is reported as an inconclusive outcome, never as a result.
 """
 
@@ -34,14 +35,6 @@ class CosetResult:
 
 class _CapExceeded(Exception):
     pass
-
-
-def _letters(word: Word) -> tuple[int, ...]:
-    return tuple(2 * g if e == 1 else 2 * g + 1 for g, e in word.letters)
-
-
-def _inv(x: int) -> int:
-    return x ^ 1
 
 
 class _Table:
@@ -74,9 +67,9 @@ class _Table:
 
     def set_entry(self, c: int, x: int, d: int):
         self.rows[c][x] = d
-        self.rows[d][_inv(x)] = c
+        self.rows[d][x ^ 1] = c
         self.deductions.append((c, x))
-        self.deductions.append((d, _inv(x)))
+        self.deductions.append((d, x ^ 1))
 
     def lookup(self, c: int, x: int) -> int | None:
         d = self.rows[c][x]
@@ -87,7 +80,7 @@ class _Table:
         return d
 
     def coincidence(self, a: int, b: int):
-        queue: list[int] = []
+        queue: deque[int] = deque()
 
         def merge(x: int, y: int):
             x, y = self.rep(x), self.rep(y)
@@ -101,30 +94,34 @@ class _Table:
 
         merge(a, b)
         while queue:
-            dead = queue.pop(0)
+            dead = queue.popleft()
             row = self.rows[dead]
             for x in range(self.ncols):
                 delta = row[x]
                 if delta is None:
                     continue
                 # detach the reverse edge before transplanting
-                self.rows[delta][_inv(x)] = None
+                self.rows[delta][x ^ 1] = None
                 mu, nu = self.rep(dead), self.rep(delta)
                 entry = self.rows[mu][x]
                 if entry is not None:
                     merge(nu, entry)
                 else:
-                    entry_back = self.rows[nu][_inv(x)]
+                    entry_back = self.rows[nu][x ^ 1]
                     if entry_back is not None:
                         merge(mu, entry_back)
                     else:
                         self.rows[mu][x] = nu
-                        self.rows[nu][_inv(x)] = mu
+                        self.rows[nu][x ^ 1] = mu
                         self.deductions.append((mu, x))
 
 
-def _scan(table: _Table, alpha: int, word: tuple[int, ...]):
-    """Check the cyclic relation word(alpha) = alpha, deducing or merging."""
+def _scan(table: _Table, alpha: int, word: tuple[int, ...]) -> tuple[int, int] | None:
+    """Check the cyclic relation word(alpha) = alpha, deducing or merging.
+
+    Returns the (coset, letter) entry that opens a gap of two or more
+    undefined entries, where nothing can be deduced yet; None otherwise.
+    """
     f = table.rep(alpha)
     i = 0
     n = len(word)
@@ -137,11 +134,11 @@ def _scan(table: _Table, alpha: int, word: tuple[int, ...]):
     if i == n:
         if f != table.rep(alpha):
             table.coincidence(f, table.rep(alpha))
-        return
+        return None
     b = table.rep(alpha)
     j = n - 1
     while j >= i:
-        prv = table.lookup(b, _inv(word[j]))
+        prv = table.lookup(b, word[j] ^ 1)
         if prv is None:
             break
         b = prv
@@ -150,40 +147,9 @@ def _scan(table: _Table, alpha: int, word: tuple[int, ...]):
         table.coincidence(f, b)
     elif j == i:
         table.set_entry(f, word[i], b)
-    # gap longer than one entry: nothing to deduce yet
-
-
-def _scan_and_fill(table: _Table, alpha: int, word: tuple[int, ...]):
-    """Like _scan but defines cosets until the relation closes (HLT fill)."""
-    while True:
-        f = table.rep(alpha)
-        i = 0
-        n = len(word)
-        while i < n:
-            nxt = table.lookup(f, word[i])
-            if nxt is None:
-                break
-            f = nxt
-            i += 1
-        if i == n:
-            if f != table.rep(alpha):
-                table.coincidence(f, table.rep(alpha))
-            return
-        b = table.rep(alpha)
-        j = n - 1
-        while j >= i:
-            prv = table.lookup(b, _inv(word[j]))
-            if prv is None:
-                break
-            b = prv
-            j -= 1
-        if j < i:
-            table.coincidence(f, b)
-            return
-        if j == i:
-            table.set_entry(f, word[i], b)
-            return
-        table.define(f, word[i])
+    else:
+        return f, word[i]
+    return None
 
 
 def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (),
@@ -200,19 +166,13 @@ def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (
             raise ValueError("subgroup word references unknown generator")
 
     ncols = 2 * p.ngens
-    relator_words = []
-    for r in p.relators:
-        w = _letters(cyclically_reduce(r))
-        if w:
-            relator_words.append(w)
-
     # deduction table: every rotation of each relator and its inverse,
     # bucketed by first letter
     edp: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
     seen = set()
-    for w in relator_words:
-        inverse = tuple(_inv(x) for x in reversed(w))
-        for base in (w, inverse):
+    for r in p.relators:
+        w = cyclically_reduce(r)
+        for base in (w.letters, w.inverse().letters):
             for k in range(len(base)):
                 rot = base[k:] + base[:k]
                 if rot not in seen:
@@ -230,7 +190,9 @@ def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (
 
     try:
         for w in subgroup:
-            _scan_and_fill(table, 0, _letters(w))
+            # HLT fill: define cosets until the subgroup generator closes at 0
+            while (gap := _scan(table, 0, w.letters)) is not None:
+                table.define(*gap)
             process_deductions()
         alpha = 0
         while alpha < len(table.rows):

@@ -125,8 +125,8 @@ class Presentation:
         canonical = []
         for role, target in self.labels:
             if isinstance(target, Word) and len(target.letters) == 1 \
-                    and target.letters[0][1] == 1:
-                target = target.letters[0][0]
+                    and not target.letters[0] & 1:
+                target = target.letters[0] >> 1
             canonical.append((role, target))
         object.__setattr__(self, "labels", tuple(canonical))
         seen = set()
@@ -207,12 +207,12 @@ def format_word(w: Word, names: tuple[str, ...]) -> str:
     i = 0
     letters = w.letters
     while i < len(letters):
-        g, e = letters[i]
+        x = letters[i]
         j = i
-        while j < len(letters) and letters[j] == (g, e):
+        while j < len(letters) and letters[j] == x:
             j += 1
-        count = (j - i) * e
-        name = names[g]
+        count = -(j - i) if x & 1 else j - i
+        name = names[x >> 1]
         if count == 1:
             parts.append(name)
         elif count == -1 and len(name) == 1 and name.islower():
@@ -337,9 +337,10 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
         candidate = None
         for ri, rel in enumerate(relators):
             counts: dict[int, int] = {}
-            for g, _ in rel.letters:
-                counts[g] = counts.get(g, 0) + 1
-            for pos, (g, _) in enumerate(rel.letters):
+            for x in rel.letters:
+                counts[x >> 1] = counts.get(x >> 1, 0) + 1
+            for pos, x in enumerate(rel.letters):
+                g = x >> 1
                 if counts[g] == 1 and generators[g] not in keep_names:
                     key = (len(rel), ri, pos)
                     if candidate is None or key < candidate[0]:
@@ -349,10 +350,9 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
         _, ri, pos, g = candidate
         rel = relators[ri]
         before = Word(rel.letters[:pos])
-        sign = rel.letters[pos][1]
         after = Word(rel.letters[pos + 1:])
         solved = free_reduce(before.inverse() * after.inverse())
-        if sign == -1:
+        if rel.letters[pos] & 1:
             solved = solved.inverse()
         images = {g: solved}
         relators = [free_reduce(r.substitute(images)) for i, r in enumerate(relators) if i != ri]
@@ -363,10 +363,5 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
         labels = {role: w.reindex(mapping) for role, w in labels.items()}
 
     relators = [r for r in relators if r.letters]
-    label_items: list[tuple[str, int | Word]] = []
-    for role, w in sorted(labels.items()):
-        if len(w.letters) == 1 and w.letters[0][1] == 1:
-            label_items.append((role, w.letters[0][0]))
-        else:
-            label_items.append((role, w))
-    return Presentation(tuple(generators), tuple(relators), tuple(label_items))
+    # Presentation turns single-generator label words back into indices
+    return Presentation(tuple(generators), tuple(relators), tuple(sorted(labels.items())))

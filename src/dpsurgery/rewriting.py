@@ -1,7 +1,8 @@
 """Bounded Knuth-Bendix completion for group presentations, shortlex order.
 
-Letters are 0..2g-1 with letter 2i the i-th generator and 2i+1 its inverse,
-so the shortlex order places each inverse immediately after its generator.
+The alphabet is `Word.letters`: 0..2g-1 with letter 2i the i-th generator
+and 2i+1 its inverse, so the shortlex order places each inverse immediately
+after its generator and relators enter the system without re-encoding.
 Rules always rewrite shortlex-downward, hence every rewrite terminates; a
 rule set need not be confluent to be useful: any reduction of a word to the
 empty string is already a proof that the word is trivial in the group.
@@ -13,32 +14,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .presentations import Presentation
-from .words import cyclically_reduce, Word
+from .words import cyclically_reduce
 
 
 Letters = tuple[int, ...]
-
-
-def word_to_letters(w: Word) -> Letters:
-    return tuple(2 * g if e == 1 else 2 * g + 1 for g, e in w.letters)
-
-
-def _inv_letter(x: int) -> int:
-    return x ^ 1
-
-
-def invert_letters(w: Letters) -> Letters:
-    return tuple(_inv_letter(x) for x in reversed(w))
-
-
-def free_reduce_letters(w: Letters) -> Letters:
-    stack: list[int] = []
-    for x in w:
-        if stack and stack[-1] == _inv_letter(x):
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
 
 
 def shortlex_key(w: Letters) -> tuple[int, Letters]:
@@ -101,9 +80,6 @@ class RewriteSystem:
                 stack.extend(reversed(rhs))
         return tuple(out)
 
-    def reduces_to_identity(self, w: Letters) -> bool:
-        return self.reduce(w) == ()
-
 
 def knuth_bendix(p: Presentation, max_rules: int = 500) -> RewriteSystem:
     """Complete the presentation's rule set, stopping at the rule cap.
@@ -149,9 +125,9 @@ def knuth_bendix(p: Presentation, max_rules: int = 500) -> RewriteSystem:
         add_equation((2 * i, 2 * i + 1), ())
         add_equation((2 * i + 1, 2 * i), ())
     for r in p.relators:
-        w = word_to_letters(cyclically_reduce(r))
-        equations.append((w, ()))
-        equations.append((invert_letters(w), ()))
+        w = cyclically_reduce(r)
+        equations.append((w.letters, ()))
+        equations.append((w.inverse().letters, ()))
 
     while equations or pairs:
         while equations:

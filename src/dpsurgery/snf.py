@@ -7,7 +7,6 @@ by the public functions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -15,15 +14,11 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(a, b):
+def mat_mul(a, b):
+    """Integer matrix product (used by callers to check U*M*V == D)."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
             for i in range(rows)]
-
-
-def mat_mul(a, b):
-    """Integer matrix product (used by callers to check U*M*V == D)."""
-    return _mat_mul(a, b)
 
 
 def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -165,34 +160,6 @@ def determinant(m: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def inverse_unimodular(m: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        aug[k] = [x / pivot for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                factor = aug[i][k]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[k])]
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = aug[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        inv.append(row)
-    return inv
 
 
 def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int]) -> int | None:

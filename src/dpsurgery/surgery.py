@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .configurations import Configuration, tag_standard, tag_twist_spun
+from .configurations import Configuration, SurfaceComponent, tag_standard, tag_twist_spun
 from .knots import BraidWord, KnotGroupData, knot_group_from_braid
 from .presentations import AbelianGroup, Presentation
 from .snf import determinant as snf_determinant
@@ -281,15 +281,31 @@ def _is_line_in_projective_plane(config: Configuration, component: int) -> bool:
             and tuple(surface.homology_class) == (1,))
 
 
+def surgered_components(spec: SurgerySpec, k: int) -> tuple[SurfaceComponent, ...]:
+    """Components after k-twisted surgery at the spec's double point.
+
+    The first component at the point acquires a twist-spun connected-sum tag
+    unless a recognized untwisting applies: twist +-1 always untwists, and
+    twist 0 untwists a degree-one sphere in the projective plane.  Every
+    other component is untouched.
+    """
+    config = spec.configuration
+    comp_a = config.double_points[spec.point][0]
+    if k in (1, -1) or (k == 0 and _is_line_in_projective_plane(config, comp_a)):
+        tag = tag_standard()
+    else:
+        tag = tag_twist_spun(spec.knot, k)
+    components = list(config.components)
+    components[comp_a] = components[comp_a].with_tag(tag)
+    return tuple(components)
+
+
 def apply_surgery(spec: SurgerySpec) -> Configuration:
     """Surger the configuration at one double point.
 
-    Homology classes, genus and double point data never change.  The first
-    component at the point acquires a twist-spun connected-sum tag unless a
-    recognized untwisting applies: twist +-1 always untwists, and twist 0
-    untwists a degree-one sphere in the projective plane.  The second
-    component is untouched.  The complement presentation, when present, is
-    replaced by the full amalgam.
+    Homology classes, genus and double point data never change; the
+    embedding tags follow `surgered_components`.  The complement
+    presentation, when present, is replaced by the full amalgam.
     """
     config = spec.configuration
     comp_a, comp_b, _ = config.double_points[spec.point]
@@ -310,16 +326,6 @@ def apply_surgery(spec: SurgerySpec) -> Configuration:
     else:
         k = spec.twist
 
-    if k in (1, -1):
-        tag = tag_standard()
-    elif k == 0 and _is_line_in_projective_plane(config, comp_a):
-        tag = tag_standard()
-    else:
-        tag = tag_twist_spun(spec.knot, k)
-
-    components = list(config.components)
-    components[comp_a] = components[comp_a].with_tag(tag)
-
     pi1 = None
     if config.pi1 is not None:
         base = config.pi1
@@ -330,5 +336,5 @@ def apply_surgery(spec: SurgerySpec) -> Configuration:
         relabeled = base.with_labels({"mu1": target_a, "mu2": target_b})
         pi1 = surgered_presentation(relabeled, knot_group_from_braid(spec.knot), k)
 
-    return config.replace(components=tuple(components), pi1=pi1,
+    return config.replace(components=surgered_components(spec, k), pi1=pi1,
                           symplectic_positive=False)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
 from .configurations import Configuration, algebraic_intersection
-from .knots import BraidWord, knot_group_from_braid
+from .knots import BraidWord
 from .laurent import LaurentPoly
-from .surgery import CaseParams, SurgerySpec, apply_surgery, check_case_hypothesis, \
+from .surgery import CaseParams, SurgerySpec, check_case_hypothesis, surgered_components, \
     verify_group_preserved
 from .verify import Bounds, DEFAULT_BOUNDS, Status, Verdict
 
@@ -145,26 +145,26 @@ def family_report(config: Configuration, count: int, case: CaseParams,
                   sw: FormalSW | None = None) -> FamilyReport:
     """Surger a family of torus knots at one double point and certify the lot.
 
-    For each knot: apply the surgery (recording the embedding tags), verify
-    the group is preserved; then compare every pair through the invariant.
-    Requires the case hypothesis and the applicability hypotheses.
+    For each knot: record the embedding tags of the surgered components and
+    verify the group is preserved, both from the one knot group the family
+    built; then compare every pair through the invariant.  Requires the case
+    hypothesis and the applicability hypotheses.
     """
     if not check_case_hypothesis(case):
         raise ValueError(f"case hypothesis fails for {case.describe()}")
     audit = applicability_check(config, sw)
     family = knot_family(count)
     members = []
-    for i, (braid, delta) in enumerate(family, start=1):
-        surgered = apply_surgery(SurgerySpec(config, point, braid, case.k))
-        knot_data = knot_group_from_braid(braid)
-        verdict = verify_group_preserved(case, knot_data, bounds)
-        tags = tuple(c.embedding_tag.describe() for c in surgered.components)
+    for i, (braid, knot, delta) in enumerate(family, start=1):
+        components = surgered_components(SurgerySpec(config, point, braid, case.k), case.k)
+        verdict = verify_group_preserved(case, knot, bounds)
+        tags = tuple(c.embedding_tag.describe() for c in components)
         members.append(FamilyMember(i, braid, delta, verdict, tags))
     pairs = []
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
-            b1, d1 = family[i]
-            b2, d2 = family[j]
+            b1, _, d1 = family[i]
+            b2, _, d2 = family[j]
             pairs.append(_compare(b1.format(), coefficient_multiset(d1),
                                   b2.format(), coefficient_multiset(d2), audit))
     return FamilyReport(audit, tuple(members), tuple(pairs))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .coset import coset_enumerate
 from .presentations import AbelianGroup, Presentation, abelianization, simplify_presentation
-from .rewriting import knuth_bendix, word_to_letters
+from .rewriting import knuth_bendix
 from .words import Word, commutator
 
 
@@ -72,7 +72,7 @@ def certify_abelian(p: Presentation, max_rules: int = 500, simplify: bool = True
     pending = []
     for i in range(work.ngens):
         for j in range(i + 1, work.ngens):
-            comm = word_to_letters(commutator(Word.gen(i), Word.gen(j)))
+            comm = commutator(Word.gen(i), Word.gen(j)).letters
             if system.reduce(comm) != ():
                 pending.append((i, j))
     total = work.ngens * (work.ngens - 1) // 2

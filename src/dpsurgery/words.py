@@ -1,8 +1,11 @@
 """Words in a finitely generated free group.
 
-A letter is a pair (generator index, sign) with sign +1 or -1; a word is a
-tuple of letters.  The empty word is the identity.  Words are immutable and
-all operations return fresh values.
+A letter is an int: 2*g is generator g and 2*g + 1 its inverse, so x ^ 1
+is the inverse of letter x, x >> 1 its generator and x & 1 whether it is
+inverted.  A word is a tuple of letters; the empty word is the identity.
+This is the alphabet of the coset table's columns and of the rewriting
+system, so both engines read `Word.letters` as they are.  Words are
+immutable and all operations return fresh values.
 """
 
 from __future__ import annotations
@@ -10,32 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-Letter = tuple[int, int]
-
-
-def _check_letters(letters) -> tuple[Letter, ...]:
-    out = []
-    for g, e in letters:
-        if g < 0:
-            raise ValueError(f"negative generator index {g}")
-        if e not in (1, -1):
-            raise ValueError(f"exponent sign must be +-1, got {e}")
-        out.append((g, e))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Word:
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", _check_letters(self.letters))
+        if self.letters and min(self.letters) < 0:
+            raise ValueError(f"negative letter in {self.letters}")
 
     @staticmethod
     def gen(index: int, power: int = 1) -> "Word":
+        if index < 0:
+            raise ValueError(f"negative generator index {index}")
         if power >= 0:
-            return Word(((index, 1),) * power)
-        return Word(((index, -1),) * (-power))
+            return Word((2 * index,) * power)
+        return Word((2 * index + 1,) * (-power))
 
     @staticmethod
     def identity() -> "Word":
@@ -51,7 +43,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word(tuple(x ^ 1 for x in reversed(self.letters)))
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -62,47 +54,48 @@ class Word:
         return Word(self.letters * n)
 
     def exponent_sum(self, index: int) -> int:
-        return sum(e for g, e in self.letters if g == index)
+        return self.letters.count(2 * index) - self.letters.count(2 * index + 1)
 
     def max_index(self) -> int:
         """Largest generator index appearing, or -1 for the identity."""
-        return max((g for g, _ in self.letters), default=-1)
+        return max(self.letters) >> 1 if self.letters else -1
 
     def substitute(self, images: dict[int, "Word"]) -> "Word":
         """Replace each generator by its image word (others untouched)."""
-        parts: list[Letter] = []
-        for g, e in self.letters:
-            image = images.get(g)
+        parts: list[int] = []
+        for x in self.letters:
+            image = images.get(x >> 1)
             if image is None:
-                parts.append((g, e))
-            elif e == 1:
-                parts.extend(image.letters)
-            else:
+                parts.append(x)
+            elif x & 1:
                 parts.extend(image.inverse().letters)
+            else:
+                parts.extend(image.letters)
         return free_reduce(Word(tuple(parts)))
 
     def reindex(self, mapping: dict[int, int]) -> "Word":
-        return Word(tuple((mapping[g], e) for g, e in self.letters))
+        return Word(tuple(2 * mapping[x >> 1] + (x & 1) for x in self.letters))
 
 
 def free_reduce(w: Word) -> Word:
     """The unique freely reduced word equal to w in the free group."""
-    stack: list[Letter] = []
-    for g, e in w.letters:
-        if stack and stack[-1][0] == g and stack[-1][1] == -e:
+    stack: list[int] = []
+    for x in w.letters:
+        if stack and stack[-1] == x ^ 1:
             stack.pop()
         else:
-            stack.append((g, e))
+            stack.append(x)
     return Word(tuple(stack))
 
 
 def cyclically_reduce(w: Word) -> Word:
     """Conjugacy representative: freely reduce, then cancel across the ends."""
-    r = free_reduce(w)
-    letters = list(r.letters)
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        letters = letters[1:-1]
-    return Word(tuple(letters))
+    letters = free_reduce(w).letters
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i] == letters[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    return Word(letters[i:j])
 
 
 def commutator(x: Word, y: Word) -> Word:

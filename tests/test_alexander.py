@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dpsurgery.alexander import (alexander_of_braid, alexander_polynomial,
-                                 coefficient_multiset, knot_family, substitute_square)
+                                 coefficient_multiset, knot_family)
 from dpsurgery.knots import (BraidWord, FIGURE_EIGHT, TREFOIL, UNKNOT,
                              braid_to_diagram, torus_knot)
 from dpsurgery.laurent import LaurentPoly
@@ -90,14 +90,6 @@ def test_coefficient_multisets():
     assert coefficient_multiset(alexander_of_braid(FIGURE_EIGHT)) == (-1, -1, 3)
 
 
-def test_substitute_square_examples():
-    assert substitute_square(LaurentPoly.one()) == LaurentPoly.one()
-    assert substitute_square(LaurentPoly.parse("t^-1 - 1 + t")) == \
-        LaurentPoly.parse("t^-2 - 1 + t^2")
-    assert substitute_square(LaurentPoly.parse("-t^-1 + 3 - t")) == \
-        LaurentPoly.parse("-t^-2 + 3 - t^2")
-
-
 def test_random_braids_value_symmetry_determinant():
     for braid in random_knot_braids(50):
         diagram = braid_to_diagram(braid)
@@ -147,13 +139,14 @@ def test_invariance_under_conjugation_and_stabilization():
 
 def test_torus_knot_family():
     family = knot_family(10)
-    sizes = [len(coefficient_multiset(delta)) for _, delta in family]
+    sizes = [len(coefficient_multiset(delta)) for _, _, delta in family]
     assert sizes == [3, 5, 7, 9, 11, 13, 15, 17, 19, 21]
-    multisets = {coefficient_multiset(delta) for _, delta in family}
+    multisets = {coefficient_multiset(delta) for _, _, delta in family}
     assert len(multisets) == 10
     assert family[0][0] == TREFOIL
-    assert family[0][1] == LaurentPoly.parse("t^-1 - 1 + t")
+    assert family[0][1].presentation.ngens == 3
+    assert family[0][2] == LaurentPoly.parse("t^-1 - 1 + t")
     # second entry: 5 nonzero coefficients
-    assert len(coefficient_multiset(family[1][1])) == 5
+    assert len(coefficient_multiset(family[1][2])) == 5
     with pytest.raises(ValueError):
         knot_family(0)

@@ -196,6 +196,9 @@ def test_tori_presentation_3_2():
     verdict = verify_abelian_isomorphism(tori_presentation(3, 2),
                                          AbelianGroup.of_orders(3, 2))
     assert verdict.status is Status.ISOMORPHIC
+    # exact engine counts on a larger cell
+    result = coset_enumerate(tori_presentation(9, 10), (), 100_000)
+    assert (result.completed, result.index, result.allocated) == (True, 90, 145)
 
 
 def test_tori_presentation_2_3_abelianization():

@@ -4,6 +4,7 @@ import pytest
 
 from dpsurgery.coset import coset_enumerate
 from dpsurgery.presentations import Presentation, parse_presentation
+from dpsurgery.rewriting import knuth_bendix
 from dpsurgery.words import Word
 
 
@@ -112,6 +113,7 @@ def test_alternating_five():
     p = parse_presentation("gens: a b ; rels: a^2 , b^3 , a b a b a b a b a b ;")
     result = coset_enumerate(p, (), 10_000)
     assert result.completed and result.index == 60
+    assert knuth_bendix(p).rules_admitted == 39
     # oracle: closure of (0 1)(2 3) and (0 1 2 3 4), the (2,5)-generators of A5
     swap_pairs = (1, 0, 3, 2, 4)
     five_cycle = (1, 2, 3, 4, 0)
@@ -124,6 +126,7 @@ def test_psl_2_7():
         "gens: a b ; rels: a^2 , b^3 , a b a b a b a b a b a b a b , [a,b]^4 ;")
     result = coset_enumerate(p, (), 10_000)
     assert result.completed and result.index == 168
+    assert knuth_bendix(p).rules_admitted == 98
     # oracle: fractional-linear action on the projective line over F_7
     points = list(range(7)) + ["inf"]
 

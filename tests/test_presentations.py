@@ -46,10 +46,10 @@ def test_parse_and_format_roundtrip():
 
 def test_parse_word_tokens():
     names = ("a", "b", "mu1")
-    assert parse_word("a B", names) == Word(((0, 1), (1, -1)))
-    assert parse_word("mu1^-2", names) == Word(((2, -1), (2, -1)))
-    assert parse_word("[a,b]", names) == Word(((0, 1), (1, 1), (0, -1), (1, -1)))
-    comm = Word(((0, 1), (1, 1), (0, -1), (1, -1)))
+    assert parse_word("a B", names) == Word.gen(0) * Word.gen(1, -1)
+    assert parse_word("mu1^-2", names) == Word.gen(2, -2)
+    comm = Word.gen(0) * Word.gen(1) * Word.gen(0, -1) * Word.gen(1, -1)
+    assert parse_word("[a,b]", names) == comm
     assert parse_word("[a,b]^2", names) == comm * comm
     assert parse_word("[a,b]^-1", names) == comm.inverse()
     assert parse_word("1", names) == Word(())
@@ -59,7 +59,7 @@ def test_parse_word_tokens():
 
 def test_validation():
     with pytest.raises(ValueError):
-        Presentation(("a",), (Word(((1, 1),)),))  # unknown generator in relator
+        Presentation(("a",), (Word.gen(1),))  # unknown generator in relator
     with pytest.raises(ValueError):
         Presentation(("a", "a"), ())
     with pytest.raises(ValueError):
@@ -114,8 +114,9 @@ def test_simplify_preserves_group_order():
         relators = []
         for _ in range(rng.randint(ngens, ngens + 2)):
             length = rng.randint(1, 5)
-            word = Word(tuple((rng.randrange(ngens), rng.choice((1, -1)))
-                              for _ in range(length)))
+            word = Word.identity()
+            for _ in range(length):
+                word = word * Word.gen(rng.randrange(ngens), rng.choice((1, -1)))
             relators.append(free_reduce(word))
         p = Presentation(names, tuple(relators))
         before = coset_enumerate(p, (), 3000)
@@ -132,5 +133,5 @@ def test_simplify_preserves_group_order():
 def test_label_word():
     p = parse_presentation("gens: a b ; rels: ; labels: mu1=a mu2=a.B ;")
     assert p.label_word("mu1") == Word.gen(0)
-    assert p.label_word("mu2") == Word(((0, 1), (1, -1)))
+    assert p.label_word("mu2") == Word.gen(0) * Word.gen(1, -1)
     assert p.label_word("nope") is None

@@ -3,10 +3,9 @@
 import random
 
 from dpsurgery.presentations import parse_presentation
-from dpsurgery.rewriting import (free_reduce_letters, invert_letters, knuth_bendix,
-                                 shortlex_key, word_to_letters)
+from dpsurgery.rewriting import knuth_bendix, shortlex_key
 from dpsurgery.verify import Status, certify_abelian
-from dpsurgery.words import Word
+from dpsurgery.words import Word, free_reduce
 
 
 def test_shortlex_places_inverse_after_generator():
@@ -16,11 +15,11 @@ def test_shortlex_places_inverse_after_generator():
 
 
 def test_letters_roundtrip():
-    word = Word(((0, 1), (1, -1), (0, -1)))
-    letters = word_to_letters(word)
-    assert letters == (0, 3, 1)
-    assert invert_letters(letters) == (0, 2, 1)
-    assert free_reduce_letters((0, 1, 2)) == (2,)
+    # the rewriting alphabet is Word.letters itself
+    word = Word.gen(0) * Word.gen(1, -1) * Word.gen(0, -1)
+    assert word.letters == (0, 3, 1)
+    assert word.inverse().letters == (0, 2, 1)
+    assert free_reduce(Word((0, 1, 2))).letters == (2,)
 
 
 def test_free_group_system_is_confluent():

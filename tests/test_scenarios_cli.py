@@ -226,6 +226,14 @@ def test_cli_bounds_flags(capsys):
     assert code in (EXIT_OK, 3)  # tiny bounds may leave it inconclusive
 
 
+def test_cli_rejects_nonpositive_bounds(capsys):
+    for flags in (["--bounds-cosets", "0"], ["--bounds-rules", "-1"]):
+        assert main(flags + ["verify", "tori", "m=1", "n=1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bounds must be >= 1\n"
+
+
 def test_cli_flags_after_subcommand(capsys):
     code = main(["verify", "nodal", "d1=2", "d2=4", "--format", "machine"])
     before = capsys.readouterr().out

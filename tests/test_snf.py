@@ -4,10 +4,8 @@ import random
 from itertools import combinations
 from math import gcd
 
-import pytest
-
 from dpsurgery.snf import (cokernel_invariants, determinant, element_order_in_cokernel,
-                           inverse_unimodular, mat_mul, smith_normal_form)
+                           mat_mul, smith_normal_form)
 
 
 def cofactor_det(m):
@@ -93,14 +91,6 @@ def test_bareiss_determinant_matches_cofactor():
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert determinant(m) == cofactor_det(m)
-
-
-def test_inverse_unimodular():
-    m = [[2, 1], [1, 1]]
-    inv = inverse_unimodular(m)
-    assert mat_mul(m, inv) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        inverse_unimodular([[2, 0], [0, 2]])
 
 
 def test_cokernel_invariants():

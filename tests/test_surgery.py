@@ -3,7 +3,7 @@
 import pytest
 
 from dpsurgery.coset import coset_enumerate
-from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, knot_group_from_braid
+from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, knot_group_from_braid, torus_knot
 from dpsurgery.presentations import AbelianGroup, abelianization, \
     parse_presentation
 from dpsurgery.scenarios import (nodal_configuration, rational_configuration,
@@ -164,6 +164,10 @@ def test_verified_cells():
         is Status.ISOMORPHIC
     assert verify_group_preserved(CaseParams.f1(2, 0), TREFOIL_DATA).status \
         is Status.ISOMORPHIC
+    # exact engine counts on the meridian-kept path for T(2,21)
+    knot = knot_group_from_braid(torus_knot(10)).simplified()
+    result = coset_enumerate(case_presentation(CaseParams.f3(5, 3, 1), knot), (), 100_000)
+    assert (result.completed, result.index, result.allocated) == (True, 15, 588)
 
 
 def test_refuses_outside_hypothesis():
