@@ -27,6 +27,10 @@ class CoverPlanError(ValueError):
     """Raised when a configuration cannot support the two-stage cover."""
 
 
+class CoverPlanInconclusive(CoverPlanError):
+    """Raised when the complement group was not decided within the bounds."""
+
+
 @dataclass(frozen=True)
 class CoverPlan:
     m: int
@@ -58,7 +62,8 @@ def build_cover_plan(config: Configuration, m: int, n: int,
 
     Fails unless gcd(m, n) = 1, the complement group verifies as Z_m + Z_n,
     and the two meridians generate the summands (their homology classes have
-    orders exactly m and n).
+    orders exactly m and n).  An Inconclusive group verdict raises
+    `CoverPlanInconclusive`, so it is never reported as a refutation.
     """
     if len(config.components) != 2:
         raise CoverPlanError("cover plan needs a two-component configuration")
@@ -69,7 +74,8 @@ def build_cover_plan(config: Configuration, m: int, n: int,
     target = AbelianGroup.of_orders(m, n)
     verdict = verify_abelian_isomorphism(config.pi1, target, bounds)
     if verdict.status is not Status.ISOMORPHIC:
-        raise CoverPlanError(
+        error = CoverPlanInconclusive if verdict.status is Status.INCONCLUSIVE else CoverPlanError
+        raise error(
             f"complement group did not verify as {target}: {verdict.status.value}; "
             + "; ".join(verdict.evidence))
     order1 = _meridian_order(config, "mu1")
@@ -93,6 +99,7 @@ class CertificateCheck:
     kind: str  # "computed" | "cited"
     passed: bool
     detail: str
+    inconclusive: bool = False  # not passed, and nothing refuted: a bound cut it short
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,11 @@ class ActionCertificate:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    @property
+    def inconclusive(self) -> bool:
+        """Not passed, but every check that did not pass was cut short by a bound."""
+        return not self.passed and all(c.passed or c.inconclusive for c in self.checks)
 
     def failed_checks(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
@@ -145,11 +157,13 @@ def exotic_action_certificate(plan: CoverPlan, k: int, count: int,
     if check_a:
         case = CaseParams.f3(m, n, k)
         family = family_report(plan.config, count, case, bounds)
-        groups_ok = family.all_groups_preserved()
+        statuses = [x.group_verdict.status for x in family.members]
+        undecided = statuses.count(Status.INCONCLUSIVE)
         checks.append(CertificateCheck(
-            "group-preserved-per-knot", "computed", groups_ok,
-            f"{sum(1 for x in family.members if x.group_verdict.status is Status.ISOMORPHIC)}"
-            f"/{len(family.members)} knots verified isomorphic to Z_{m} + Z_{n}"))
+            "group-preserved-per-knot", "computed", family.all_groups_preserved(),
+            f"{statuses.count(Status.ISOMORPHIC)}/{len(statuses)} knots verified "
+            f"isomorphic to Z_{m} + Z_{n}" + (f", {undecided} inconclusive" if undecided else ""),
+            inconclusive=undecided > 0 and Status.NOT_ISOMORPHIC not in statuses))
         pairs_ok = family.applicability.ok and family.all_pairs_distinct()
         checks.append(CertificateCheck(
             "sw-pairwise-distinct", "computed", pairs_ok,
@@ -172,6 +186,8 @@ def exotic_action_certificate(plan: CoverPlan, k: int, count: int,
     if certificate.passed:
         conclusion = (f"desk-scale certificate: {count} smoothly inequivalent, "
                       f"topologically equivalent Z_{m} + Z_{n} actions of standard type")
+    elif certificate.inconclusive:
+        conclusion = "certificate inconclusive at: " + ", ".join(certificate.failed_checks())
     else:
-        conclusion = ("certificate FAILED at: " + ", ".join(certificate.failed_checks()))
+        conclusion = "certificate FAILED at: " + ", ".join(certificate.failed_checks())
     return ActionCertificate(plan, k, count, tuple(checks), family, conclusion)

@@ -51,12 +51,15 @@ def _parse_kv(tokens: list[str]) -> dict:
 def _case_from_params(params: dict) -> CaseParams:
     tag = str(params.pop("case", "")).upper()
     k = int(params.pop("k", 0))
-    if tag == "F1":
-        return CaseParams.f1(int(params.pop("d")), k)
-    if tag == "F2":
-        return CaseParams.f2(int(params.pop("p")), int(params.pop("q")), k)
-    if tag == "F3":
-        return CaseParams.f3(int(params.pop("m")), int(params.pop("n")), k)
+    try:
+        if tag == "F1":
+            return CaseParams.f1(int(params.pop("d")), k)
+        if tag == "F2":
+            return CaseParams.f2(int(params.pop("p")), int(params.pop("q")), k)
+        if tag == "F3":
+            return CaseParams.f3(int(params.pop("m")), int(params.pop("n")), k)
+    except KeyError as err:
+        raise ParamError(f"case={tag} needs parameter {err}") from None
     raise ParamError("surgery needs case=F1 (with d=), F2 (with p= q=) or F3 (with m= n=)")
 
 

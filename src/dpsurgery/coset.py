@@ -5,8 +5,16 @@ The table's columns are the word letters (column 2i is generator i, column
 generators are scanned straight from `Word.letters`.  New cosets are only
 introduced at the first undefined table entry once all pending deductions
 have been processed, which makes runs deterministic for a fixed
-presentation, subgroup and cap.  The cap bounds the number of table rows ever allocated; hitting it
-is reported as an inconclusive outcome, never as a result.
+presentation, subgroup and cap.  The cap bounds the number of table rows
+ever allocated; hitting it is reported as an inconclusive outcome, never as
+a result.
+
+One scan routine serves both the deduction pass and the subgroup (HLT)
+fill.  It is a closure inside `coset_enumerate` over the table's row list,
+union-find parents and `rep`, bound once per enumeration: almost every
+entry it reads already points at a live coset, so it indexes the rows
+directly and calls `rep` only for an entry whose coset has died, writing
+the root back into the table.
 """
 
 from __future__ import annotations
@@ -71,14 +79,6 @@ class _Table:
         self.deductions.append((c, x))
         self.deductions.append((d, x ^ 1))
 
-    def lookup(self, c: int, x: int) -> int | None:
-        d = self.rows[c][x]
-        if d is None:
-            return None
-        d = self.rep(d)
-        self.rows[c][x] = d
-        return d
-
     def coincidence(self, a: int, b: int):
         queue: deque[int] = deque()
 
@@ -116,42 +116,6 @@ class _Table:
                         self.deductions.append((mu, x))
 
 
-def _scan(table: _Table, alpha: int, word: tuple[int, ...]) -> tuple[int, int] | None:
-    """Check the cyclic relation word(alpha) = alpha, deducing or merging.
-
-    Returns the (coset, letter) entry that opens a gap of two or more
-    undefined entries, where nothing can be deduced yet; None otherwise.
-    """
-    f = table.rep(alpha)
-    i = 0
-    n = len(word)
-    while i < n:
-        nxt = table.lookup(f, word[i])
-        if nxt is None:
-            break
-        f = nxt
-        i += 1
-    if i == n:
-        if f != table.rep(alpha):
-            table.coincidence(f, table.rep(alpha))
-        return None
-    b = table.rep(alpha)
-    j = n - 1
-    while j >= i:
-        prv = table.lookup(b, word[j] ^ 1)
-        if prv is None:
-            break
-        b = prv
-        j -= 1
-    if j < i:
-        table.coincidence(f, b)
-    elif j == i:
-        table.set_entry(f, word[i], b)
-    else:
-        return f, word[i]
-    return None
-
-
 def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (),
                     max_cosets: int = 100_000) -> CosetResult:
     """Index of the subgroup generated by `subgroup` words, if it completes.
@@ -180,35 +144,80 @@ def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (
                     edp[rot[0]].append(rot)
 
     table = _Table(ncols, max_cosets)
+    rows, parent, rep, deductions = table.rows, table.parent, table.rep, table.deductions
+
+    def scan(alpha: int, word: tuple[int, ...]) -> tuple[int, int] | None:
+        """Check the cyclic relation word(alpha) = alpha, deducing or merging.
+
+        Returns the (coset, letter) entry that opens a gap of two or more
+        undefined entries, where nothing can be deduced yet; None otherwise.
+        An entry read through a dead coset is replaced by its live root.
+        """
+        if parent[alpha] != alpha:
+            alpha = rep(alpha)
+        f = alpha
+        i = 0
+        n = len(word)
+        while i < n:
+            row = rows[f]
+            x = word[i]
+            d = row[x]
+            if d is None:
+                break
+            if parent[d] != d:
+                d = row[x] = rep(d)
+            f = d
+            i += 1
+        if i == n:
+            if f != alpha:
+                table.coincidence(f, alpha)
+            return None
+        b = alpha
+        j = n - 1
+        while j >= i:
+            row = rows[b]
+            x = word[j] ^ 1
+            d = row[x]
+            if d is None:
+                break
+            if parent[d] != d:
+                d = row[x] = rep(d)
+            b = d
+            j -= 1
+        if j < i:
+            table.coincidence(f, b)
+        elif j == i:
+            table.set_entry(f, word[i], b)
+        else:
+            return f, word[i]
+        return None
 
     def process_deductions():
-        while table.deductions:
-            c, x = table.deductions.popleft()
-            c = table.rep(c)
+        while deductions:
+            c, x = deductions.popleft()
+            c = rep(c)
             for w in edp[x]:
-                _scan(table, c, w)
+                scan(c, w)
 
     try:
         for w in subgroup:
             # HLT fill: define cosets until the subgroup generator closes at 0
-            while (gap := _scan(table, 0, w.letters)) is not None:
+            while (gap := scan(0, w.letters)) is not None:
                 table.define(*gap)
             process_deductions()
         alpha = 0
-        while alpha < len(table.rows):
-            if table.rep(alpha) != alpha:
+        while alpha < len(rows):
+            if parent[alpha] != alpha:
                 alpha += 1
                 continue
-            x = 0
-            while x < ncols:
-                if table.rep(alpha) != alpha:
+            for x in range(ncols):
+                if parent[alpha] != alpha:
                     break  # alpha died during processing
-                if table.rows[alpha][x] is None:
+                if rows[alpha][x] is None:
                     table.define(alpha, x)
                     process_deductions()
-                x += 1
             alpha += 1
     except _CapExceeded:
-        return CosetResult(False, None, len(table.rows), max_cosets)
+        return CosetResult(False, None, len(rows), max_cosets)
 
-    return CosetResult(True, table.live, len(table.rows), max_cosets)
+    return CosetResult(True, table.live, len(rows), max_cosets)

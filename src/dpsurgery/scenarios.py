@@ -19,14 +19,15 @@ from __future__ import annotations
 import json
 from math import gcd
 
-from .actions import CoverPlanError, build_cover_plan, exotic_action_certificate
+from .actions import (CoverPlanError, CoverPlanInconclusive, build_cover_plan,
+                      exotic_action_certificate)
 from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
                              complement_h1, spheres_presentation, tori_presentation)
 from .knots import BraidWord, TREFOIL, knot_group_from_braid
 from .presentations import AbelianGroup, Presentation, abelianization
-from .reports import CITED, FAIL, PASS, CheckLine, Report, line_from_verdict
+from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
 from .surgery import CaseParams, SurgerySpec, apply_surgery, case_presentation, \
-    check_case_hypothesis, surgered_presentation, verify_group_preserved
+    check_case_hypothesis, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import family_report
 from .verify import Bounds, DEFAULT_BOUNDS, verify_abelian_isomorphism
 from .words import Word, commutator
@@ -153,7 +154,10 @@ def _take_params(params: dict, spec: dict[str, tuple]) -> dict:
 def _parse_knot(text) -> BraidWord:
     if isinstance(text, BraidWord):
         return text
-    braid = BraidWord.parse(str(text))
+    try:
+        braid = BraidWord.parse(str(text))
+    except ValueError as err:
+        raise ParamError(str(err)) from None
     if not braid.is_knot_closure():
         raise ParamError(f"braid {braid.format()} does not close to a knot")
     return braid
@@ -188,6 +192,7 @@ def _surgery_lines(config: Configuration, case: CaseParams, knot: BraidWord,
     ab1, ab2 = abelianization(amalgam), abelianization(collapsed)
     facts = [f"amalgam abelianization {ab1}, collapsed abelianization {ab2}"]
     agree = ab1 == ab2
+    capped = False
     if case.target().order() is not None:
         from .coset import coset_enumerate
         r1 = coset_enumerate(amalgam, (), bounds.max_cosets)
@@ -197,10 +202,12 @@ def _surgery_lines(config: Configuration, case: CaseParams, knot: BraidWord,
             agree = agree and r1.index == r2.index
         else:
             facts.append("order comparison skipped: an enumeration hit its cap")
-    lines.append(CheckLine("cross-validation", PASS if agree else FAIL, tuple(facts)))
+            capped = True
+    verdict = FAIL if not agree else INCONCLUSIVE if capped else PASS
+    lines.append(CheckLine("cross-validation", verdict, tuple(facts)))
 
-    surgered = apply_surgery(SurgerySpec(config, 0, knot, case.k))
-    tags = [c.embedding_tag.describe() for c in surgered.components]
+    components = surgered_components(SurgerySpec(config, 0, knot, case.k), case.k)
+    tags = [c.embedding_tag.describe() for c in components]
     lines.append(CheckLine("embedding-tags", PASS,
                            tuple(f"component {i + 1}: {tag}" for i, tag in enumerate(tags))))
     return lines
@@ -365,14 +372,19 @@ def _run_theorem_7_2(params: dict, bounds: Bounds) -> Report:
     try:
         plan = build_cover_plan(config, p["m"], p["n"], bounds)
     except CoverPlanError as err:
-        return Report(title, (CheckLine("cover-plan", FAIL, (str(err),)),))
+        verdict = INCONCLUSIVE if isinstance(err, CoverPlanInconclusive) else FAIL
+        return Report(title, (CheckLine("cover-plan", verdict, (str(err),)),))
     lines = [CheckLine("cover-plan", PASS, tuple(plan.describe()))]
     certificate = exotic_action_certificate(plan, p["k"], p["count"], bounds)
     for check in certificate.checks:
-        verdict = CITED if check.kind == "cited" else (PASS if check.passed else FAIL)
+        if check.kind == "cited":
+            verdict = CITED
+        else:
+            verdict = PASS if check.passed else INCONCLUSIVE if check.inconclusive else FAIL
         lines.append(CheckLine(check.name, verdict, (check.detail,)))
-    lines.append(CheckLine("conclusion", PASS if certificate.passed else FAIL,
-                           (certificate.conclusion,)))
+    verdict = (PASS if certificate.passed
+               else INCONCLUSIVE if certificate.inconclusive else FAIL)
+    lines.append(CheckLine("conclusion", verdict, (certificate.conclusion,)))
     return Report(title, tuple(lines))
 
 
@@ -413,7 +425,8 @@ def _configuration_from_json(data: dict, where: str) -> Configuration:
                              bool(data.get("symplectic_positive", False)))
     except KeyError as err:
         raise ScenarioError(f"{where}: missing field {err}") from None
-    except (TypeError, ValueError) as err:
+    except (AttributeError, TypeError, ValueError) as err:
+        # a field of the wrong JSON type (a list where an object belongs, ...)
         raise ScenarioError(f"{where}: {err}") from None
 
 
@@ -428,7 +441,16 @@ def _case_from_json(data: dict, where: str) -> CaseParams:
             return CaseParams.f3(int(data["m"]), int(data["n"]), int(data["k"]))
     except KeyError as err:
         raise ScenarioError(f"{where}: case needs field {err}") from None
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ScenarioError(f"{where}: case: {err}") from None
     raise ScenarioError(f"{where}: unknown case tag {data.get('tag')!r}")
+
+
+def _expected_group(text, where: str) -> AbelianGroup:
+    try:
+        return AbelianGroup.parse(str(text))
+    except ValueError as err:
+        raise ScenarioError(f"{where}: {err}") from None
 
 
 def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[CheckLine]:
@@ -443,14 +465,14 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
             raise ScenarioError(f"{where}: unknown verification {key!r}")
     if "homology" in wanted:
         computed = complement_h1(config)
-        expected = AbelianGroup.parse(str(wanted["homology"]))
+        expected = _expected_group(wanted["homology"], where)
         lines.append(CheckLine(f"{where} homology",
                                PASS if computed == expected else FAIL,
                                (f"complement H1 = {computed}, expected {expected}",)))
     if "group" in wanted:
         if config.pi1 is None:
             raise ScenarioError(f"{where}: group check needs a pi1 presentation")
-        expected = AbelianGroup.parse(str(wanted["group"]))
+        expected = _expected_group(wanted["group"], where)
         verdict = verify_abelian_isomorphism(config.pi1, expected, bounds)
         lines.append(line_from_verdict(f"{where} group", verdict))
     if "surgery" in entry:
@@ -461,11 +483,12 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
             point = int(s["point"])
             knot = _parse_knot(s["knot"])
             twist = int(s["twist"])
+            # the spec checks the point index, apply_surgery the mu labels
+            surgered = apply_surgery(SurgerySpec(config, point, knot, twist))
         except KeyError as err:
             raise ScenarioError(f"{where}: surgery needs field {err}") from None
-        except ParamError as err:
+        except (TypeError, ValueError) as err:
             raise ScenarioError(f"{where}: {err}") from None
-        surgered = apply_surgery(SurgerySpec(config, point, knot, twist))
         tags = tuple(f"component {i + 1}: {c.embedding_tag.describe()}"
                      for i, c in enumerate(surgered.components))
         lines.append(CheckLine(f"{where} surgery", PASS, tags))
@@ -498,8 +521,11 @@ def run_scenario_text(text: str, bounds: Bounds | None = None,
         for key in bounds_data:
             if key not in ("cosets", "rules"):
                 raise ScenarioError(f"{source}: unknown bounds field {key!r}")
-        bounds = Bounds(int(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets)),
-                        int(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules)))
+        try:
+            bounds = Bounds(int(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets)),
+                            int(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules)))
+        except (TypeError, ValueError):
+            raise ScenarioError(f"{source}: bounds must be integers >= 1") from None
     checks = data.get("checks", [])
     if not isinstance(checks, list):
         raise ScenarioError(f"{source}: 'checks' must be a list")
@@ -513,9 +539,11 @@ def run_scenario_text(text: str, bounds: Bounds | None = None,
             for key in entry:
                 if key not in ("builtin", "params"):
                     raise ScenarioError(f"checks[{index}]: unknown field {key!r}")
+            params = entry.get("params", {})
+            if not isinstance(params, dict):
+                raise ScenarioError(f"checks[{index}]: 'params' must be an object")
             try:
-                reports.append(run_builtin(str(entry["builtin"]),
-                                           dict(entry.get("params", {})), bounds))
+                reports.append(run_builtin(str(entry["builtin"]), params, bounds))
             except ParamError as err:
                 raise ScenarioError(f"checks[{index}]: {err}") from None
         elif "configuration" in entry:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from dpsurgery.actions import (CoverPlanError, build_cover_plan,
+from dpsurgery.actions import (CoverPlanError, CoverPlanInconclusive, build_cover_plan,
                                exotic_action_certificate)
 from dpsurgery.scenarios import (spheres_configuration, tori_configuration,
                                  trivial_complement_configuration)
-from dpsurgery.verify import Status
+from dpsurgery.verify import Bounds, Status
 
 
 def test_plan_on_tori_3_2():
@@ -94,3 +94,22 @@ def test_single_point_configuration_fails_honestly():
     certificate = exotic_action_certificate(plan, 1, 3)
     assert not certificate.passed
     assert "sw-pairwise-distinct" in certificate.failed_checks()
+
+
+def test_capped_verdicts_stay_inconclusive():
+    with pytest.raises(CoverPlanInconclusive, match="Inconclusive"):
+        build_cover_plan(tori_configuration(3, 2), 3, 2, Bounds(max_cosets=5))
+    with pytest.raises(CoverPlanError) as refused:
+        build_cover_plan(trivial_complement_configuration(), 3, 2)
+    assert not isinstance(refused.value, CoverPlanInconclusive)
+    bounds = Bounds(max_cosets=40)
+    plan = build_cover_plan(tori_configuration(3, 2), 3, 2, bounds)
+    certificate = exotic_action_certificate(plan, 1, 5, bounds)
+    assert not certificate.passed and certificate.inconclusive
+    per_knot = next(c for c in certificate.checks if c.name == "group-preserved-per-knot")
+    assert per_knot.inconclusive and not per_knot.passed
+    assert certificate.conclusion == "certificate inconclusive at: group-preserved-per-knot"
+    # a decided failure makes the certificate fail, not inconclusive
+    certificate = exotic_action_certificate(plan, 3, 5, bounds)
+    assert not certificate.passed and not certificate.inconclusive
+    assert certificate.conclusion.startswith("certificate FAILED at: group-preservation-gcd")

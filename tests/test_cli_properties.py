@@ -1,0 +1,210 @@
+"""Property test: any argv or scenario JSON ends in an exit code, never a traceback.
+
+Inputs are drawn from the CLI's own vocabulary (subcommands, builtin names,
+parameter keys, braid words) mixed with wrong types, missing fields and
+out-of-range values.  Every run uses small engine caps, so each example
+takes milliseconds and capped engines are common.  The invariants:
+
+* the exit code is one of 0, 1, 2, 3;
+* nothing escapes `main` and stderr never holds a traceback; a usage error
+  (exit 2) prints no report and one `error:` line (or argparse's usage);
+* a `pass` line never quotes a capped enumeration ("hit its cap").
+"""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from dpsurgery.cli import main
+
+SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+JUNK = st.sampled_from([None, -1, 0, 7, 2.5, "x", "", [], [1, 2], {}, {"a": 1}, True])
+KNOTS = ["B2: 1 1 1", "B2: 1 1 1 1 1", "B3: 1 -2 1 -2", "B2: 1 1 1 1 1 1 1", "B1:"]
+BRAIDS = st.sampled_from(3 * KNOTS + ["B2: 1 1", "B3: 1 2", "B2: 3", "nonsense", ""])
+SMALL = st.integers(min_value=-1, max_value=4)
+BUILTINS = ["nodal", "rational", "spheres", "tori", "theorem-1-1", "theorem-7-2"]
+# parameters each builtin takes, in small ranges, so most drawn runs compute
+PARAMS = {
+    "nodal": {"d1": st.integers(1, 2), "d2": st.integers(1, 4)},
+    "rational": {"p": st.integers(1, 3), "q": st.integers(1, 4)},
+    "spheres": {"m": st.integers(1, 4), "n": st.integers(1, 4)},
+    "tori": {"m": st.integers(1, 4), "n": st.integers(1, 4)},
+    "theorem-1-1": {"case": st.sampled_from(["i", "ii", "iii"]), "count": st.integers(1, 3)},
+    "theorem-7-2": {"m": st.integers(1, 4), "n": st.integers(1, 3),
+                    "count": st.integers(2, 3)},
+}
+OPTIONAL = {"k": SMALL, "knot": BRAIDS}  # surgery on nodal, rational, tori
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 4)) == 0
+
+
+@st.composite
+def builtin_params(draw, name: str) -> dict:
+    """Valid parameters for `name`, now and then with one key dropped or spoiled."""
+    params = {key: draw(value) for key, value in PARAMS[name].items()}
+    if name in ("nodal", "rational", "tori"):
+        for key, value in OPTIONAL.items():
+            if draw(st.booleans()):
+                params[key] = draw(value)
+    if _rarely(draw):
+        key = draw(st.sampled_from(sorted(params) + ["bogus"]))
+        if key in params and draw(st.booleans()):
+            del params[key]
+        else:
+            params[key] = draw(JUNK)
+    return params
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_invariants(code: int, out: str, err: str):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") or err.startswith("usage: ")
+        if err.startswith("error: "):
+            assert err.count("\n") == 1
+        return
+    for line in out.splitlines():
+        name, verdict, evidence = line.split("\t")
+        if verdict == "pass":
+            assert "hit its cap" not in evidence, line
+
+
+BOUNDS_FLAGS = st.tuples(st.sampled_from(["1", "30", "200", "30", "200", "0", "x"]),
+                         st.sampled_from(["1", "20", "100"])).map(
+    lambda b: ["--bounds-cosets", b[0], "--bounds-rules", b[1]])
+
+
+def _tokens(params: dict) -> list[str]:
+    return [f"{key}={value}" for key, value in params.items()]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["verify", "surgery", "alexander", "distinguish",
+                                    "actions", "snf", "bogus"]))
+    if command == "verify":
+        name = draw(st.sampled_from(BUILTINS + ["nope"]))
+        tail = [name] + (_tokens(draw(builtin_params(name))) if name in PARAMS else [])
+    elif command == "surgery":
+        case = draw(st.sampled_from(["F1", "F2", "F3", "F9"]))
+        params = {"case": case, "k": draw(SMALL), "knot": draw(BRAIDS),
+                  "d": draw(st.integers(1, 4)), "p": draw(st.integers(1, 3)),
+                  "q": draw(st.integers(1, 4)), "m": draw(st.integers(1, 4)),
+                  "n": draw(st.integers(1, 3))}
+        keep = {"F1": ("d",), "F2": ("p", "q"), "F3": ("m", "n"), "F9": ()}[case]
+        params = {k: v for k, v in params.items() if k in keep + ("case", "k", "knot")}
+        if _rarely(draw):
+            params[draw(st.sampled_from(["d", "m", "k", "bogus"]))] = draw(JUNK)
+        tail = _tokens(params)
+    elif command == "alexander":
+        tail = draw(st.one_of(
+            st.lists(BRAIDS, max_size=3),
+            st.sampled_from(["0", "2", "x"]).map(lambda c: ["family", f"count={c}"])))
+    elif command == "distinguish":
+        tail = [draw(BRAIDS), draw(BRAIDS)]
+    elif command == "actions":
+        tail = _tokens(draw(builtin_params("theorem-7-2")))
+    elif command == "snf":
+        tail = [draw(st.sampled_from(["2 0; 0 3", "1 2; 3", "", "a b", "4 6 ; 6 9"]))]
+    else:
+        tail = ["x=1"]
+    if _rarely(draw):
+        tail.append(draw(st.sampled_from(["novalue", "=3", "k=", "bogus=1"])))
+    return draw(BOUNDS_FLAGS) + ["--format", "machine", command] + tail
+
+def _sphere_configuration():
+    return {
+        "ambient": {"name": "S2xS2", "simply_connected": True,
+                    "form": [[0, 1], [1, 0]], "basis": ["A", "B"]},
+        "components": [{"label": "S1", "genus": 0, "class": [1, 0]},
+                       {"label": "S2", "genus": 0, "class": [0, 1]}],
+        "double_points": [[0, 1, 1]],
+        "pi1": "gens: a b ; rels: a , b ; labels: mu1=a mu2=b ;",
+    }
+
+
+@st.composite
+def configuration_entries(draw):
+    config = _sphere_configuration()
+    if _rarely(draw):
+        key = draw(st.sampled_from(sorted(config)))
+        if draw(st.booleans()):
+            del config[key]
+        else:
+            config[key] = draw(JUNK)
+    entry = {"configuration": config}
+    if draw(st.booleans()):
+        entry["verify"] = {"homology": "0", "group": "0"}
+        if _rarely(draw):
+            entry["verify"] = draw(st.one_of(JUNK, st.fixed_dictionaries(
+                {}, optional={"homology": st.sampled_from(["Z", "Z_2", "x"]),
+                              "group": st.sampled_from(["Z_2", "x"]), "bogus": JUNK})))
+    if draw(st.booleans()):
+        surgery = {"point": 0, "knot": draw(BRAIDS), "twist": draw(SMALL)}
+        if draw(st.booleans()):
+            surgery["case"] = {"tag": draw(st.sampled_from(["F1", "F2", "F3"])), "d": 2,
+                               "p": 1, "q": 3, "m": 3, "n": 2, "k": draw(SMALL)}
+        if _rarely(draw):
+            target = surgery.get("case", surgery) if draw(st.booleans()) else surgery
+            target[draw(st.sampled_from(sorted(target) + ["tag", "bogus"]))] = \
+                draw(st.one_of(SMALL, JUNK))
+        entry["surgery"] = surgery
+    return entry
+
+
+@st.composite
+def entries(draw):
+    if _rarely(draw):
+        return draw(JUNK)
+    if draw(st.booleans()):
+        return draw(configuration_entries())
+    name = draw(st.sampled_from(BUILTINS))
+    return {"builtin": name, "params": draw(builtin_params(name))}
+
+
+@st.composite
+def scenarios(draw):
+    data = {"bounds": {"cosets": draw(st.sampled_from([1, 30, 200])),
+                       "rules": draw(st.sampled_from([1, 20, 100]))},
+            "checks": draw(st.lists(entries(), max_size=3))}
+    if _rarely(draw):
+        key = draw(st.sampled_from(["bounds", "checks", "extra"]))
+        data[key] = draw(st.one_of(JUNK, st.fixed_dictionaries({"cosets": JUNK})))
+    return data
+
+@SETTINGS
+@given(argvs())
+@example(["--bounds-cosets", "100", "--format", "machine", "surgery", "case=F3", "m=3", "n=2",
+          "k=1", "knot=B2: 1 1 1 1 1 1 1"])
+@example(["--format", "machine", "surgery", "case=F1"])
+def test_argv_never_escapes_the_exit_codes(argv):
+    _check_invariants(*_run(argv))
+
+
+@SETTINGS
+@given(scenarios())
+@example({"checks": [{"builtin": "tori", "params": [1, 2]}]})
+@example({"bounds": {"cosets": None}, "checks": []})
+def test_scenario_json_never_escapes_the_exit_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        _check_invariants(*_run(["--format", "machine", "verify", path]))

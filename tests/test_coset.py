@@ -143,3 +143,30 @@ def test_psl_2_7():
         else:
             neg_inv.append((-pow(v, -1, 7)) % 7)
     assert closure_order([shift, tuple(neg_inv)]) == 168
+
+
+def test_counts_pinned_at_parent():
+    """(completed, index, allocated) as the list-of-rows engine gave them.
+
+    `allocated` counts every row ever defined, so it changes with the order
+    in which entries are defined, deductions are processed or coincidences
+    are merged; a faster scan must leave all of them where they were.
+    """
+    from dpsurgery.configurations import spheres_presentation, tori_presentation
+
+    cases = [
+        (tori_presentation(6, 7), (), 100_000, (True, 42, 79)),
+        (tori_presentation(10, 11), (), 100_000, (True, 110, 171)),
+        (tori_presentation(14, 15), (), 100_000, (True, 210, 295)),
+        (spheres_presentation(14, 15), (), 100_000, (True, 210, 210)),
+        # capped: the cap is reached on the same definition
+        (tori_presentation(14, 15), (), 100, (False, None, 100)),
+    ]
+    tori = tori_presentation(10, 11)
+    # subgroup runs go through the HLT fill before the Felsch pass
+    cases.append((tori, (tori.label_word("mu1"),), 100_000, (True, 11, 45)))
+    cases.append((tori, (tori.label_word("mu2"),), 100_000, (True, 10, 41)))
+    for p, subgroup, cap, expected in cases:
+        result = coset_enumerate(p, subgroup, cap)
+        assert (result.completed, result.index, result.allocated) == expected
+        assert result.max_cosets == cap

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from dpsurgery.cli import main
-from dpsurgery.reports import EXIT_FAIL, EXIT_OK, EXIT_USAGE
+from dpsurgery.reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
 from dpsurgery.scenarios import (ParamError, ScenarioError, run_builtin,
                                  run_scenario, run_scenario_text)
 
@@ -243,3 +243,57 @@ def test_cli_flags_after_subcommand(capsys):
     assert code == EXIT_OK
     assert before == after
     assert "\t" in before
+
+
+def _machine_lines(out):
+    return {name: (verdict, evidence) for name, verdict, evidence in
+            (line.split("\t") for line in out.strip().splitlines())}
+
+
+def test_cli_capped_cross_validation_is_inconclusive(capsys):
+    code = main(["--format", "machine", "--bounds-cosets", "100", "surgery", "case=F3",
+                 "m=3", "n=2", "k=1", "knot=B2: 1 1 1 1 1 1 1"])
+    lines = _machine_lines(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    verdict, evidence = lines["cross-validation"]
+    assert verdict == "inconclusive"
+    assert "order comparison skipped: an enumeration hit its cap" in evidence
+    assert lines["group-preserved"][0] == "pass"
+
+
+def test_cli_theorem_7_2_capped_is_inconclusive(capsys):
+    code = main(["--format", "machine", "--bounds-cosets", "5",
+                 "verify", "theorem-7-2", "m=3", "n=2"])
+    lines = _machine_lines(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    assert list(lines) == ["cover-plan"]
+    verdict, evidence = lines["cover-plan"]
+    assert verdict == "inconclusive" and "table cap 5 exhausted" in evidence
+    # the plan completes at cap 40, but three of the five members do not
+    code = main(["--format", "machine", "--bounds-cosets", "40",
+                 "actions", "m=3", "n=2", "k=1", "count=5"])
+    lines = _machine_lines(capsys.readouterr().out)
+    assert code == EXIT_INCONCLUSIVE
+    assert lines["group-preserved-per-knot"] == (
+        "inconclusive", "2/5 knots verified isomorphic to Z_3 + Z_2, 3 inconclusive")
+    assert lines["conclusion"] == (
+        "inconclusive", "certificate inconclusive at: group-preserved-per-knot")
+
+
+def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
+    spheres = _sphere_configuration_entry()
+    cases = [
+        ({"checks": [{"builtin": "tori", "params": [1, 2]}]},
+         "error: checks[0]: 'params' must be an object\n"),
+        ({"checks": [{"builtin": "tori", "params": {"m": 1, "n": 1}},
+                     {"configuration": spheres,
+                      "surgery": {"point": 7, "knot": "B2: 1 1 1", "twist": 1}}]},
+         "error: checks[1]: double point index 7 out of range\n"),
+    ]
+    for scenario, message in cases:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["verify", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
