@@ -9,6 +9,14 @@ presentation, subgroup and cap.  The cap bounds the number of table rows
 ever allocated; hitting it is reported as an inconclusive outcome, never as
 a result.
 
+Each new table entry c -x-> d is queued for deduction once, as (c, x), and
+never again as (d, x ^ 1).  Nothing is lost: `edp` holds every rotation of
+each relator *and* of its inverse, and `scan` closes a cycle from both
+ends, so the cycles through d that start with x ^ 1 are the cycles through
+c that start with x read backwards.  `coincidence` queues its transplanted
+entries the same way.  `CosetResult.deductions` counts the queue entries
+processed; it stays out of the evidence text.
+
 One scan routine serves both the deduction pass and the subgroup (HLT)
 fill.  It is a closure inside `coset_enumerate` over the table's row list,
 union-find parents and `rep`, bound once per enumeration: almost every
@@ -32,6 +40,7 @@ class CosetResult:
     index: int | None
     allocated: int
     max_cosets: int
+    deductions: int
 
     def evidence(self) -> list[str]:
         if self.completed:
@@ -77,7 +86,6 @@ class _Table:
         self.rows[c][x] = d
         self.rows[d][x ^ 1] = c
         self.deductions.append((c, x))
-        self.deductions.append((d, x ^ 1))
 
     def coincidence(self, a: int, b: int):
         queue: deque[int] = deque()
@@ -192,9 +200,13 @@ def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (
             return f, word[i]
         return None
 
+    processed = 0
+
     def process_deductions():
+        nonlocal processed
         while deductions:
             c, x = deductions.popleft()
+            processed += 1
             c = rep(c)
             for w in edp[x]:
                 scan(c, w)
@@ -218,6 +230,6 @@ def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (
                     process_deductions()
             alpha += 1
     except _CapExceeded:
-        return CosetResult(False, None, len(rows), max_cosets)
+        return CosetResult(False, None, len(rows), max_cosets, processed)
 
-    return CosetResult(True, table.live, len(rows), max_cosets)
+    return CosetResult(True, table.live, len(rows), max_cosets, processed)

@@ -119,6 +119,19 @@ BUILTIN_CONFIGURATIONS = {
 
 # -- parameter handling -------------------------------------------------------
 
+def _integer(value) -> int | None:
+    """`value` as an int: an int, or a string of one as argv gives them.
+
+    None for anything else; a JSON float or boolean is never truncated.
+    """
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    return None
+
+
 def _take_params(params: dict, spec: dict[str, tuple]) -> dict:
     """Validate params against {name: (kind, default, predicate, description)}."""
     problems = []
@@ -130,9 +143,8 @@ def _take_params(params: dict, spec: dict[str, tuple]) -> dict:
         if name in params:
             value = params[name]
             if kind is int:
-                try:
-                    value = int(value)
-                except (TypeError, ValueError):
+                value = _integer(value)
+                if value is None:
                     problems.append(f"{name} must be an integer")
                     continue
             elif kind is str:
@@ -305,10 +317,9 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     case_name = p["case"]
     count = p["count"]
     if k_given is not None:
-        try:
-            k_given = int(k_given)
-        except (TypeError, ValueError):
-            raise ParamError("k must be an integer") from None
+        k_given = _integer(k_given)
+        if k_given is None:
+            raise ParamError("k must be an integer")
     if case_name == "i":
         k = 0 if k_given is None else k_given
         if k != 0:
@@ -404,46 +415,88 @@ def run_builtin(name: str, params: dict, bounds: Bounds = DEFAULT_BOUNDS) -> Rep
 
 # -- scenario files -----------------------------------------------------------
 
-def _configuration_from_json(data: dict, where: str) -> Configuration:
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be an object")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    number = _integer(value)
+    if number is None:
+        raise ScenarioError(f"{what} must be an integer")
+    return number
+
+
+def _json_ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
+    if isinstance(value, list) and length in (None, len(value)):
+        numbers = tuple(map(_integer, value))
+        if None not in numbers:
+            return numbers
+    count = "" if length is None else f" {length}"
+    raise ScenarioError(f"{what} must be a list of{count} integers")
+
+
+def _configuration_from_json(data, where: str) -> Configuration:
+    """A Configuration from its JSON block; a field of the wrong type is named."""
+    data = _json_object(data, f"{where}: 'configuration'")
     try:
-        ambient_data = data["ambient"]
-        ambient = AmbientManifold(
-            str(ambient_data.get("name", "ambient")),
-            bool(ambient_data.get("simply_connected", True)),
-            tuple(tuple(int(x) for x in row) for row in ambient_data["form"]),
-            tuple(str(x) for x in ambient_data.get(
-                "basis", [f"A{i + 1}" for i in range(len(ambient_data["form"]))])))
-        comps = tuple(
-            SurfaceComponent(str(c.get("label", f"C{i + 1}")), int(c.get("genus", 0)),
-                             tuple(int(x) for x in c["class"]))
-            for i, c in enumerate(data["components"]))
-        points = tuple((int(a), int(b), int(s)) for a, b, s in data.get("double_points", []))
+        ambient_data = _json_object(data["ambient"], f"{where}: 'ambient'")
+        form = tuple(_json_ints(row, f"{where}: each 'form' row")
+                     for row in _json_list(ambient_data["form"], f"{where}: 'form'"))
+        basis = _json_list(ambient_data.get("basis", [f"A{i + 1}" for i in range(len(form))]),
+                           f"{where}: 'basis'")
+        ambient = AmbientManifold(str(ambient_data.get("name", "ambient")),
+                                  bool(ambient_data.get("simply_connected", True)),
+                                  form, tuple(str(x) for x in basis))
+        comps = []
+        for i, c in enumerate(_json_list(data["components"], f"{where}: 'components'")):
+            at = f"{where}: components[{i}]"
+            c = _json_object(c, at)
+            comps.append(SurfaceComponent(str(c.get("label", f"C{i + 1}")),
+                                          _json_int(c.get("genus", 0), f"{at} 'genus'"),
+                                          _json_ints(c["class"], f"{at} 'class'")))
+        points = tuple(_json_ints(point, f"{where}: each 'double_points' entry", 3)
+                       for point in _json_list(data.get("double_points", []),
+                                               f"{where}: 'double_points'"))
         pi1 = None
         if "pi1" in data:
             pi1 = Presentation.parse(str(data["pi1"]))
-        return Configuration(ambient, comps, points, pi1,
+        return Configuration(ambient, tuple(comps), points, pi1,
                              bool(data.get("symplectic_positive", False)))
     except KeyError as err:
         raise ScenarioError(f"{where}: missing field {err}") from None
-    except (AttributeError, TypeError, ValueError) as err:
-        # a field of the wrong JSON type (a list where an object belongs, ...)
+    except ScenarioError:
+        raise
+    except ValueError as err:
         raise ScenarioError(f"{where}: {err}") from None
 
 
-def _case_from_json(data: dict, where: str) -> CaseParams:
+_CASE_FIELDS = {"F1": (CaseParams.f1, ("d", "k")),
+                "F2": (CaseParams.f2, ("p", "q", "k")),
+                "F3": (CaseParams.f3, ("m", "n", "k"))}
+
+
+def _case_from_json(data, where: str) -> CaseParams:
+    data = _json_object(data, f"{where}: 'case'")
     try:
         tag = str(data["tag"]).upper()
-        if tag == "F1":
-            return CaseParams.f1(int(data["d"]), int(data["k"]))
-        if tag == "F2":
-            return CaseParams.f2(int(data["p"]), int(data["q"]), int(data["k"]))
-        if tag == "F3":
-            return CaseParams.f3(int(data["m"]), int(data["n"]), int(data["k"]))
+        if tag not in _CASE_FIELDS:
+            raise ScenarioError(f"{where}: unknown case tag {data['tag']!r}")
+        make, fields = _CASE_FIELDS[tag]
+        return make(*(_json_int(data[name], f"{where}: case {name!r}") for name in fields))
     except KeyError as err:
         raise ScenarioError(f"{where}: case needs field {err}") from None
-    except (AttributeError, TypeError, ValueError) as err:
+    except ScenarioError:
+        raise
+    except ValueError as err:
         raise ScenarioError(f"{where}: case: {err}") from None
-    raise ScenarioError(f"{where}: unknown case tag {data.get('tag')!r}")
 
 
 def _expected_group(text, where: str) -> AbelianGroup:
@@ -480,14 +533,16 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
         if not isinstance(s, dict):
             raise ScenarioError(f"{where}: 'surgery' must be an object")
         try:
-            point = int(s["point"])
+            point = _json_int(s["point"], f"{where}: surgery 'point'")
             knot = _parse_knot(s["knot"])
-            twist = int(s["twist"])
+            twist = _json_int(s["twist"], f"{where}: surgery 'twist'")
             # the spec checks the point index, apply_surgery the mu labels
             surgered = apply_surgery(SurgerySpec(config, point, knot, twist))
         except KeyError as err:
             raise ScenarioError(f"{where}: surgery needs field {err}") from None
-        except (TypeError, ValueError) as err:
+        except ScenarioError:
+            raise
+        except ValueError as err:
             raise ScenarioError(f"{where}: {err}") from None
         tags = tuple(f"component {i + 1}: {c.embedding_tag.describe()}"
                      for i, c in enumerate(surgered.components))
@@ -521,11 +576,11 @@ def run_scenario_text(text: str, bounds: Bounds | None = None,
         for key in bounds_data:
             if key not in ("cosets", "rules"):
                 raise ScenarioError(f"{source}: unknown bounds field {key!r}")
-        try:
-            bounds = Bounds(int(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets)),
-                            int(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules)))
-        except (TypeError, ValueError):
-            raise ScenarioError(f"{source}: bounds must be integers >= 1") from None
+        cosets = _integer(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets))
+        rules = _integer(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules))
+        if cosets is None or rules is None or cosets < 1 or rules < 1:
+            raise ScenarioError(f"{source}: bounds must be integers >= 1")
+        bounds = Bounds(cosets, rules)
     checks = data.get("checks", [])
     if not isinstance(checks, list):
         raise ScenarioError(f"{source}: 'checks' must be a list")

@@ -1,11 +1,23 @@
 """Coset enumeration against brute-force permutation-group oracles."""
 
+import random
+
 import pytest
 
-from dpsurgery.coset import coset_enumerate
+from dpsurgery.coset import _Table, coset_enumerate
 from dpsurgery.presentations import Presentation, parse_presentation
 from dpsurgery.rewriting import knuth_bendix
 from dpsurgery.words import Word
+
+
+def coxeter_symmetric(n):
+    """S_n on the adjacent transpositions s0 .. s(n-2)."""
+    k = n - 1
+    rels = [f"s{i}^2" for i in range(k)]
+    rels += [f"s{i} s{i + 1} s{i} s{i + 1} s{i} s{i + 1}" for i in range(k - 1)]
+    rels += [f"s{i} s{j} s{i} s{j}" for i in range(k) for j in range(i + 2, k)]
+    gens = " ".join(f"s{i}" for i in range(k))
+    return parse_presentation(f"gens: {gens} ; rels: {' , '.join(rels)} ;")
 
 
 def closure_order(generators):
@@ -153,6 +165,8 @@ def test_counts_pinned_at_parent():
     are merged; a faster scan must leave all of them where they were.
     """
     from dpsurgery.configurations import spheres_presentation, tori_presentation
+    from dpsurgery.knots import knot_group_from_braid, torus_knot
+    from dpsurgery.surgery import CaseParams, case_presentation, surgered_presentation
 
     cases = [
         (tori_presentation(6, 7), (), 100_000, (True, 42, 79)),
@@ -166,7 +180,71 @@ def test_counts_pinned_at_parent():
     # subgroup runs go through the HLT fill before the Felsch pass
     cases.append((tori, (tori.label_word("mu1"),), 100_000, (True, 11, 45)))
     cases.append((tori, (tori.label_word("mu2"),), 100_000, (True, 10, 41)))
+    # long relators: the F3(5,4,1) case and surgered presentations on T(2,17)
+    raw = knot_group_from_braid(torus_knot(8))
+    knot = raw.simplified()
+    case = CaseParams.f3(5, 4, 1)
+    cases.append((case_presentation(case, knot), (), 100_000, (True, 20, 681)))
+    cases.append((surgered_presentation(case.base_presentation(), knot, 1), (), 100_000,
+                  (True, 20, 464)))
+    cases.append((case_presentation(case, raw), (), 500, (False, None, 500)))
+    cases.append((coxeter_symmetric(5), (), 50, (False, None, 50)))
+    cases.append((coxeter_symmetric(6), (Word.gen(0),), 100_000, (True, 360, 360)))
     for p, subgroup, cap, expected in cases:
         result = coset_enumerate(p, subgroup, cap)
         assert (result.completed, result.index, result.allocated) == expected
         assert result.max_cosets == cap
+
+
+def test_deductions_counted_once_per_entry():
+    """Each new table entry is queued once, from the end it was defined at.
+
+    The counts are entries popped from the deduction queue; queueing both
+    ends of every entry would double them.
+    """
+    from dpsurgery.configurations import tori_presentation
+
+    assert coset_enumerate(tori_presentation(14, 15)).deductions == 7521
+    assert coset_enumerate(coxeter_symmetric(5)).deductions == 480
+    capped = coset_enumerate(coxeter_symmetric(5), (), 50)
+    assert not capped.completed and capped.deductions > 0
+    assert "deduction" not in " ".join(capped.evidence())
+
+
+def _random_word(rng, ngens, length):
+    return Word(tuple(rng.randrange(2 * ngens) for _ in range(length)))
+
+
+def test_one_ended_deductions_match_two_ended(monkeypatch):
+    """Queueing only (c, x) for a new entry c -x-> d loses no deduction.
+
+    `edp` holds every rotation of each relator and of its inverse, and a
+    scan closes a cycle from both ends, so the cycles scanned from (d, x^1)
+    are those scanned from (c, x) read backwards.  Bringing the second push
+    back must leave every outcome and every allocation count unchanged.
+    """
+    rng = random.Random(20240605)
+    cases = []
+    for _ in range(300):
+        ngens = rng.randint(1, 4)
+        relators = [_random_word(rng, ngens, rng.randint(1, 12))
+                    for _ in range(rng.randint(1, ngens + 2))]
+        p = Presentation(tuple(f"g{i}" for i in range(ngens)), relators)
+        subgroup = [_random_word(rng, ngens, rng.randint(1, 6))
+                    for _ in range(rng.randint(0, 2))]
+        cases.append((p, subgroup, rng.choice((20, 200, 2000))))
+    shipped = [coset_enumerate(p, subgroup, cap) for p, subgroup, cap in cases]
+
+    one_ended = _Table.set_entry
+
+    def two_ended(self, c, x, d):
+        one_ended(self, c, x, d)
+        self.deductions.append((d, x ^ 1))
+
+    monkeypatch.setattr(_Table, "set_entry", two_ended)
+    assert coset_enumerate(coxeter_symmetric(5)).deductions == 960
+    for (p, subgroup, cap), ours in zip(cases, shipped):
+        theirs = coset_enumerate(p, subgroup, cap)
+        assert (theirs.completed, theirs.index, theirs.allocated) == \
+            (ours.completed, ours.index, ours.allocated), (p, subgroup, cap)
+    assert any(r.completed for r in shipped) and any(not r.completed for r in shipped)

@@ -129,8 +129,12 @@ def test_module_entry_point():
     import subprocess
     import sys
 
+    # the child finds the package in src/ even when it is not installed
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "dpsurgery", "snf", "2 0; 0 3"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "diagonal [1, 6]" in proc.stdout
 
@@ -290,10 +294,83 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
                       "surgery": {"point": 7, "knot": "B2: 1 1 1", "twist": 1}}]},
          "error: checks[1]: double point index 7 out of range\n"),
     ]
+    _assert_usage_errors(tmp_path, capsys, cases)
+
+
+def _assert_usage_errors(tmp_path, capsys, cases):
     for scenario, message in cases:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
-        assert main(["verify", str(path)]) == EXIT_USAGE
+        assert main(["verify", str(path)]) == EXIT_USAGE, scenario
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == message
+        assert captured.err == message.replace("PATH", str(path))
+
+
+def test_cli_scenario_rejects_non_integer_numbers(tmp_path, capsys):
+    """A JSON float or boolean where an integer belongs is an input error.
+
+    Truncated, the first case would run tori m=2 at coset cap 2.
+    """
+    def surgery(**fields):
+        block = {"point": 0, "knot": "B2: 1 1 1", "twist": 1}
+        block.update(fields)
+        return {"checks": [{"configuration": _sphere_configuration_entry(),
+                            "surgery": block}]}
+
+    def component_class(value):
+        entry = _sphere_configuration_entry()
+        entry["components"][0]["class"] = value
+        return {"checks": [{"configuration": entry}]}
+
+    tori = {"builtin": "tori", "params": {"m": 2.9, "n": 1}}
+    case = {"tag": "F3", "m": 3, "n": 2.0, "k": 1}
+    cases = [
+        ({"bounds": {"cosets": 2.5, "rules": True}, "checks": [tori]},
+         "error: PATH: bounds must be integers >= 1\n"),
+        ({"bounds": {"cosets": 100, "rules": True}, "checks": []},
+         "error: PATH: bounds must be integers >= 1\n"),
+        ({"checks": [tori]}, "error: checks[0]: m must be an integer\n"),
+        ({"checks": [{"builtin": "tori", "params": {"m": 2, "n": True}}]},
+         "error: checks[0]: n must be an integer\n"),
+        ({"checks": [{"builtin": "theorem-1-1", "params": {"case": "ii", "k": 1.5}}]},
+         "error: checks[0]: k must be an integer\n"),
+        (component_class([1.7, 0]),
+         "error: checks[0]: components[0] 'class' must be a list of integers\n"),
+        (surgery(point=0.0), "error: checks[0]: surgery 'point' must be an integer\n"),
+        (surgery(twist=True), "error: checks[0]: surgery 'twist' must be an integer\n"),
+        (surgery(case=case), "error: checks[0]: case 'n' must be an integer\n"),
+    ]
+    _assert_usage_errors(tmp_path, capsys, cases)
+    # argv values are strings and parse as before
+    assert main(["verify", "tori", "m=2.9", "n=1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: m must be an integer\n"
+    assert main(["verify", "tori", "m=1", "n=1"]) == EXIT_OK
+
+
+def test_cli_scenario_wrong_type_fields_are_named(tmp_path, capsys):
+    """A configuration field of the wrong JSON type is named, not Python's message."""
+    def configuration(**fields):
+        entry = _sphere_configuration_entry()
+        entry.update(fields)
+        return {"checks": [{"configuration": entry}]}
+
+    form = [[0, 1], [1, 0]]
+    cases = [
+        ({"checks": [{"configuration": {"ambient": {"form": form}, "components": 5}}]},
+         "error: checks[0]: 'components' must be a list\n"),
+        (configuration(ambient=[form]), "error: checks[0]: 'ambient' must be an object\n"),
+        (configuration(ambient={"form": 3}), "error: checks[0]: 'form' must be a list\n"),
+        (configuration(ambient={"form": [[0, 1], 1]}),
+         "error: checks[0]: each 'form' row must be a list of integers\n"),
+        (configuration(components=[{"class": 7}, {"class": [0, 1]}]),
+         "error: checks[0]: components[0] 'class' must be a list of integers\n"),
+        (configuration(components=[{"class": [1, 0]}, "S2"]),
+         "error: checks[0]: components[1] must be an object\n"),
+        (configuration(double_points=7), "error: checks[0]: 'double_points' must be a list\n"),
+        (configuration(double_points=[[0, 1]]),
+         "error: checks[0]: each 'double_points' entry must be a list of 3 integers\n"),
+        ({"checks": [{"configuration": [1]}]},
+         "error: checks[0]: 'configuration' must be an object\n"),
+    ]
+    _assert_usage_errors(tmp_path, capsys, cases)
