@@ -13,9 +13,14 @@ Subcommands:
 * ``actions m= n= k= [count=]``  branched-cover action certificate;
 * ``snf "<row; row; ...>"``  Smith normal form with transforms.
 
+The surgery pipeline of nodal, rational and tori runs when ``k=`` or
+``knot=`` is given.  Argv values are checked by the same ``take_params`` and
+``parse_knot`` as scenario JSON.
+
 Common flags: ``--bounds-cosets N``, ``--bounds-rules N``,
 ``--format text|machine``.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 usage or parse error, 3 inconclusive outcomes only.
+failed or an internal error (one ``internal error:`` line, nothing
+certified), 2 usage or parse error, 3 inconclusive outcomes only.
 """
 
 from __future__ import annotations
@@ -25,42 +30,24 @@ import os
 import sys
 
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
-from .knots import BraidWord
-from .reports import EXIT_USAGE, FAIL, PASS, CheckLine, Report
-from .scenarios import (BUILTIN_NAMES, ParamError, ScenarioError,
-                        run_builtin, run_scenario, tori_configuration)
+from .reports import EXIT_FAIL, EXIT_USAGE, FAIL, PASS, CheckLine, Report
+from .scenarios import (BUILTIN_NAMES, EXAMPLE_PARAMS, SURGERY_PARAMS, ParamError,
+                        ScenarioError, parse_knot, run_builtin, run_scenario,
+                        take_params, tori_configuration)
 from .snf import mat_mul, smith_normal_form
-from .surgery import CaseParams
 from .sw import distinguish
 from .verify import Bounds
 
 
-def _parse_kv(tokens: list[str]) -> dict:
-    params: dict[str, object] = {}
+def _parse_kv(tokens: list[str]) -> dict[str, str]:
+    """Split key=value tokens; `take_params` checks the values."""
+    params = {}
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ParamError(f"expected key=value, got {token!r}")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
+        params[key] = value
     return params
-
-
-def _case_from_params(params: dict) -> CaseParams:
-    tag = str(params.pop("case", "")).upper()
-    k = int(params.pop("k", 0))
-    try:
-        if tag == "F1":
-            return CaseParams.f1(int(params.pop("d")), k)
-        if tag == "F2":
-            return CaseParams.f2(int(params.pop("p")), int(params.pop("q")), k)
-        if tag == "F3":
-            return CaseParams.f3(int(params.pop("m")), int(params.pop("n")), k)
-    except KeyError as err:
-        raise ParamError(f"case={tag} needs parameter {err}") from None
-    raise ParamError("surgery needs case=F1 (with d=), F2 (with p= q=) or F3 (with m= n=)")
 
 
 def _cmd_verify(args, bounds: Bounds) -> Report:
@@ -78,34 +65,31 @@ def _cmd_verify(args, bounds: Bounds) -> Report:
                      f"nor an existing scenario file")
 
 
+# surgery case tag -> the builtin that runs it, {case field: builtin
+# parameter} and fixed parameters; F1 is the nodal configuration with d1=1
+_SURGERY_CASES = {"F1": ("nodal", {"d": "d2"}, {"d1": 1}),
+                  "F2": ("rational", {"p": "p", "q": "q"}, {}),
+                  "F3": ("tori", {"m": "m", "n": "n"}, {})}
+
+
 def _cmd_surgery(args, bounds: Bounds) -> Report:
     params = _parse_kv(args.params)
-    knot_text = str(params.pop("knot", "B2: 1 1 1"))
-    case = _case_from_params(params)
-    if params:
-        raise ParamError(f"unused parameters: {', '.join(sorted(params))}")
-    braid = BraidWord.parse(knot_text)
-    if not braid.is_knot_closure():
-        raise ParamError(f"braid {braid.format()} does not close to a knot")
-    if case.tag == "F1":
-        config_params = {"d1": 1, "d2": case.d, "k": case.k, "knot": knot_text}
-        return run_builtin("nodal", config_params, bounds)
-    if case.tag == "F2":
-        return run_builtin("rational", {"p": case.p, "q": case.q, "k": case.k,
-                                        "knot": knot_text}, bounds)
-    return run_builtin("tori", {"m": case.m, "n": case.n, "k": case.k,
-                                "knot": knot_text}, bounds)
+    tag = params.pop("case", "").upper()
+    if tag not in _SURGERY_CASES:
+        raise ParamError("surgery needs case=F1 (with d=), F2 (with p= q=) or F3 (with m= n=)")
+    builtin, fields, fixed = _SURGERY_CASES[tag]
+    spec = {field: EXAMPLE_PARAMS[builtin][name] for field, name in fields.items()}
+    p = take_params(params, {**spec, **SURGERY_PARAMS})
+    builtin_params = {name: p[field] for field, name in fields.items()}
+    return run_builtin(builtin, {**fixed, **builtin_params, "k": p["k"], "knot": p["knot"]},
+                       bounds)
 
 
 def _cmd_alexander(args, bounds: Bounds) -> Report:
     lines = []
     if args.braids and args.braids[0] == "family":
-        params = _parse_kv(args.braids[1:])
-        count = int(params.pop("count", 10))
-        if params:
-            raise ParamError(f"unused parameters: {', '.join(sorted(params))}")
-        if count < 1:
-            raise ParamError("count must be >= 1")
+        count = take_params(_parse_kv(args.braids[1:]),
+                            {"count": (int, 10, lambda v: v >= 1, "count >= 1")})["count"]
         for index, (braid, _, delta) in enumerate(knot_family(count), start=1):
             multiset = coefficient_multiset(delta)
             lines.append(CheckLine(
@@ -116,9 +100,7 @@ def _cmd_alexander(args, bounds: Bounds) -> Report:
     if not args.braids:
         raise ParamError("alexander needs at least one braid word or 'family count=N'")
     for text in args.braids:
-        braid = BraidWord.parse(text)
-        if not braid.is_knot_closure():
-            raise ParamError(f"braid {braid.format()} does not close to a knot")
+        braid = parse_knot(text)
         delta = alexander_of_braid(braid)
         lines.append(CheckLine(
             f"alexander {braid.format()}", PASS,
@@ -128,23 +110,16 @@ def _cmd_alexander(args, bounds: Bounds) -> Report:
 
 
 def _cmd_distinguish(args, bounds: Bounds) -> Report:
-    params = _parse_kv(args.params)
-    m = int(params.pop("m", 3))
-    n = int(params.pop("n", 2))
-    if params:
-        raise ParamError(f"unused parameters: {', '.join(sorted(params))}")
-    knot1 = BraidWord.parse(args.braid1)
-    knot2 = BraidWord.parse(args.braid2)
-    for braid in (knot1, knot2):
-        if not braid.is_knot_closure():
-            raise ParamError(f"braid {braid.format()} does not close to a knot")
-    config = tori_configuration(m, n)
-    report = distinguish(knot1, knot2, config)
+    p = take_params(_parse_kv(args.params),
+                    {"m": (int, 3, lambda v: v >= 1, "m >= 1"),
+                     "n": (int, 2, lambda v: v >= 1, "n >= 1")})
+    knot1, knot2 = parse_knot(args.braid1), parse_knot(args.braid2)
+    report = distinguish(knot1, knot2, tori_configuration(p["m"], p["n"]))
     ok = report.verdict == "SmoothlyInequivalent"
     line = CheckLine(f"distinguish {report.pair[0]} vs {report.pair[1]}",
                      PASS if ok else FAIL,
                      tuple(report.audit) + (f"verdict {report.verdict}",))
-    return Report(f"distinguish on tori m={m} n={n}", (line,))
+    return Report(f"distinguish on tori m={p['m']} n={p['n']}", (line,))
 
 
 def _cmd_actions(args, bounds: Bounds) -> Report:
@@ -236,6 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bounds(args) -> Bounds:
+    try:
+        return Bounds(getattr(args, "bounds_cosets", 100_000),
+                      getattr(args, "bounds_rules", 500))
+    except ValueError as err:
+        raise ParamError(str(err)) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -243,12 +226,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
-        bounds = Bounds(getattr(args, "bounds_cosets", 100_000),
-                        getattr(args, "bounds_rules", 500))
-        report = args.func(args, bounds)
-    except (ParamError, ScenarioError, ValueError) as err:
+        report = args.func(args, _bounds(args))
+    except (ParamError, ScenarioError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:  # the fault is the engine's, not the input's
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_FAIL
     sys.stdout.write(report.render(getattr(args, "format", "text")))
     return report.exit_code()
 

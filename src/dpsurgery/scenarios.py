@@ -9,6 +9,11 @@ Builtins reproduce the library's reference configurations end to end:
 * ``theorem-1-1 case=i|ii|iii ...`` the full knotted-family pipeline
 * ``theorem-7-2 m= n= k= count=``   the branched-cover action certificate
 
+Nodal, rational and tori run the surgery pipeline when ``k=`` or ``knot=``
+is given (twist 0, trefoil ``B2: 1 1 1`` by default).  ``take_params`` and
+``parse_knot`` check every parameter, from argv and from JSON alike, before
+any computation.
+
 A scenario file is a JSON object `{"bounds": {...}, "checks": [entry, ...]}`
 where each entry either names a builtin (`{"builtin": ..., "params": {...}}`)
 or describes a configuration inline; see the README for the schema.
@@ -23,7 +28,7 @@ from .actions import (CoverPlanError, CoverPlanInconclusive, build_cover_plan,
                       exotic_action_certificate)
 from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
                              complement_h1, spheres_presentation, tori_presentation)
-from .knots import BraidWord, TREFOIL, knot_group_from_braid
+from .knots import BraidWord, knot_group_from_braid
 from .presentations import AbelianGroup, Presentation, abelianization
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
 from .surgery import CaseParams, SurgerySpec, apply_surgery, case_presentation, \
@@ -132,8 +137,12 @@ def _integer(value) -> int | None:
     return None
 
 
-def _take_params(params: dict, spec: dict[str, tuple]) -> dict:
-    """Validate params against {name: (kind, default, predicate, description)}."""
+def take_params(params: dict, spec: dict[str, tuple]) -> dict:
+    """Validate params against {name: (kind, default, predicate, description)}.
+
+    The one parameter check of both front ends: argv values arrive as
+    strings, scenario JSON values as JSON types.
+    """
     problems = []
     for key in params:
         if key not in spec:
@@ -163,9 +172,8 @@ def _take_params(params: dict, spec: dict[str, tuple]) -> dict:
     return out
 
 
-def _parse_knot(text) -> BraidWord:
-    if isinstance(text, BraidWord):
-        return text
+def parse_knot(text) -> BraidWord:
+    """A braid word whose closure is a knot, or ParamError."""
     try:
         braid = BraidWord.parse(str(text))
     except ValueError as err:
@@ -173,6 +181,21 @@ def _parse_knot(text) -> BraidWord:
     if not braid.is_knot_closure():
         raise ParamError(f"braid {braid.format()} does not close to a knot")
     return braid
+
+
+# twist and knot of the surgery pipeline, which nodal, rational and tori run
+# when either is given
+SURGERY_PARAMS = {"k": (int, 0, None, ""), "knot": (str, "B2: 1 1 1", None, "")}
+_DEGREE = (int, None, lambda v: v >= 1, "degree >= 1")
+_M = (int, None, lambda v: v >= 1, "m >= 1")
+_N = (int, None, lambda v: v >= 1, "n >= 1")
+EXAMPLE_PARAMS = {
+    "nodal": {"d1": _DEGREE, "d2": _DEGREE, **SURGERY_PARAMS},
+    "rational": {"p": (int, None, lambda v: v >= 1, "p >= 1"),
+                 "q": (int, None, lambda v: v >= 1, "q >= 1"), **SURGERY_PARAMS},
+    "spheres": {"m": _M, "n": _N},
+    "tori": {"m": _M, "n": _N, **SURGERY_PARAMS},
+}
 
 
 def _title(name: str, ordered: list[tuple[str, object]]) -> str:
@@ -234,38 +257,22 @@ def _expected_homology(name: str, p: dict) -> AbelianGroup:
 
 
 def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
-    specs = {
-        "nodal": {"d1": (int, None, lambda v: v >= 1, "degree >= 1"),
-                  "d2": (int, None, lambda v: v >= 1, "degree >= 1"),
-                  "k": (int, 0, None, ""),
-                  "knot": (str, "", None, ""),
-                  "surgery": (int, 0, lambda v: v in (0, 1), "0 or 1")},
-        "rational": {"p": (int, None, lambda v: v >= 1, "p >= 1"),
-                     "q": (int, None, lambda v: v >= 1, "q >= 1"),
-                     "k": (int, 0, None, ""),
-                     "knot": (str, "", None, ""),
-                     "surgery": (int, 0, lambda v: v in (0, 1), "0 or 1")},
-        "spheres": {"m": (int, None, lambda v: v >= 1, "m >= 1"),
-                    "n": (int, None, lambda v: v >= 1, "n >= 1")},
-        "tori": {"m": (int, None, lambda v: v >= 1, "m >= 1"),
-                 "n": (int, None, lambda v: v >= 1, "n >= 1"),
-                 "k": (int, 0, None, ""),
-                 "knot": (str, "", None, ""),
-                 "surgery": (int, 0, lambda v: v in (0, 1), "0 or 1")},
-    }[name]
-    if "knot" in params or "k" in params:
-        params = dict(params)
-        params.setdefault("surgery", 1)
-    p = _take_params(params, specs)
-    do_surgery = bool(p.pop("surgery", 0))
-    knot_text = str(p.pop("knot", ""))
-    k = int(p.pop("k", 0))
-
-    config = BUILTIN_CONFIGURATIONS[name](**{key: p[key] for key in sorted(p)})
+    p = take_params(params, EXAMPLE_PARAMS[name])
+    k, knot_text = p.pop("k", 0), p.pop("knot", "")
     ordered = sorted(p.items())
-    if do_surgery:
-        ordered += [("k", k)] + ([("knot", knot_text)] if knot_text else [])
-    title = _title(name, ordered)
+    case = None
+    if "k" in params or "knot" in params:
+        knot = parse_knot(knot_text)
+        ordered += [("k", k)] + ([("knot", knot_text)] if "knot" in params else [])
+        if name == "nodal":
+            if p["d1"] != 1:
+                raise ParamError("surgery on the nodal configuration needs d1=1")
+            case = CaseParams.f1(p["d2"], k)
+        elif name == "rational":
+            case = CaseParams.f2(p["p"], p["q"], k)
+        else:
+            case = CaseParams.f3(p["m"], p["n"], k)
+    config = BUILTIN_CONFIGURATIONS[name](**p)
 
     lines = []
     homology = complement_h1(config)
@@ -277,22 +284,9 @@ def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
     ab = abelianization(config.pi1)
     lines.append(CheckLine("h1-matches-abelianization", PASS if ab == homology else FAIL,
                            (f"presentation abelianization {ab}, homology {homology}",)))
-
-    if do_surgery:
-        knot = _parse_knot(knot_text) if knot_text else TREFOIL
-        if name == "nodal":
-            if p["d1"] != 1:
-                raise ParamError("surgery on the nodal configuration needs d1=1")
-            case = CaseParams.f1(p["d2"], k)
-        elif name == "rational":
-            case = CaseParams.f2(p["p"], p["q"], k)
-        elif name == "tori":
-            case = CaseParams.f3(p["m"], p["n"], k)
-        else:
-            raise ParamError("the spheres configuration carries no invariant: "
-                             "no surgery pipeline is defined for it")
+    if case is not None:
         lines.extend(_surgery_lines(config, case, knot, bounds))
-    return Report(title, tuple(lines))
+    return Report(_title(name, ordered), tuple(lines))
 
 
 _THEOREM11_CASES = {
@@ -305,7 +299,7 @@ _THEOREM11_CASES = {
 def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     params = dict(params)
     k_given = params.pop("k", None)
-    p = _take_params(params, {
+    p = take_params(params, {
         "case": (str, None, lambda v: v in _THEOREM11_CASES, "one of i, ii, iii"),
         "count": (int, 10, lambda v: v >= 1, "count >= 1"),
         "d2": (int, 2, lambda v: v >= 2, "d2 >= 2 (need at least two points)"),
@@ -371,7 +365,7 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
 
 
 def _run_theorem_7_2(params: dict, bounds: Bounds) -> Report:
-    p = _take_params(params, {
+    p = take_params(params, {
         "m": (int, None, lambda v: v >= 1, "m >= 1"),
         "n": (int, None, lambda v: v >= 1, "n >= 1"),
         "k": (int, 1, None, ""),
@@ -534,7 +528,7 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
             raise ScenarioError(f"{where}: 'surgery' must be an object")
         try:
             point = _json_int(s["point"], f"{where}: surgery 'point'")
-            knot = _parse_knot(s["knot"])
+            knot = parse_knot(s["knot"])
             twist = _json_int(s["twist"], f"{where}: surgery 'twist'")
             # the spec checks the point index, apply_surgery the mu labels
             surgered = apply_surgery(SurgerySpec(config, point, knot, twist))

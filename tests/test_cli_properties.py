@@ -8,7 +8,9 @@ takes milliseconds and capped engines are common.  The invariants:
 * the exit code is one of 0, 1, 2, 3;
 * nothing escapes `main` and stderr never holds a traceback; a usage error
   (exit 2) prints no report and one `error:` line (or argparse's usage);
-* a `pass` line never quotes a capped enumeration ("hit its cap").
+* a `pass` line never quotes a capped enumeration ("hit its cap");
+* an input error is never reported as an internal error, nor in Python's
+  own words ("invalid literal for int()").
 """
 
 import io
@@ -74,6 +76,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 def _check_invariants(code: int, out: str, err: str):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    assert "internal error" not in err and "invalid literal" not in err, err
     if code == 2:
         assert out == ""
         assert err.startswith("error: ") or err.startswith("usage: ")
@@ -119,6 +122,9 @@ def argvs(draw):
             st.sampled_from(["0", "2", "x"]).map(lambda c: ["family", f"count={c}"])))
     elif command == "distinguish":
         tail = [draw(BRAIDS), draw(BRAIDS)]
+        for key in ("m", "n"):
+            if draw(st.booleans()):
+                tail.append(f"{key}={draw(JUNK) if _rarely(draw) else draw(SMALL)}")
     elif command == "actions":
         tail = _tokens(draw(builtin_params("theorem-7-2")))
     elif command == "snf":
@@ -194,6 +200,8 @@ def scenarios(draw):
 @example(["--bounds-cosets", "100", "--format", "machine", "surgery", "case=F3", "m=3", "n=2",
           "k=1", "knot=B2: 1 1 1 1 1 1 1"])
 @example(["--format", "machine", "surgery", "case=F1"])
+@example(["--format", "machine", "surgery", "case=F1", "k=0", "knot=B1:", "d=None"])
+@example(["--format", "machine", "distinguish", "B2: 1 1 1", "B1:", "m=2.5", "n=[]"])
 def test_argv_never_escapes_the_exit_codes(argv):
     _check_invariants(*_run(argv))
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from dpsurgery import scenarios
 from dpsurgery.cli import main
 from dpsurgery.reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
 from dpsurgery.scenarios import (ParamError, ScenarioError, run_builtin,
@@ -180,11 +181,35 @@ def test_cli_verify_scenario_file(capsys):
 
 
 def test_cli_usage_errors(capsys):
-    assert main(["verify", "not-a-builtin-or-file"]) == EXIT_USAGE
-    assert main(["verify", "nodal", "d1=2"]) == EXIT_USAGE
-    assert main(["surgery", "case=F9"]) == EXIT_USAGE
-    assert main(["alexander", "B2: 1 1"]) == EXIT_USAGE  # link, not knot
-    assert main(["snf", "1 2; 3"]) == EXIT_USAGE
+    """A bad argv exits 2 with one line that names the fault, and no report."""
+    builtins = "nodal, rational, spheres, tori, theorem-1-1, theorem-7-2"
+    cases = [
+        (["verify", "not-a-builtin-or-file"],
+         f"error: 'not-a-builtin-or-file' is neither a builtin ({builtins}) "
+         "nor an existing scenario file\n"),
+        (["verify", "nodal", "d1=2"], "error: missing required parameter 'd2'\n"),
+        (["surgery", "case=F9"],
+         "error: surgery needs case=F1 (with d=), F2 (with p= q=) or F3 (with m= n=)\n"),
+        (["alexander", "B2: 1 1"],  # link, not knot
+         "error: braid B2: 1 1 does not close to a knot\n"),
+        (["snf", "1 2; 3"], "error: ragged matrix rows\n"),
+        # argv values go through the scenario parameter checks, never bare int()
+        (["surgery", "case=F3", "m=x", "n=2", "k=1"], "error: m must be an integer\n"),
+        (["distinguish", "B2: 1 1 1", "B3: 1 -2 1 -2", "m=abc"],
+         "error: m must be an integer\n"),
+        (["alexander", "family", "count=x"], "error: count must be an integer\n"),
+        (["surgery", "case=F1", "d=None"], "error: d must be an integer\n"),
+        # k= or knot= selects the surgery pipeline; there is no surgery= switch
+        (["verify", "tori", "m=3", "n=2", "k=1", "surgery=0"],
+         "error: unknown parameter 'surgery'\n"),
+        (["verify", "spheres", "m=2", "n=2", "knot=B2: 1 1 1"],
+         "error: unknown parameter 'knot'\n"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message, argv
 
 
 def test_cli_surgery(capsys):
@@ -192,6 +217,47 @@ def test_cli_surgery(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "cross-validation: pass" in out
+
+
+@pytest.mark.parametrize("argv, name, params, title", [
+    (["case=F1", "d=2"], "nodal", {"d1": 1, "d2": 2, "k": 0},
+     "nodal d1=1 d2=2 k=0 knot=B2: 1 1 1"),
+    (["case=F2", "p=1", "q=3", "k=1"], "rational", {"p": 1, "q": 3, "k": 1},
+     "rational p=1 q=3 k=1 knot=B2: 1 1 1"),
+    (["case=f3", "m=3", "n=2", "k=1", "knot=B3: 1 -2 1 -2"], "tori",
+     {"m": 3, "n": 2, "k": 1, "knot": "B3: 1 -2 1 -2"}, "tori m=3 n=2 k=1 knot=B3: 1 -2 1 -2"),
+])
+def test_cli_surgery_runs_the_case_builtin(capsys, argv, name, params, title):
+    """F1/F2/F3 run nodal (d1=1)/rational/tori; the knot defaults to the trefoil."""
+    code = main(["--format", "machine", "surgery"] + argv)
+    out = capsys.readouterr().out
+    report = run_builtin(name, {"knot": "B2: 1 1 1", **params})
+    assert report.title == title
+    assert code == report.exit_code()
+    assert out == report.render_machine()
+
+
+def test_builtin_params_checked_before_computation(monkeypatch):
+    def computed(config):
+        raise AssertionError("computed before every parameter was checked")
+
+    monkeypatch.setattr(scenarios, "complement_h1", computed)
+    with pytest.raises(ParamError, match="does not close to a knot"):
+        run_builtin("tori", {"m": 16, "n": 17, "knot": "B2: 1 1"})
+    with pytest.raises(ParamError, match="needs d1=1"):
+        run_builtin("nodal", {"d1": 2, "d2": 3, "k": 1})
+
+
+def test_cli_internal_error_is_not_a_usage_error(monkeypatch, capsys):
+    """An engine fault exits 1 with one line; it is not blamed on the input."""
+    def broken(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(scenarios, "verify_abelian_isomorphism", broken)
+    assert main(["verify", "tori", "m=1", "n=1"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: engine fault\n"
 
 
 def test_cli_alexander(capsys):
