@@ -217,21 +217,37 @@ def _surgery_lines(config: Configuration, case: CaseParams, knot: BraidWord,
         lines.append(CheckLine("group-preserved", FAIL,
                                ("refused: no claim is made when the hypothesis fails",)))
         return lines
-    knot_data = knot_group_from_braid(knot)
+    raw_knot = knot_group_from_braid(knot)
+    knot_data = raw_knot.simplified()
     verdict = verify_group_preserved(case, knot_data, bounds)
     lines.append(line_from_verdict("group-preserved", verdict))
 
-    # cross-validation of the two construction paths
-    amalgam = surgered_presentation(case.base_presentation(), knot_data, case.k)
-    collapsed = case_presentation(case, knot_data)
+    # cross-validation of the two construction paths, both built on the
+    # meridian-kept simplification; a path whose enumeration hits the cap
+    # there is enumerated again on the unsimplified Wirtinger group, whose
+    # table can close where the simplified one does not
+    def amalgam_of(data):
+        return surgered_presentation(case.base_presentation(), data, case.k)
+
+    def collapsed_of(data):
+        return case_presentation(case, data)
+
+    amalgam, collapsed = amalgam_of(knot_data), collapsed_of(knot_data)
     ab1, ab2 = abelianization(amalgam), abelianization(collapsed)
     facts = [f"amalgam abelianization {ab1}, collapsed abelianization {ab2}"]
     agree = ab1 == ab2
     capped = False
     if case.target().order() is not None:
         from .coset import coset_enumerate
-        r1 = coset_enumerate(amalgam, (), bounds.max_cosets)
-        r2 = coset_enumerate(collapsed, (), bounds.max_cosets)
+
+        def order_of(presentation, build):
+            result = coset_enumerate(presentation, (), bounds.max_cosets)
+            if result.completed:
+                return result
+            return coset_enumerate(build(raw_knot), (), bounds.max_cosets)
+
+        r1 = order_of(amalgam, amalgam_of)
+        r2 = order_of(collapsed, collapsed_of)
         if r1.completed and r2.completed:
             facts.append(f"enumerated orders {r1.index} and {r2.index}")
             agree = agree and r1.index == r2.index

@@ -9,7 +9,11 @@ to the fundamental group of the new complement are provided:
 * `case_presentation` emits the collapsed presentation available when the
   base group is abelian of one of three recognized shapes.
 
-The two paths are cross-validated against each other by the test suite.
+The two paths are cross-validated against each other by the test suite, on
+the Wirtinger knot group and on its meridian-kept simplification.  The
+``surgery`` report cross-validates them too: it enumerates both on the
+simplification and enumerates a path again on the unsimplified knot group
+only when its enumeration hits the coset cap.
 """
 
 from __future__ import annotations

@@ -321,14 +321,43 @@ def _machine_lines(out):
 
 
 def test_cli_capped_cross_validation_is_inconclusive(capsys):
-    code = main(["--format", "machine", "--bounds-cosets", "100", "surgery", "case=F3",
-                 "m=3", "n=2", "k=1", "knot=B2: 1 1 1 1 1 1 1"])
+    # the amalgam hits the cap on the simplified knot group and again on the
+    # unsimplified one, while group-preserved decides within it
+    code = main(["--format", "machine", "--bounds-cosets", "500", "--bounds-rules", "200",
+                 "surgery", "case=F3", "m=5", "n=3", "k=3",
+                 "knot=B3: -1 2 2 2 -1 -2 2 -1 1 -1 1 1"])
     lines = _machine_lines(capsys.readouterr().out)
     assert code == EXIT_INCONCLUSIVE
     verdict, evidence = lines["cross-validation"]
     assert verdict == "inconclusive"
     assert "order comparison skipped: an enumeration hit its cap" in evidence
     assert lines["group-preserved"][0] == "pass"
+    assert "index 15 (453 cosets allocated, cap 500)" in lines["group-preserved"][1]
+
+
+def test_cli_cross_validation_decides_on_the_simplified_knot_group(capsys):
+    # T(2,21): on the unsimplified Wirtinger group an enumeration hits the
+    # default cap; on the meridian-kept simplification both paths close
+    code = main(["--format", "machine", "surgery", "case=F3", "m=3", "n=2", "k=1",
+                 "knot=B2: " + " ".join(["1"] * 21)])
+    lines = _machine_lines(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert lines["cross-validation"] == (
+        "pass", "amalgam abelianization Z_6, collapsed abelianization Z_6; "
+                "enumerated orders 6 and 6")
+
+
+def test_cli_cross_validation_falls_back_to_the_unsimplified_knot_group(capsys):
+    # here one path hits the cap on the simplified knot group and closes on
+    # the unsimplified one, so the check still decides
+    code = main(["--format", "machine", "--bounds-cosets", "500", "--bounds-rules", "200",
+                 "surgery", "case=F3", "m=5", "n=1", "k=1",
+                 "knot=B4: -1 -2 2 -1 -2 -2 2 2 1 -3 -2"])
+    lines = _machine_lines(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert lines["cross-validation"] == (
+        "pass", "amalgam abelianization Z_5, collapsed abelianization Z_5; "
+                "enumerated orders 5 and 5")
 
 
 def test_cli_theorem_7_2_capped_is_inconclusive(capsys):

@@ -140,19 +140,20 @@ CROSS_VALIDATION_CASES = [CaseParams.f1(1, 0), CaseParams.f1(2, 0),
                          ids=[c.describe() for c in CROSS_VALIDATION_CASES])
 @pytest.mark.parametrize("knot_data", [TREFOIL_DATA, FIG8_DATA], ids=["trefoil", "fig8"])
 def test_paths_cross_validate(case, knot_data):
-    amalgam = surgered_presentation(case.base_presentation(), knot_data, case.k)
-    collapsed = case_presentation(case, knot_data)
-    assert abelianization(amalgam) == abelianization(collapsed)
+    # both paths on the Wirtinger group and on its meridian-kept
+    # simplification, so the simplification is cross-checked as well
+    simplified = knot_data.simplified()
+    presentations = [surgered_presentation(case.base_presentation(), data, case.k)
+                     for data in (knot_data, simplified)]
+    presentations += [case_presentation(case, data) for data in (knot_data, simplified)]
+    assert len({abelianization(p) for p in presentations}) == 1
     if case.target().order() is not None:
-        r1 = coset_enumerate(amalgam, (), 100_000)
-        r2 = coset_enumerate(collapsed, (), 100_000)
-        assert r1.completed and r2.completed
-        assert r1.index == r2.index
+        results = [coset_enumerate(p, (), 100_000) for p in presentations]
+        assert all(r.completed for r in results)
+        assert len({r.index for r in results}) == 1
     else:
-        v1 = certify_abelian(amalgam, 500)
-        v2 = certify_abelian(collapsed, 500)
-        assert v1.status is Status.ISOMORPHIC
-        assert v2.status is Status.ISOMORPHIC
+        for p in presentations:
+            assert certify_abelian(p, 500).status is Status.ISOMORPHIC
 
 
 # -- verify_group_preserved ------------------------------------------------------
