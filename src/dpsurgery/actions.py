@@ -6,8 +6,11 @@ Z_m + Z_n action.  Surgering the branch configuration by a family of knots
 with pairwise distinct Alexander coefficient multisets changes the smooth
 structure of the action but, when the arithmetic on the twist allows the
 covers to be untwisted, not the underlying smooth manifold or topological
-type.  The certificate runs every computational check and clearly marks the
-one input taken on citation (topological equivalence of the branch sets).
+type.  The certificate runs every computational check and returns each as a
+report `CheckLine`: `pass`, `fail`, `inconclusive` when a bound cut an
+enumeration short, or `cited` for the one input taken on citation
+(topological equivalence of the branch sets).  Its verdict combines the
+lines by the report rule `combined`.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from math import gcd
 
 from .configurations import Configuration
 from .presentations import AbelianGroup, exponent_matrix
+from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, combined, verdict_of
 from .snf import element_order_in_cokernel
 from .surgery import CaseParams
 from .sw import FamilyReport, family_report
@@ -94,34 +98,14 @@ def build_cover_plan(config: Configuration, m: int, n: int,
 
 
 @dataclass(frozen=True)
-class CertificateCheck:
-    name: str
-    kind: str  # "computed" | "cited"
-    passed: bool
-    detail: str
-    inconclusive: bool = False  # not passed, and nothing refuted: a bound cut it short
-
-
-@dataclass(frozen=True)
 class ActionCertificate:
-    plan: CoverPlan
-    twist: int
-    family_size: int
-    checks: tuple[CertificateCheck, ...]
+    checks: tuple[CheckLine, ...]
     family: FamilyReport | None
     conclusion: str
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def inconclusive(self) -> bool:
-        """Not passed, but every check that did not pass was cut short by a bound."""
-        return not self.passed and all(c.passed or c.inconclusive for c in self.checks)
-
-    def failed_checks(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
+    def verdict(self) -> str:
+        return combined(c.verdict for c in self.checks)
 
 
 def exotic_action_certificate(plan: CoverPlan, k: int, count: int,
@@ -137,21 +121,22 @@ def exotic_action_certificate(plan: CoverPlan, k: int, count: int,
     if count < 2:
         raise ValueError("a family needs at least two members")
     m, n = plan.m, plan.n
-    checks: list[CertificateCheck] = []
+    checks: list[CheckLine] = []
+
+    def check(name: str, ok: bool, detail: str) -> None:
+        checks.append(CheckLine(name, PASS if ok else FAIL, (detail,)))
 
     g_preserve = gcd(m, k * n)
     check_a = g_preserve == 1
-    checks.append(CertificateCheck(
-        "group-preservation-gcd", "computed", check_a,
-        f"gcd(m, k*n) = gcd({m}, {k}*{n}) = {g_preserve}"
-        + ("" if check_a else " != 1: the group claim is unavailable")))
+    check("group-preservation-gcd", check_a,
+          f"gcd(m, k*n) = gcd({m}, {k}*{n}) = {g_preserve}"
+          + ("" if check_a else " != 1: the group claim is unavailable"))
 
     g_plotnick = gcd(k, m)
     check_b = g_plotnick == 1
-    checks.append(CertificateCheck(
-        "plotnick-gcd", "computed", check_b,
-        f"gcd(k, m) = gcd({k}, {m}) = {g_plotnick}"
-        + ("" if check_b else " != 1: the cover need not untwist")))
+    check("plotnick-gcd", check_b,
+          f"gcd(k, m) = gcd({k}, {m}) = {g_plotnick}"
+          + ("" if check_b else " != 1: the cover need not untwist"))
 
     family: FamilyReport | None = None
     if check_a:
@@ -159,35 +144,29 @@ def exotic_action_certificate(plan: CoverPlan, k: int, count: int,
         family = family_report(plan.config, count, case, bounds)
         statuses = [x.group_verdict.status for x in family.members]
         undecided = statuses.count(Status.INCONCLUSIVE)
-        checks.append(CertificateCheck(
-            "group-preserved-per-knot", "computed", family.all_groups_preserved(),
-            f"{statuses.count(Status.ISOMORPHIC)}/{len(statuses)} knots verified "
-            f"isomorphic to Z_{m} + Z_{n}" + (f", {undecided} inconclusive" if undecided else ""),
-            inconclusive=undecided > 0 and Status.NOT_ISOMORPHIC not in statuses))
-        pairs_ok = family.applicability.ok and family.all_pairs_distinct()
-        checks.append(CertificateCheck(
-            "sw-pairwise-distinct", "computed", pairs_ok,
-            f"{sum(1 for p in family.pairs if p.verdict == 'SmoothlyInequivalent')}"
-            f"/{len(family.pairs)} pairs distinguished"))
+        checks.append(CheckLine(
+            "group-preserved-per-knot", combined(map(verdict_of, statuses)),
+            (f"{statuses.count(Status.ISOMORPHIC)}/{len(statuses)} knots verified "
+             f"isomorphic to Z_{m} + Z_{n}" + (f", {undecided} inconclusive" if undecided else ""),)))
+        check("sw-pairwise-distinct", family.applicability.ok and family.all_pairs_distinct(),
+              f"{sum(1 for p in family.pairs if p.verdict == 'SmoothlyInequivalent')}"
+              f"/{len(family.pairs)} pairs distinguished")
     else:
-        checks.append(CertificateCheck(
-            "group-preserved-per-knot", "computed", False,
-            "skipped: group-preservation gcd failed"))
-        checks.append(CertificateCheck(
-            "sw-pairwise-distinct", "computed", False,
-            "skipped: group-preservation gcd failed"))
+        check("group-preserved-per-knot", False, "skipped: group-preservation gcd failed")
+        check("sw-pairwise-distinct", False, "skipped: group-preservation gcd failed")
 
-    checks.append(CertificateCheck(
-        "topological-equivalence", "cited", True,
-        "branch sets are topologically isotopic (surgery-theoretic result, "
-        "recorded on citation; not recomputed here)"))
+    checks.append(CheckLine(
+        "topological-equivalence", CITED,
+        ("branch sets are topologically isotopic (surgery-theoretic result, "
+         "recorded on citation; not recomputed here)",)))
 
-    certificate = ActionCertificate(plan, k, count, tuple(checks), family, "")
-    if certificate.passed:
+    verdict = combined(c.verdict for c in checks)
+    open_checks = ", ".join(c.name for c in checks if c.verdict not in (PASS, CITED))
+    if verdict == PASS:
         conclusion = (f"desk-scale certificate: {count} smoothly inequivalent, "
                       f"topologically equivalent Z_{m} + Z_{n} actions of standard type")
-    elif certificate.inconclusive:
-        conclusion = "certificate inconclusive at: " + ", ".join(certificate.failed_checks())
+    elif verdict == INCONCLUSIVE:
+        conclusion = "certificate inconclusive at: " + open_checks
     else:
-        conclusion = "certificate FAILED at: " + ", ".join(certificate.failed_checks())
-    return ActionCertificate(plan, k, count, tuple(checks), family, conclusion)
+        conclusion = "certificate FAILED at: " + open_checks
+    return ActionCertificate(tuple(checks), family, conclusion)

@@ -36,7 +36,7 @@ from .scenarios import (BUILTIN_NAMES, EXAMPLE_PARAMS, SURGERY_PARAMS, ParamErro
                         take_params, tori_configuration)
 from .snf import mat_mul, smith_normal_form
 from .sw import distinguish
-from .verify import Bounds
+from .verify import Bounds, DEFAULT_BOUNDS
 
 
 def _parse_kv(tokens: list[str]) -> dict[str, str]:
@@ -163,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     # before the subcommand; real defaults are applied in main()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--bounds-cosets", type=int, default=argparse.SUPPRESS,
-                        help="coset table cap (default 100000)")
+                        help=f"coset table cap (default {DEFAULT_BOUNDS.max_cosets})")
     common.add_argument("--bounds-rules", type=int, default=argparse.SUPPRESS,
-                        help="rewrite rule cap (default 500)")
+                        help=f"rewrite rule cap (default {DEFAULT_BOUNDS.max_rules})")
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS,
                         help="report format (default text)")
@@ -213,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _bounds(args) -> Bounds:
     try:
-        return Bounds(getattr(args, "bounds_cosets", 100_000),
-                      getattr(args, "bounds_rules", 500))
+        return Bounds(getattr(args, "bounds_cosets", DEFAULT_BOUNDS.max_cosets),
+                      getattr(args, "bounds_rules", DEFAULT_BOUNDS.max_rules))
     except ValueError as err:
         raise ParamError(str(err)) from None
 

@@ -79,7 +79,6 @@ class SurfaceComponent:
     label: str
     genus: int
     homology_class: tuple[int, ...]
-    orientation: int = 1
     embedding_tag: EmbeddingTag = tag_standard()
 
     def __post_init__(self):
@@ -87,8 +86,6 @@ class SurfaceComponent:
                            tuple(int(x) for x in self.homology_class))
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +-1")
 
     def with_tag(self, tag: EmbeddingTag) -> "SurfaceComponent":
         return dc_replace(self, embedding_tag=tag)

@@ -141,7 +141,7 @@ class LaurentPoly:
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
 
-    def format(self, var: str = "t") -> str:
+    def format(self) -> str:
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -149,7 +149,7 @@ class LaurentPoly:
             if degree == 0:
                 body = str(abs(c))
             else:
-                power = var if degree == 1 else f"{var}^{degree}"
+                power = "t" if degree == 1 else f"t^{degree}"
                 body = power if abs(c) == 1 else f"{abs(c)} {power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
@@ -161,13 +161,13 @@ class LaurentPoly:
         return self.format()
 
     @staticmethod
-    def parse(text: str, var: str = "t") -> "LaurentPoly":
+    def parse(text: str) -> "LaurentPoly":
         text = text.strip()
         if text == "0":
             return LaurentPoly.zero()
         protected = text.replace("^-", "^~")  # keep exponent signs out of term splitting
         result = LaurentPoly.zero()
-        term_re = re.compile(rf"^(\d+)?\s*({re.escape(var)}(?:\^(-?\d+))?)?$")
+        term_re = re.compile(r"^(\d+)?\s*(t(?:\^(-?\d+))?)?$")
         for raw in re.findall(r"[+-]?[^+-]+", protected):
             term = raw.strip()
             sign = 1

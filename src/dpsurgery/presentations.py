@@ -175,9 +175,6 @@ class Presentation:
         return Presentation(self.generators, self.relators,
                             tuple(sorted(merged.items())))
 
-    def gen_index(self, name: str) -> int:
-        return self.generators.index(name)
-
     # -- text form ---------------------------------------------------------
 
     def format(self) -> str:

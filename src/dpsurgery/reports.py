@@ -2,8 +2,9 @@
 
 A report is an ordered list of named checks.  The machine format is one
 line per check: name, verdict and evidence joined by "; ", separated by
-tabs.  Exit codes: 0 when nothing failed and nothing was inconclusive,
-1 when any check failed, 3 when the only defects are inconclusive checks.
+tabs.  The exit code follows `combined` over all lines: 0 when nothing
+failed and nothing was inconclusive, 1 when any check failed, 3 when the
+only defects are inconclusive checks.
 Usage and parse errors exit 2 (handled by the CLI).
 """
 
@@ -37,14 +38,24 @@ class CheckLine:
             raise ValueError("check names must not contain tabs or newlines")
 
 
-def line_from_verdict(name: str, verdict: Verdict, expect: Status = Status.ISOMORPHIC) -> CheckLine:
-    if verdict.status is Status.INCONCLUSIVE:
-        out = INCONCLUSIVE
-    elif verdict.status is expect:
-        out = PASS
-    else:
-        out = FAIL
-    return CheckLine(name, out, tuple(verdict.evidence))
+def verdict_of(status: Status) -> str:
+    """The report verdict of an engine status: Isomorphic passes."""
+    if status is Status.INCONCLUSIVE:
+        return INCONCLUSIVE
+    return PASS if status is Status.ISOMORPHIC else FAIL
+
+
+def line_from_verdict(name: str, verdict: Verdict) -> CheckLine:
+    return CheckLine(name, verdict_of(verdict.status), tuple(verdict.evidence))
+
+
+def combined(verdicts) -> str:
+    """The verdict of several checks: fail if any failed, else inconclusive
+    if any was cut short by a bound, else pass (a cited check passes)."""
+    verdicts = set(verdicts)
+    if FAIL in verdicts:
+        return FAIL
+    return INCONCLUSIVE if INCONCLUSIVE in verdicts else PASS
 
 
 @dataclass(frozen=True)
@@ -53,12 +64,8 @@ class Report:
     lines: tuple[CheckLine, ...] = ()
 
     def exit_code(self) -> int:
-        verdicts = [line.verdict for line in self.lines]
-        if FAIL in verdicts:
-            return EXIT_FAIL
-        if INCONCLUSIVE in verdicts:
-            return EXIT_INCONCLUSIVE
-        return EXIT_OK
+        verdict = combined(line.verdict for line in self.lines)
+        return {PASS: EXIT_OK, FAIL: EXIT_FAIL, INCONCLUSIVE: EXIT_INCONCLUSIVE}[verdict]
 
     def counts(self) -> dict[str, int]:
         out = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0, CITED: 0}

@@ -31,7 +31,7 @@ from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
 from .knots import BraidWord, knot_group_from_braid
 from .presentations import AbelianGroup, Presentation, abelianization
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
-from .surgery import CaseParams, SurgerySpec, apply_surgery, case_presentation, \
+from .surgery import CaseParams, SurgerySpec, case_presentation, \
     check_case_hypothesis, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import family_report
 from .verify import Bounds, DEFAULT_BOUNDS, verify_abelian_isomorphism
@@ -397,15 +397,8 @@ def _run_theorem_7_2(params: dict, bounds: Bounds) -> Report:
         return Report(title, (CheckLine("cover-plan", verdict, (str(err),)),))
     lines = [CheckLine("cover-plan", PASS, tuple(plan.describe()))]
     certificate = exotic_action_certificate(plan, p["k"], p["count"], bounds)
-    for check in certificate.checks:
-        if check.kind == "cited":
-            verdict = CITED
-        else:
-            verdict = PASS if check.passed else INCONCLUSIVE if check.inconclusive else FAIL
-        lines.append(CheckLine(check.name, verdict, (check.detail,)))
-    verdict = (PASS if certificate.passed
-               else INCONCLUSIVE if certificate.inconclusive else FAIL)
-    lines.append(CheckLine("conclusion", verdict, (certificate.conclusion,)))
+    lines.extend(certificate.checks)
+    lines.append(CheckLine("conclusion", certificate.verdict, (certificate.conclusion,)))
     return Report(title, tuple(lines))
 
 
@@ -546,8 +539,9 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
             point = _json_int(s["point"], f"{where}: surgery 'point'")
             knot = parse_knot(s["knot"])
             twist = _json_int(s["twist"], f"{where}: surgery 'twist'")
-            # the spec checks the point index, apply_surgery the mu labels
-            surgered = apply_surgery(SurgerySpec(config, point, knot, twist))
+            # the spec checks the point index; the configuration already
+            # required the mu labels when it was given a pi1
+            components = surgered_components(SurgerySpec(config, point, knot, twist), twist)
         except KeyError as err:
             raise ScenarioError(f"{where}: surgery needs field {err}") from None
         except ScenarioError:
@@ -555,7 +549,7 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
         except ValueError as err:
             raise ScenarioError(f"{where}: {err}") from None
         tags = tuple(f"component {i + 1}: {c.embedding_tag.describe()}"
-                     for i, c in enumerate(surgered.components))
+                     for i, c in enumerate(components))
         lines.append(CheckLine(f"{where} surgery", PASS, tags))
         if "case" in s:
             case = _case_from_json(s["case"], where)

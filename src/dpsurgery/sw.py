@@ -20,7 +20,7 @@ from .knots import BraidWord
 from .laurent import LaurentPoly
 from .surgery import CaseParams, SurgerySpec, check_case_hypothesis, surgered_components, \
     verify_group_preserved
-from .verify import Bounds, DEFAULT_BOUNDS, Status, Verdict
+from .verify import Bounds, DEFAULT_BOUNDS, Verdict
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,9 @@ def _compare(name1: str, multiset1: tuple[int, ...], name2: str,
         lines + ("coefficient multisets agree: the invariant does not separate them",))
 
 
-def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration,
-                sw: FormalSW | None = None) -> DistinguishReport:
+def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration) -> DistinguishReport:
     """Compare the two surgered configurations through the invariant transform."""
-    audit = applicability_check(config, sw)
+    audit = applicability_check(config)
     m1 = coefficient_multiset(alexander_of_braid(knot1))
     m2 = coefficient_multiset(alexander_of_braid(knot2))
     return _compare(knot1.format(), m1, knot2.format(), m2, audit)
@@ -122,7 +121,6 @@ def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration,
 class FamilyMember:
     index: int
     knot: BraidWord
-    delta: LaurentPoly
     group_verdict: Verdict
     component_tags: tuple[str, ...]
 
@@ -133,17 +131,13 @@ class FamilyReport:
     members: tuple[FamilyMember, ...]
     pairs: tuple[DistinguishReport, ...]
 
-    def all_groups_preserved(self) -> bool:
-        return all(m.group_verdict.status is Status.ISOMORPHIC for m in self.members)
-
     def all_pairs_distinct(self) -> bool:
         return all(p.verdict == "SmoothlyInequivalent" for p in self.pairs)
 
 
 def family_report(config: Configuration, count: int, case: CaseParams,
-                  bounds: Bounds = DEFAULT_BOUNDS, point: int = 0,
-                  sw: FormalSW | None = None) -> FamilyReport:
-    """Surger a family of torus knots at one double point and certify the lot.
+                  bounds: Bounds = DEFAULT_BOUNDS) -> FamilyReport:
+    """Surger a family of torus knots at the first double point and certify the lot.
 
     For each knot: record the embedding tags of the surgered components and
     verify the group is preserved, both from the one knot group the family
@@ -152,14 +146,14 @@ def family_report(config: Configuration, count: int, case: CaseParams,
     """
     if not check_case_hypothesis(case):
         raise ValueError(f"case hypothesis fails for {case.describe()}")
-    audit = applicability_check(config, sw)
+    audit = applicability_check(config)
     family = knot_family(count)
     members = []
-    for i, (braid, knot, delta) in enumerate(family, start=1):
-        components = surgered_components(SurgerySpec(config, point, braid, case.k), case.k)
+    for i, (braid, knot, _) in enumerate(family, start=1):
+        components = surgered_components(SurgerySpec(config, 0, braid, case.k), case.k)
         verdict = verify_group_preserved(case, knot, bounds)
         tags = tuple(c.embedding_tag.describe() for c in components)
-        members.append(FamilyMember(i, braid, delta, verdict, tags))
+        members.append(FamilyMember(i, braid, verdict, tags))
     pairs = []
     for i in range(len(family)):
         for j in range(i + 1, len(family)):

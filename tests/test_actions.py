@@ -4,9 +4,14 @@ import pytest
 
 from dpsurgery.actions import (CoverPlanError, CoverPlanInconclusive, build_cover_plan,
                                exotic_action_certificate)
+from dpsurgery.reports import CITED, FAIL, INCONCLUSIVE, PASS
 from dpsurgery.scenarios import (spheres_configuration, tori_configuration,
                                  trivial_complement_configuration)
 from dpsurgery.verify import Bounds, Status
+
+
+def failed(certificate) -> list[str]:
+    return [c.name for c in certificate.checks if c.verdict == FAIL]
 
 
 def test_plan_on_tori_3_2():
@@ -31,7 +36,7 @@ def test_certificate_passes_table():
     for m, n, k in [(3, 2, 1), (5, 2, 1), (2, 3, 1), (4, 3, 1)]:
         plan = build_cover_plan(tori_configuration(m, n), m, n)
         certificate = exotic_action_certificate(plan, k, 5)
-        assert certificate.passed, (m, n, k, certificate.failed_checks())
+        assert certificate.verdict == PASS, (m, n, k, failed(certificate))
         assert len(certificate.family.pairs) == 10
         assert "smoothly inequivalent" in certificate.conclusion
 
@@ -39,24 +44,24 @@ def test_certificate_passes_table():
 def test_certificate_fails_plotnick_gcd():
     plan = build_cover_plan(tori_configuration(3, 2), 3, 2)
     certificate = exotic_action_certificate(plan, 3, 5)
-    assert not certificate.passed
-    assert "plotnick-gcd" in certificate.failed_checks()
+    assert certificate.verdict == FAIL
+    assert "plotnick-gcd" in failed(certificate)
 
 
 def test_certificate_fails_group_preservation_gcd():
     plan = build_cover_plan(tori_configuration(2, 3), 2, 3)
     certificate = exotic_action_certificate(plan, 2, 5)
-    assert not certificate.passed
-    assert "group-preservation-gcd" in certificate.failed_checks()
+    assert certificate.verdict == FAIL
+    assert "group-preservation-gcd" in failed(certificate)
 
 
 def test_certificate_cites_topological_equivalence():
     plan = build_cover_plan(tori_configuration(3, 2), 3, 2)
     certificate = exotic_action_certificate(plan, 1, 2)
-    cited = [c for c in certificate.checks if c.kind == "cited"]
+    cited = [c for c in certificate.checks if c.verdict == CITED]
     assert len(cited) == 1
     assert cited[0].name == "topological-equivalence"
-    computed = [c for c in certificate.checks if c.kind == "computed"]
+    computed = [c for c in certificate.checks if c.verdict != CITED]
     assert len(computed) == 4
 
 
@@ -86,14 +91,14 @@ def test_coprime_sweep():
                 continue
             plan = build_cover_plan(tori_configuration(m, n), m, n)
             certificate = exotic_action_certificate(plan, 1, 3)
-            assert certificate.passed, (m, n, certificate.failed_checks())
+            assert certificate.verdict == PASS, (m, n, failed(certificate))
 
 
 def test_single_point_configuration_fails_honestly():
     plan = build_cover_plan(tori_configuration(1, 1), 1, 1)
     certificate = exotic_action_certificate(plan, 1, 3)
-    assert not certificate.passed
-    assert "sw-pairwise-distinct" in certificate.failed_checks()
+    assert certificate.verdict == FAIL
+    assert "sw-pairwise-distinct" in failed(certificate)
 
 
 def test_capped_verdicts_stay_inconclusive():
@@ -105,11 +110,11 @@ def test_capped_verdicts_stay_inconclusive():
     bounds = Bounds(max_cosets=40)
     plan = build_cover_plan(tori_configuration(3, 2), 3, 2, bounds)
     certificate = exotic_action_certificate(plan, 1, 5, bounds)
-    assert not certificate.passed and certificate.inconclusive
+    assert certificate.verdict == INCONCLUSIVE
     per_knot = next(c for c in certificate.checks if c.name == "group-preserved-per-knot")
-    assert per_knot.inconclusive and not per_knot.passed
+    assert per_knot.verdict == INCONCLUSIVE
     assert certificate.conclusion == "certificate inconclusive at: group-preserved-per-knot"
     # a decided failure makes the certificate fail, not inconclusive
     certificate = exotic_action_certificate(plan, 3, 5, bounds)
-    assert not certificate.passed and not certificate.inconclusive
+    assert certificate.verdict == FAIL
     assert certificate.conclusion.startswith("certificate FAILED at: group-preservation-gcd")

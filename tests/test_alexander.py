@@ -6,23 +6,21 @@ from fractions import Fraction
 import pytest
 
 from dpsurgery.alexander import (alexander_of_braid, alexander_polynomial,
-                                 coefficient_multiset, knot_family)
+                                 coefficient_multiset, knot_family, laurent_determinant)
 from dpsurgery.knots import (BraidWord, FIGURE_EIGHT, TREFOIL, UNKNOT,
                              braid_to_diagram, torus_knot)
 from dpsurgery.laurent import LaurentPoly
 
 
-def rational_det(matrix):
+def fraction_det(matrix) -> Fraction:
     """Independent exact determinant via fraction Gaussian elimination."""
     n = len(matrix)
-    if n == 0:
-        return 1
     a = [[Fraction(x) for x in row] for row in matrix]
     det = Fraction(1)
     for k in range(n):
         pivot = next((i for i in range(k, n) if a[i][k]), None)
         if pivot is None:
-            return 0
+            return Fraction(0)
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             det = -det
@@ -32,6 +30,12 @@ def rational_det(matrix):
             factor = a[i][k] * inv
             if factor:
                 a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def rational_det(matrix):
+    """`fraction_det` of an integer matrix, as an int."""
+    det = fraction_det(matrix)
     assert det.denominator == 1
     return int(det)
 
@@ -150,3 +154,53 @@ def test_torus_knot_family():
     assert len(coefficient_multiset(family[1][2])) == 5
     with pytest.raises(ValueError):
         knot_family(0)
+
+
+T = LaurentPoly.term(1, 1)
+ONE, ZERO = LaurentPoly.one(), LaurentPoly.zero()
+
+
+def test_laurent_determinant_of_empty_matrix_is_one():
+    assert laurent_determinant([]) == ONE
+
+
+def test_laurent_determinant_zero_pivot_swaps_rows_and_flips_sign():
+    # rows[0][0] is zero, so Bareiss swaps in row 1: det [[0, t], [1, 0]] = -t
+    assert laurent_determinant([[ZERO, T], [ONE, ZERO]]) == LaurentPoly.term(-1, 1)
+    # a swap at the second step of a 3x3: det = -(1 * t * t^-1) = -1
+    matrix = [[ONE, ONE, ZERO], [ONE, ONE, T], [ZERO, LaurentPoly.term(1, -1), ZERO]]
+    assert laurent_determinant(matrix) == LaurentPoly.term(-1, 0)
+
+
+def test_laurent_determinant_of_singular_matrix_is_zero():
+    assert laurent_determinant([[ONE, T], [ONE, T]]) == ZERO
+    assert laurent_determinant([[ZERO, ONE], [ZERO, T]]) == ZERO  # no pivot at all
+    assert laurent_determinant([[T, T - ONE], [T * T, T * T - T]]) == ZERO
+
+
+def test_laurent_determinant_rejects_non_square():
+    with pytest.raises(ValueError):
+        laurent_determinant([[ONE, T]])
+    with pytest.raises(ValueError):
+        laurent_determinant([[ONE], [T]])
+
+
+def test_laurent_determinant_matches_fraction_determinant_at_integers():
+    rng = random.Random(11)
+
+    def random_poly():
+        if rng.random() < 0.25:
+            return ZERO
+        return LaurentPoly.make(rng.randint(-2, 2),
+                                [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+    def evaluate(poly, t):
+        return sum((c * Fraction(t) ** d for d, c in poly.terms()), Fraction(0))
+
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        matrix = [[random_poly() for _ in range(n)] for _ in range(n)]
+        det = laurent_determinant(matrix)
+        for t in (2, 3, -2, 5):
+            expected = fraction_det([[evaluate(p, t) for p in row] for row in matrix])
+            assert evaluate(det, t) == expected, (matrix, t)

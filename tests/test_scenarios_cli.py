@@ -283,6 +283,46 @@ def test_cli_actions(capsys):
     assert main(["actions", "m=3", "n=2", "k=3", "count=5"]) == EXIT_FAIL
 
 
+_PLAN = ("cover-plan\tpass\tbranched cover plan for Z_3 + Z_2:;   stage one: Z_2 cover "
+         "branched over component 2, meridian mu2 -> 1;   stage two: Z_3 cover branched over "
+         "the preimage of component 1;   meridian orders: mu1 -> 3, mu2 -> 2\n")
+_CITED = ("topological-equivalence\tcited\tbranch sets are topologically isotopic "
+          "(surgery-theoretic result, recorded on citation; not recomputed here)\n")
+_K1 = ("group-preservation-gcd\tpass\tgcd(m, k*n) = gcd(3, 1*2) = 1\n"
+       "plotnick-gcd\tpass\tgcd(k, m) = gcd(1, 3) = 1\n")
+_K3 = _PLAN + (
+    "group-preservation-gcd\tfail\tgcd(m, k*n) = gcd(3, 3*2) = 3 != 1: the group claim "
+    "is unavailable\n"
+    "plotnick-gcd\tfail\tgcd(k, m) = gcd(3, 3) = 3 != 1: the cover need not untwist\n"
+    "group-preserved-per-knot\tfail\tskipped: group-preservation gcd failed\n"
+    "sw-pairwise-distinct\tfail\tskipped: group-preservation gcd failed\n") + _CITED + (
+    "conclusion\tfail\tcertificate FAILED at: group-preservation-gcd, plotnick-gcd, "
+    "group-preserved-per-knot, sw-pairwise-distinct\n")
+
+
+@pytest.mark.parametrize("flags, k, code, stdout", [
+    ([], 1, EXIT_OK, _PLAN + _K1 + (
+        "group-preserved-per-knot\tpass\t3/3 knots verified isomorphic to Z_3 + Z_2\n"
+        "sw-pairwise-distinct\tpass\t3/3 pairs distinguished\n") + _CITED + (
+        "conclusion\tpass\tdesk-scale certificate: 3 smoothly inequivalent, topologically "
+        "equivalent Z_3 + Z_2 actions of standard type\n")),
+    ([], 3, EXIT_FAIL, _K3),
+    (["--bounds-cosets", "40"], 1, EXIT_INCONCLUSIVE, _PLAN + _K1 + (
+        "group-preserved-per-knot\tinconclusive\t2/3 knots verified isomorphic to "
+        "Z_3 + Z_2, 1 inconclusive\n"
+        "sw-pairwise-distinct\tpass\t3/3 pairs distinguished\n") + _CITED + (
+        "conclusion\tinconclusive\tcertificate inconclusive at: group-preserved-per-knot\n")),
+    (["--bounds-cosets", "5"], 1, EXIT_INCONCLUSIVE, (
+        "cover-plan\tinconclusive\tcomplement group did not verify as Z_6: Inconclusive; "
+        "abelianization matches target Z_6; coset enumeration inconclusive: table cap 5 "
+        "exhausted (5 cosets allocated); bounds exhausted without a decision\n")),
+])
+def test_cli_actions_machine_output_pinned(capsys, flags, k, code, stdout):
+    assert main(["--format", "machine", *flags, "actions", "m=3", "n=2", f"k={k}",
+                 "count=3"]) == code
+    assert capsys.readouterr().out == stdout
+
+
 def test_cli_snf(capsys):
     code = main(["snf", "2 0; 0 3"])
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ from dpsurgery.scenarios import (rational_configuration, spheres_configuration,
 from dpsurgery.surgery import CaseParams
 from dpsurgery.sw import (FormalSW, applicability_check, distinguish, family_report,
                           knot_surgery_transform)
+from dpsurgery.verify import Status
 
 
 def test_formal_sw_validation():
@@ -30,7 +31,7 @@ def test_transform_unknot_is_identity():
 
 def test_transform_trefoil():
     out = knot_surgery_transform(FormalSW.canonical(), LaurentPoly.parse("t^-1 - 1 + t"))
-    assert out.value == LaurentPoly.parse("r^-2 - 1 + r^2", var="r")
+    assert out.value == LaurentPoly.parse("t^-2 - 1 + t^2")
 
 
 def test_transform_expands_products_exactly():
@@ -131,7 +132,7 @@ def test_family_report_tori():
     assert report.applicability.ok
     assert len(report.members) == 3
     assert len(report.pairs) == 3
-    assert report.all_groups_preserved()
+    assert all(m.group_verdict.status is Status.ISOMORPHIC for m in report.members)
     assert report.all_pairs_distinct()
 
 
@@ -144,7 +145,8 @@ def test_family_report_single_knot_has_no_pairs():
 def test_family_report_rational():
     report = family_report(rational_configuration(1, 3), 2, CaseParams.f2(1, 3, 1))
     assert len(report.members) == 2 and len(report.pairs) == 1
-    assert report.all_groups_preserved() and report.all_pairs_distinct()
+    assert all(m.group_verdict.status is Status.ISOMORPHIC for m in report.members)
+    assert report.all_pairs_distinct()
 
 
 def test_family_report_requires_hypothesis():
