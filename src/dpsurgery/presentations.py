@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .snf import cokernel_invariants, smith_normal_form, diagonal
+from .snf import cokernel_invariants
 from .words import Word, commutator, free_reduce
 
 
@@ -60,17 +60,11 @@ class AbelianGroup:
     @staticmethod
     def of_orders(*orders: int) -> "AbelianGroup":
         """Canonical form of Z_{orders[0]} + Z_{orders[1]} + ... (0 means Z)."""
-        rank = sum(1 for q in orders if q == 0)
-        finite = [q for q in orders if q >= 2]
         if any(q < 0 for q in orders):
             raise ValueError("orders must be non-negative")
-        if not finite:
-            return AbelianGroup(rank, ())
-        diag_matrix = [[finite[i] if i == j else 0 for j in range(len(finite))]
-                       for i in range(len(finite))]
-        d, _, _ = smith_normal_form(diag_matrix)
-        torsion = tuple(x for x in diagonal(d) if x >= 2)
-        return AbelianGroup(rank, torsion)
+        return AbelianGroup(*cokernel_invariants(
+            [[q if i == j else 0 for j in range(len(orders))] for i, q in enumerate(orders)],
+            len(orders)))
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
@@ -92,24 +86,36 @@ class AbelianGroup:
 
     @staticmethod
     def parse(text: str) -> "AbelianGroup":
-        """Inverse of __str__; also accepts '1' for the trivial group."""
+        """Inverse of __str__; also accepts '1' for the trivial group.
+
+        Terms are joined by '+': `Z`, `Z^r` and `Z_q` with r, q written as
+        non-negative decimal integers.
+        """
         text = text.strip()
         if text in ("0", "1"):
             return AbelianGroup.trivial()
+        if not text:
+            raise ValueError("empty abelian group text")
         rank = 0
         orders: list[int] = []
-        for part in text.replace("+", " ").split():
-            if part == "Z":
-                rank += 1
-            elif part.startswith("Z^"):
-                rank += int(part[2:])
-            elif part.startswith("Z_"):
-                orders.append(int(part[2:]))
-            else:
+        for part in text.split("+"):
+            part = part.strip()
+            if not part:
+                raise ValueError(f"empty abelian group term in {text!r}")
+            term = _GROUP_TERM_RE.match(part)
+            if term is None:
                 raise ValueError(f"cannot parse abelian group term {part!r}")
-        return AbelianGroup.of_orders(*([0] * rank + orders))
+            if term["rank"] is not None:
+                rank += int(term["rank"])
+            elif term["order"] is not None:
+                orders.append(int(term["order"]))
+            else:
+                rank += 1
+        group = AbelianGroup.of_orders(*orders)
+        return AbelianGroup(rank + group.free_rank, group.torsion)
 
 
+_GROUP_TERM_RE = re.compile(r"Z(?:\^(?P<rank>[0-9]+)|_(?P<order>[0-9]+))?\Z")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -304,7 +310,13 @@ def parse_presentation(text: str) -> Presentation:
 
 def exponent_matrix(p: Presentation) -> list[list[int]]:
     """One row per relator: exponent sums over each generator."""
-    return [[r.exponent_sum(g) for g in range(p.ngens)] for r in p.relators]
+    rows = []
+    for r in p.relators:
+        row = [0] * p.ngens
+        for x in r.letters:
+            row[x >> 1] += -1 if x & 1 else 1
+        rows.append(row)
+    return rows
 
 
 def abelianization(p: Presentation) -> AbelianGroup:

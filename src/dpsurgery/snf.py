@@ -3,6 +3,22 @@
 Everything here is over Z with arbitrary-precision ints; no floating point
 enters at any stage.  Matrices are lists of row lists and are never mutated
 by the public functions.
+
+One elimination loop, ``_eliminate``, serves every routine; it applies its
+row operations to ``U`` and its column operations to ``V`` only when the
+caller passes them:
+
+* ``smith_normal_form`` keeps both, for the ``snf`` command's ``(D, U, V)``;
+* ``element_order_in_cokernel`` keeps ``V`` only, to carry a vector into the
+  coordinates where the relation lattice is spanned by ``d_i * e_i``;
+* ``cokernel_invariants`` (and through it ``abelianization``,
+  ``complement_h1`` and ``AbelianGroup.of_orders``) keeps neither.
+
+The two cokernel routines eliminate the distinct nonzero rows of the
+relation matrix only.  Z^n / rowspace(M) depends on the row space alone,
+which neither a zero row nor a second copy of a row changes; a presentation's
+commutator relators give zero rows, and on large configuration groups they
+are most of the matrix.
 """
 
 from __future__ import annotations
@@ -21,68 +37,62 @@ def mat_mul(a, b):
             for i in range(rows)]
 
 
-def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (D, U, V) with U*m*V == D in Smith normal form.
+def _eliminate(a: list[list[int]], cols: int, u: list[list[int]] | None = None,
+               v: list[list[int]] | None = None) -> list[list[int]]:
+    """Reduce `a` in place to Smith normal form and return it.
 
-    D is diagonal with non-negative entries d_1 | d_2 | ... and U, V are
-    unimodular.  Works for any rectangular matrix, including empty ones.
+    Row operations are applied to `u` and column operations to `v` as well,
+    each only when given; started from identities, they keep u*m*v == a
+    for the original matrix m.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(row) for row in m]
-    for row in a:
-        if len(row) != cols:
-            raise ValueError("ragged matrix")
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    rows = len(a)
 
     def add_row(src, dst, q):
         # row dst += q * row src
-        arow, urow = a[src], u[src]
-        ad, ud = a[dst], u[dst]
-        for k in range(cols):
-            ad[k] += q * arow[k]
-        for k in range(rows):
-            ud[k] += q * urow[k]
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        if u is not None:
+            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
         for row in a:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if v is not None:
+            for row in v:
+                row[dst] += q * row[src]
 
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # deterministic pivot: smallest |entry|, then row, then column
-        pivot = None
+        # deterministic pivot: smallest |entry|, then row, then column; no
+        # entry is smaller than a unit, so the first unit ends the search
+        pi = pj = -1
+        best = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                x = a[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+                x = row[j]
+                if x and (best == 0 or abs(x) < best):
+                    pi, pj, best = i, j, abs(x)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            if v is not None:
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
 
         dirty = False
         for i in range(t + 1, rows):
@@ -99,24 +109,43 @@ def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[in
             continue  # a strictly smaller remainder appeared; re-pivot
 
         # divisibility sweep: pivot must divide every remaining entry
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
+        p = a[t][t]
+        if p != 1:
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in a[i][t + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
+                add_row(offender, t, 1)
+                continue
         t += 1
+    return a
 
-    return a, u, v
+
+def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Return (D, U, V) with U*m*V == D in Smith normal form.
+
+    D is diagonal with non-negative entries d_1 | d_2 | ... and U, V are
+    unimodular.  Works for any rectangular matrix, including empty ones.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(row) for row in m]
+    for row in a:
+        if len(row) != cols:
+            raise ValueError("ragged matrix")
+    u = _identity(rows)
+    v = _identity(cols)
+    return _eliminate(a, cols, u, v), u, v
 
 
 def diagonal(d: list[list[int]]) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+def _relation_rows(m: list[list[int]], ncols: int) -> list[list[int]]:
+    """The distinct nonzero rows of m: the same row space, so the same cokernel."""
+    if any(len(row) != ncols for row in m):
+        raise ValueError("relation rows must have length ncols")
+    return [list(row) for row in dict.fromkeys(tuple(row) for row in m if any(row))]
 
 
 def cokernel_invariants(m: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...]]:
@@ -125,12 +154,8 @@ def cokernel_invariants(m: list[list[int]], ncols: int) -> tuple[int, tuple[int,
     Returns (free_rank, torsion) where torsion keeps only factors >= 2,
     in divisibility order.
     """
-    if not m:
-        return ncols, ()
-    if any(len(row) != ncols for row in m):
-        raise ValueError("relation rows must have length ncols")
-    d, _, _ = smith_normal_form(m)
-    diag = [x for x in diagonal(d) if x != 0]
+    a = _relation_rows(m, ncols)
+    diag = [x for x in diagonal(_eliminate(a, ncols)) if x != 0]
     torsion = tuple(x for x in diag if x >= 2)
     return ncols - len(diag), torsion
 
@@ -170,11 +195,10 @@ def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int])
     """
     if len(vector) != ncols:
         raise ValueError("vector length must equal ncols")
-    if not m:
-        return None if any(vector) else 1
-    d, _, v = smith_normal_form(m)
+    a = _relation_rows(m, ncols)
+    v = _identity(ncols)
+    diag = diagonal(_eliminate(a, ncols, v=v))
     y = [sum(vector[j] * v[j][i] for j in range(ncols)) for i in range(ncols)]
-    diag = diagonal(d)
     order = 1
     for i in range(ncols):
         di = diag[i] if i < len(diag) else 0

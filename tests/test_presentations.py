@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dpsurgery.presentations import (AbelianGroup, Presentation, abelianization,
-                                     parse_presentation, parse_word,
+                                     exponent_matrix, parse_presentation, parse_word,
                                      simplify_presentation)
 from dpsurgery.words import Word, free_reduce
 
@@ -31,6 +31,45 @@ def test_abelian_group_canonical_forms():
         AbelianGroup(0, (3, 2))  # violates divisibility
     with pytest.raises(ValueError):
         AbelianGroup(0, (1,))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Z^-1 + Z_2", "cannot parse abelian group term 'Z^-1'"),
+    ("Z^-1", "cannot parse abelian group term 'Z^-1'"),
+    ("", "empty abelian group text"),
+    ("  ", "empty abelian group text"),
+    ("Z^x", "cannot parse abelian group term 'Z^x'"),
+    ("Z_2.5", "cannot parse abelian group term 'Z_2.5'"),
+    ("Z_-3", "cannot parse abelian group term 'Z_-3'"),
+    ("Z + + Z_2", "empty abelian group term in 'Z + + Z_2'"),
+    ("Q", "cannot parse abelian group term 'Q'"),
+])
+def test_abelian_group_parse_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError) as err:
+        AbelianGroup.parse(text)
+    assert str(err.value) == message
+
+
+def test_abelian_group_parse_inverts_str():
+    rng = random.Random(9001)
+    assert AbelianGroup.parse("Z^3 + Z_4 + Z_6 + Z_1 + Z_0") == AbelianGroup(4, (2, 12))
+    assert AbelianGroup.parse("Z^0") == AbelianGroup.trivial()
+    assert AbelianGroup.parse("1") == AbelianGroup.trivial()
+    for _ in range(200):
+        group = AbelianGroup.of_orders(*(rng.choice([0, 0, 2, 3, 4, 5, 6, 8, 9, 12, 30])
+                                         for _ in range(rng.randint(0, 6))))
+        assert AbelianGroup.parse(str(group)) == group
+
+
+def test_exponent_matrix_rows_are_exponent_sums():
+    rng = random.Random(4242)
+    for _ in range(100):
+        ngens = rng.randint(1, 5)
+        relators = [Word(tuple(rng.randrange(2 * ngens) for _ in range(rng.randint(0, 12))))
+                    for _ in range(rng.randint(0, 6))]
+        p = Presentation(tuple(f"x{i}" for i in range(ngens)), tuple(relators))
+        assert exponent_matrix(p) == [[r.exponent_sum(g) for g in range(ngens)]
+                                      for r in relators]
 
 
 def test_parse_and_format_roundtrip():

@@ -330,6 +330,26 @@ def test_cli_snf(capsys):
     assert "diagonal [1, 6]" in out
 
 
+@pytest.mark.parametrize("matrix, d, u, v, diagonal", [
+    ("0", "[0]", "[1]", "[1]", "[0]"),
+    ("-3", "[3]", "[-1]", "[1]", "[3]"),
+    ("1 2 3", "[1 0 0]", "[1]", "[1 -2 -3; 0 1 0; 0 0 1]", "[1]"),
+    ("1;2;3", "[1; 0; 0]", "[1 0 0; -2 1 0; -3 0 1]", "[1]", "[1]"),
+    ("2 1; 1 2", "[1 0; 0 3]", "[1 0; 2 -1]", "[0 1; 1 -2]", "[1, 3]"),
+    ("1 2; 3 4; 5 6", "[1 0; 0 2; 0 0]", "[1 0 0; 3 -1 0; 1 -2 1]", "[1 -2; 0 1]", "[1, 2]"),
+    ("6 4; 4 6; 2 2", "[2 0; 0 2; 0 0]", "[0 0 1; 0 1 -2; 1 1 -5]", "[1 -1; 0 1]", "[2, 2]"),
+])
+def test_cli_snf_output_pinned(capsys, matrix, d, u, v, diagonal):
+    """The snf command's transforms, pinned: U and V are part of its output."""
+    facts = [f"D = {d}", f"U = {u}", f"V = {v}", f"diagonal {diagonal}", "U*M*V == D: True"]
+    assert main(["--format", "machine", "snf", matrix]) == EXIT_OK
+    assert capsys.readouterr().out == "snf\tpass\t" + "; ".join(facts) + "\n"
+    assert main(["--format", "text", "snf", matrix]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "== snf ==\nsnf: pass\n" + "".join(f"    {fact}\n" for fact in facts)
+        + "summary: 1 checks | 1 pass, 0 fail, 0 inconclusive, 0 cited\n")
+
+
 def test_cli_bounds_flags(capsys):
     code = main(["--bounds-cosets", "50", "--bounds-rules", "20",
                  "verify", "tori", "m=1", "n=1"])
@@ -440,6 +460,24 @@ def _assert_usage_errors(tmp_path, capsys, cases):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message.replace("PATH", str(path))
+
+
+def test_cli_scenario_rejects_malformed_group_text(tmp_path, capsys):
+    """A verify group string with a negative rank or a bad term is an input error.
+
+    "Z^-1 + Z_2" used to parse as Z_2, so the check below passed with exit 0.
+    """
+    def verify(text):
+        return {"checks": [{"configuration": _sphere_configuration_entry(),
+                            "verify": {"homology": text}}]}
+
+    cases = [
+        (verify("Z^-1 + Z_2"), "error: checks[0]: cannot parse abelian group term 'Z^-1'\n"),
+        (verify("Z^-1"), "error: checks[0]: cannot parse abelian group term 'Z^-1'\n"),
+        (verify(""), "error: checks[0]: empty abelian group text\n"),
+        (verify("Z^x"), "error: checks[0]: cannot parse abelian group term 'Z^x'\n"),
+    ]
+    _assert_usage_errors(tmp_path, capsys, cases)
 
 
 def test_cli_scenario_rejects_non_integer_numbers(tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 from math import gcd
 
+import pytest
+
 from dpsurgery.snf import (cokernel_invariants, determinant, element_order_in_cokernel,
                            mat_mul, smith_normal_form)
 
@@ -107,3 +109,61 @@ def test_element_orders():
     assert element_order_in_cokernel([[2, 0], [0, 3]], 2, [1, 1]) == 6
     assert element_order_in_cokernel([[2, 0], [0, 3]], 2, [0, 0]) == 1
     assert element_order_in_cokernel([], 2, [0, 1]) is None
+
+
+def _invariants_from_diagonal(m, ncols):
+    """(free rank, torsion) read off smith_normal_form's diagonal: the oracle."""
+    d, _, _ = smith_normal_form(m)
+    diag = [d[i][i] for i in range(min(len(m), ncols))]
+    nonzero = [x for x in diag if x]
+    return ncols - len(nonzero), tuple(x for x in nonzero if x >= 2)
+
+
+def _relation_matrix(rng):
+    """A tall relation matrix with zero rows, repeated rows and a few large entries."""
+    cols = rng.randint(1, 8)
+    distinct = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rng.randint(0, 6))]
+    for row in distinct:
+        if rng.random() < 0.2:
+            row[rng.randrange(cols)] = rng.choice([-1, 1]) * rng.randint(10 ** 6, 10 ** 12)
+    pool = distinct + [[0] * cols]
+    m = [list(rng.choice(pool)) for _ in range(rng.randint(0, 40))]
+    return m, cols
+
+
+def test_cokernel_invariants_match_smith_normal_form_diagonal():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        m, cols = _relation_matrix(rng)
+        assert cokernel_invariants(m, cols) == _invariants_from_diagonal(m, cols), m
+
+
+def test_cokernel_invariants_ignore_zero_and_repeated_rows():
+    assert cokernel_invariants([[0, 0], [2, 4], [0, 0], [2, 4]], 2) == (1, (2,))
+    assert cokernel_invariants([[0, 0, 0]] * 5, 3) == (3, ())
+    with pytest.raises(ValueError):
+        cokernel_invariants([[1, 2], [3]], 2)
+
+
+def _torsion_order(m, ncols):
+    rank, torsion = _invariants_from_diagonal(m, ncols)
+    order = 1
+    for t in torsion:
+        order *= t
+    return rank, order
+
+
+def test_element_order_matches_index_oracle():
+    """ord(v) = |T(M)| / |T(M + v)|, and infinite exactly when v lowers the free rank.
+
+    Adding the relation v to Z^n / M quotients by the cyclic subgroup <v>; when
+    v has finite order k that subgroup lies in the torsion, so |T| shrinks by k.
+    """
+    rng = random.Random(7011)
+    for _ in range(300):
+        m, cols = _relation_matrix(rng)
+        vector = [rng.randint(-4, 4) for _ in range(cols)]
+        rank, order = _torsion_order(m, cols)
+        rank_v, order_v = _torsion_order(m + [vector], cols)
+        expected = None if rank_v < rank else order // order_v
+        assert element_order_in_cokernel(m, cols, vector) == expected, (m, vector)
