@@ -14,8 +14,9 @@ Subcommands:
 * ``snf "<row; row; ...>"``  Smith normal form with transforms.
 
 The surgery pipeline of nodal, rational and tori runs when ``k=`` or
-``knot=`` is given.  Argv values are checked by the same ``take_params`` and
-``parse_knot`` as scenario JSON.
+``knot=`` is given; ``surgery case=`` runs the builtin that
+``scenarios.SURGERY_CASES`` names for the case.  Argv values are checked by
+the same ``take_params`` and ``parse_knot`` as scenario JSON.
 
 Common flags: ``--bounds-cosets N``, ``--bounds-rules N``,
 ``--format text|machine``.  Exit codes: 0 all checks pass, 1 a check
@@ -31,8 +32,8 @@ import sys
 
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
 from .reports import EXIT_FAIL, EXIT_USAGE, FAIL, PASS, CheckLine, Report
-from .scenarios import (BUILTIN_NAMES, EXAMPLE_PARAMS, SURGERY_PARAMS, ParamError,
-                        ScenarioError, parse_knot, run_builtin, run_scenario,
+from .scenarios import (BUILTIN_NAMES, EXAMPLE_PARAMS, SURGERY_CASES, SURGERY_PARAMS,
+                        ParamError, ScenarioError, parse_knot, run_builtin, run_scenario,
                         take_params, tori_configuration)
 from .snf import mat_mul, smith_normal_form
 from .sw import distinguish
@@ -65,19 +66,12 @@ def _cmd_verify(args, bounds: Bounds) -> Report:
                      f"nor an existing scenario file")
 
 
-# surgery case tag -> the builtin that runs it, {case field: builtin
-# parameter} and fixed parameters; F1 is the nodal configuration with d1=1
-_SURGERY_CASES = {"F1": ("nodal", {"d": "d2"}, {"d1": 1}),
-                  "F2": ("rational", {"p": "p", "q": "q"}, {}),
-                  "F3": ("tori", {"m": "m", "n": "n"}, {})}
-
-
 def _cmd_surgery(args, bounds: Bounds) -> Report:
     params = _parse_kv(args.params)
     tag = params.pop("case", "").upper()
-    if tag not in _SURGERY_CASES:
+    if tag not in SURGERY_CASES:
         raise ParamError("surgery needs case=F1 (with d=), F2 (with p= q=) or F3 (with m= n=)")
-    builtin, fields, fixed = _SURGERY_CASES[tag]
+    builtin, fields, fixed = SURGERY_CASES[tag]
     spec = {field: EXAMPLE_PARAMS[builtin][name] for field, name in fields.items()}
     p = take_params(params, {**spec, **SURGERY_PARAMS})
     builtin_params = {name: p[field] for field, name in fields.items()}

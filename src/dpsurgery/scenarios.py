@@ -14,6 +14,10 @@ is given (twist 0, trefoil ``B2: 1 1 1`` by default).  ``take_params`` and
 ``parse_knot`` check every parameter, from argv and from JSON alike, before
 any computation.
 
+``SURGERY_CASES`` maps a case tag F1/F2/F3 to its builtin, and the
+``surgery`` command, the builtins, theorem-1-1 and scenario ``case`` blocks
+all build their case with ``surgery_case`` and report with ``_surgery_lines``.
+
 A scenario file is a JSON object `{"bounds": {...}, "checks": [entry, ...]}`
 where each entry either names a builtin (`{"builtin": ..., "params": {...}}`)
 or describes a configuration inline; see the README for the schema.
@@ -197,6 +201,22 @@ EXAMPLE_PARAMS = {
     "tori": {"m": _M, "n": _N, **SURGERY_PARAMS},
 }
 
+# surgery case tag -> the builtin that runs it, {case field: builtin
+# parameter} and fixed builtin parameters (F1 is nodal with d1=1)
+SURGERY_CASES = {"F1": ("nodal", {"d": "d2"}, {"d1": 1}),
+                 "F2": ("rational", {"p": "p", "q": "q"}, {}),
+                 "F3": ("tori", {"m": "m", "n": "n"}, {})}
+
+
+def surgery_case(builtin: str, params: dict, k: int) -> CaseParams:
+    """The k-twisted case of `builtin` at `params`; ParamError if a fixed one differs."""
+    tag = next(tag for tag, (name, _, _) in SURGERY_CASES.items() if name == builtin)
+    _, fields, fixed = SURGERY_CASES[tag]
+    for key, value in fixed.items():
+        if params[key] != value:
+            raise ParamError(f"surgery on the {builtin} configuration needs {key}={value}")
+    return CaseParams(tag, k, **{field: params[name] for field, name in fields.items()})
+
 
 def _title(name: str, ordered: list[tuple[str, object]]) -> str:
     if not ordered:
@@ -206,18 +226,25 @@ def _title(name: str, ordered: list[tuple[str, object]]) -> str:
 
 # -- builtin pipelines --------------------------------------------------------
 
-def _surgery_lines(config: Configuration, case: CaseParams, knot: BraidWord,
+def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
                    bounds: Bounds) -> list[CheckLine]:
-    lines = []
+    """One surgery's checks: with a case, its hypothesis and, when that holds,
+    the preserved group and both paths' cross-validation; then, unless the
+    hypothesis failed, the embedding tags."""
+    tags = CheckLine("embedding-tags", PASS, tuple(
+        f"component {i + 1}: {c.embedding_tag.describe()}"
+        for i, c in enumerate(surgered_components(spec, spec.twist))))
+    if case is None:
+        return [tags]
     hypothesis = check_case_hypothesis(case)
-    lines.append(CheckLine("hypothesis", PASS if hypothesis else FAIL,
-                           (f"{case.describe()}: arithmetic condition "
-                            f"{'holds' if hypothesis else 'fails'}",)))
+    lines = [CheckLine("hypothesis", PASS if hypothesis else FAIL,
+                       (f"{case.describe()}: arithmetic condition "
+                        f"{'holds' if hypothesis else 'fails'}",))]
     if not hypothesis:
         lines.append(CheckLine("group-preserved", FAIL,
                                ("refused: no claim is made when the hypothesis fails",)))
         return lines
-    raw_knot = knot_group_from_braid(knot)
+    raw_knot = knot_group_from_braid(spec.knot)
     knot_data = raw_knot.simplified()
     verdict = verify_group_preserved(case, knot_data, bounds)
     lines.append(line_from_verdict("group-preserved", verdict))
@@ -256,11 +283,7 @@ def _surgery_lines(config: Configuration, case: CaseParams, knot: BraidWord,
             capped = True
     verdict = FAIL if not agree else INCONCLUSIVE if capped else PASS
     lines.append(CheckLine("cross-validation", verdict, tuple(facts)))
-
-    components = surgered_components(SurgerySpec(config, 0, knot, case.k), case.k)
-    tags = [c.embedding_tag.describe() for c in components]
-    lines.append(CheckLine("embedding-tags", PASS,
-                           tuple(f"component {i + 1}: {tag}" for i, tag in enumerate(tags))))
+    lines.append(tags)
     return lines
 
 
@@ -280,14 +303,7 @@ def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
     if "k" in params or "knot" in params:
         knot = parse_knot(knot_text)
         ordered += [("k", k)] + ([("knot", knot_text)] if "knot" in params else [])
-        if name == "nodal":
-            if p["d1"] != 1:
-                raise ParamError("surgery on the nodal configuration needs d1=1")
-            case = CaseParams.f1(p["d2"], k)
-        elif name == "rational":
-            case = CaseParams.f2(p["p"], p["q"], k)
-        else:
-            case = CaseParams.f3(p["m"], p["n"], k)
+        case = surgery_case(name, p, k)
     config = BUILTIN_CONFIGURATIONS[name](**p)
 
     lines = []
@@ -301,58 +317,37 @@ def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
     lines.append(CheckLine("h1-matches-abelianization", PASS if ab == homology else FAIL,
                            (f"presentation abelianization {ab}, homology {homology}",)))
     if case is not None:
-        lines.extend(_surgery_lines(config, case, knot, bounds))
+        lines.extend(_surgery_lines(SurgerySpec(config, 0, knot, k), case, bounds))
     return Report(_title(name, ordered), tuple(lines))
 
 
+# theorem-1-1 case -> surgery case tag, default twist, builtin parameters read
 _THEOREM11_CASES = {
-    "i": "nodal curves, 0-twist",
-    "ii": "rational configuration, 1-twist",
-    "iii": "tori configuration, 1-twist",
+    "i": ("F1", 0, {"d2": (int, 2, lambda v: v >= 2, "d2 >= 2 (need at least two points)")}),
+    "ii": ("F2", 1, {"p": (int, 1, lambda v: v >= 1, "p >= 1"),
+                     "q": (int, 3, lambda v: v >= 2, "q >= 2")}),
+    "iii": ("F3", 1, {"m": (int, 3, lambda v: v >= 1, "m >= 1"),
+                      "n": (int, 2, lambda v: v >= 1, "n >= 1")}),
 }
 
 
 def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
-    params = dict(params)
-    k_given = params.pop("k", None)
+    # an unknown case reads no parameters; take_params then refuses it
+    tag, twist, spec = _THEOREM11_CASES.get(str(params.get("case")), ("", 0, {}))
     p = take_params(params, {
         "case": (str, None, lambda v: v in _THEOREM11_CASES, "one of i, ii, iii"),
+        **spec,
+        "k": (int, twist, None, ""),
         "count": (int, 10, lambda v: v >= 1, "count >= 1"),
-        "d2": (int, 2, lambda v: v >= 2, "d2 >= 2 (need at least two points)"),
-        "p": (int, 1, lambda v: v >= 1, "p >= 1"),
-        "q": (int, 3, lambda v: v >= 2, "q >= 2"),
-        "m": (int, 3, lambda v: v >= 1, "m >= 1"),
-        "n": (int, 2, lambda v: v >= 1, "n >= 1"),
     })
-    case_name = p["case"]
-    count = p["count"]
-    if k_given is not None:
-        k_given = _integer(k_given)
-        if k_given is None:
-            raise ParamError("k must be an integer")
-    if case_name == "i":
-        k = 0 if k_given is None else k_given
-        if k != 0:
-            raise ParamError("case i requires k=0")
-        config = nodal_configuration(1, p["d2"])
-        case = CaseParams.f1(p["d2"], 0)
-        ordered = [("case", "i"), ("d2", p["d2"]), ("k", 0), ("count", count)]
-    elif case_name == "ii":
-        k = 1 if k_given is None else k_given
-        case = CaseParams.f2(p["p"], p["q"], k)
-        if not check_case_hypothesis(case):
-            raise ParamError(f"(p+k, q) = ({p['p']}+{k}, {p['q']}) is not coprime")
-        config = rational_configuration(p["p"], p["q"])
-        ordered = [("case", "ii"), ("p", p["p"]), ("q", p["q"]), ("k", k), ("count", count)]
-    else:
-        k = 1 if k_given is None else k_given
-        case = CaseParams.f3(p["m"], p["n"], k)
-        if not check_case_hypothesis(case):
-            raise ParamError(f"(m, k*n) = ({p['m']}, {k}*{p['n']}) is not coprime")
-        config = tori_configuration(p["m"], p["n"])
-        ordered = [("case", "iii"), ("m", p["m"]), ("n", p["n"]), ("k", k), ("count", count)]
-
-    report = family_report(config, count, case, bounds)
+    builtin, _, fixed = SURGERY_CASES[tag]
+    builtin_params = {**fixed, **{key: p[key] for key in spec}}
+    case = surgery_case(builtin, builtin_params, p["k"])
+    if not check_case_hypothesis(case):
+        raise ParamError(f"hypothesis of {case.describe()} fails; no claim is made")
+    config = BUILTIN_CONFIGURATIONS[builtin](**builtin_params)
+    ordered = [(key, p[key]) for key in ("case", *spec, "k", "count")]
+    report = family_report(config, p["count"], case, bounds)
     lines = []
     audit_ok = report.applicability.ok
     lines.append(CheckLine("applicability", PASS if audit_ok else FAIL,
@@ -437,6 +432,12 @@ def _json_int(value, what: str) -> int:
     return number
 
 
+def _json_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a boolean")
+    return value
+
+
 def _json_ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
     if isinstance(value, list) and length in (None, len(value)):
         numbers = tuple(map(_integer, value))
@@ -456,7 +457,8 @@ def _configuration_from_json(data, where: str) -> Configuration:
         basis = _json_list(ambient_data.get("basis", [f"A{i + 1}" for i in range(len(form))]),
                            f"{where}: 'basis'")
         ambient = AmbientManifold(str(ambient_data.get("name", "ambient")),
-                                  bool(ambient_data.get("simply_connected", True)),
+                                  _json_bool(ambient_data.get("simply_connected", True),
+                                             f"{where}: 'simply_connected'"),
                                   form, tuple(str(x) for x in basis))
         comps = []
         for i, c in enumerate(_json_list(data["components"], f"{where}: 'components'")):
@@ -472,7 +474,8 @@ def _configuration_from_json(data, where: str) -> Configuration:
         if "pi1" in data:
             pi1 = Presentation.parse(str(data["pi1"]))
         return Configuration(ambient, tuple(comps), points, pi1,
-                             bool(data.get("symplectic_positive", False)))
+                             _json_bool(data.get("symplectic_positive", False),
+                                        f"{where}: 'symplectic_positive'"))
     except KeyError as err:
         raise ScenarioError(f"{where}: missing field {err}") from None
     except ScenarioError:
@@ -481,19 +484,17 @@ def _configuration_from_json(data, where: str) -> Configuration:
         raise ScenarioError(f"{where}: {err}") from None
 
 
-_CASE_FIELDS = {"F1": (CaseParams.f1, ("d", "k")),
-                "F2": (CaseParams.f2, ("p", "q", "k")),
-                "F3": (CaseParams.f3, ("m", "n", "k"))}
-
-
 def _case_from_json(data, where: str) -> CaseParams:
     data = _json_object(data, f"{where}: 'case'")
     try:
         tag = str(data["tag"]).upper()
-        if tag not in _CASE_FIELDS:
+        if tag not in SURGERY_CASES:
             raise ScenarioError(f"{where}: unknown case tag {data['tag']!r}")
-        make, fields = _CASE_FIELDS[tag]
-        return make(*(_json_int(data[name], f"{where}: case {name!r}") for name in fields))
+        builtin, fields, fixed = SURGERY_CASES[tag]
+        params = {name: _json_int(data[field], f"{where}: case {field!r}")
+                  for field, name in fields.items()}
+        return surgery_case(builtin, {**fixed, **params},
+                            _json_int(data["k"], f"{where}: case 'k'"))
     except KeyError as err:
         raise ScenarioError(f"{where}: case needs field {err}") from None
     except ScenarioError:
@@ -509,18 +510,22 @@ def _expected_group(text, where: str) -> AbelianGroup:
         raise ScenarioError(f"{where}: {err}") from None
 
 
+def _complement_h1(config: Configuration, what: str) -> AbelianGroup:
+    if not config.ambient.simply_connected:
+        raise ScenarioError(f"{what} needs a simply connected ambient manifold")
+    return complement_h1(config)
+
+
 def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[CheckLine]:
     where = f"checks[{index}]"
     config = _configuration_from_json(entry["configuration"], where)
     lines: list[CheckLine] = []
-    wanted = entry.get("verify", {})
-    if not isinstance(wanted, dict):
-        raise ScenarioError(f"{where}: 'verify' must be an object")
+    wanted = _json_object(entry.get("verify", {}), f"{where}: 'verify'")
     for key in wanted:
         if key not in ("homology", "group"):
             raise ScenarioError(f"{where}: unknown verification {key!r}")
     if "homology" in wanted:
-        computed = complement_h1(config)
+        computed = _complement_h1(config, f"{where}: 'homology'")
         expected = _expected_group(wanted["homology"], where)
         lines.append(CheckLine(f"{where} homology",
                                PASS if computed == expected else FAIL,
@@ -532,33 +537,32 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
         verdict = verify_abelian_isomorphism(config.pi1, expected, bounds)
         lines.append(line_from_verdict(f"{where} group", verdict))
     if "surgery" in entry:
-        s = entry["surgery"]
-        if not isinstance(s, dict):
-            raise ScenarioError(f"{where}: 'surgery' must be an object")
+        s = _json_object(entry["surgery"], f"{where}: 'surgery'")
         try:
             point = _json_int(s["point"], f"{where}: surgery 'point'")
             knot = parse_knot(s["knot"])
             twist = _json_int(s["twist"], f"{where}: surgery 'twist'")
-            # the spec checks the point index; the configuration already
-            # required the mu labels when it was given a pi1
-            components = surgered_components(SurgerySpec(config, point, knot, twist), twist)
+            # the spec checks the point index
+            spec = SurgerySpec(config, point, knot, twist)
+            case = _case_from_json(s["case"], where) if "case" in s else None
         except KeyError as err:
             raise ScenarioError(f"{where}: surgery needs field {err}") from None
         except ScenarioError:
             raise
         except ValueError as err:
             raise ScenarioError(f"{where}: {err}") from None
-        tags = tuple(f"component {i + 1}: {c.embedding_tag.describe()}"
-                     for i, c in enumerate(components))
-        lines.append(CheckLine(f"{where} surgery", PASS, tags))
-        if "case" in s:
-            case = _case_from_json(s["case"], where)
-            if check_case_hypothesis(case):
-                verdict = verify_group_preserved(case, knot_group_from_braid(knot), bounds)
-                lines.append(line_from_verdict(f"{where} group-preserved", verdict))
-            else:
-                lines.append(CheckLine(f"{where} group-preserved", FAIL,
-                                       (f"{case.describe()}: hypothesis fails; no claim",)))
+        if case is not None:
+            # the case's group claim holds only for its own twist and base H1
+            if case.k != twist:
+                raise ScenarioError(f"{where}: surgery case k={case.k} differs from "
+                                    f"twist {twist}")
+            homology = _complement_h1(config, f"{where}: surgery 'case'")
+            if case.target() != homology:
+                raise ScenarioError(f"{where}: surgery case {case.describe()} needs "
+                                    f"complement H1 {case.target()}, not {homology}")
+        # outside the try: a ValueError of the engine is not an input error
+        lines.extend(CheckLine(f"{where} {line.name}", line.verdict, line.evidence)
+                     for line in _surgery_lines(spec, case, bounds))
     return lines
 
 

@@ -135,9 +135,10 @@ def argvs(draw):
         tail.append(draw(st.sampled_from(["novalue", "=3", "k=", "bogus=1"])))
     return draw(BOUNDS_FLAGS) + ["--format", "machine", command] + tail
 
-def _sphere_configuration():
+def _sphere_configuration(simply_connected=True):
+    """Two transverse spheres in S2xS2; H1 and pi1 of the complement are trivial."""
     return {
-        "ambient": {"name": "S2xS2", "simply_connected": True,
+        "ambient": {"name": "S2xS2", "simply_connected": simply_connected,
                     "form": [[0, 1], [1, 0]], "basis": ["A", "B"]},
         "components": [{"label": "S1", "genus": 0, "class": [1, 0]},
                        {"label": "S2", "genus": 0, "class": [0, 1]}],
@@ -148,7 +149,7 @@ def _sphere_configuration():
 
 @st.composite
 def configuration_entries(draw):
-    config = _sphere_configuration()
+    config = _sphere_configuration(draw(JUNK) if _rarely(draw) else draw(st.booleans()))
     if _rarely(draw):
         key = draw(st.sampled_from(sorted(config)))
         if draw(st.booleans()):
@@ -167,6 +168,10 @@ def configuration_entries(draw):
         if draw(st.booleans()):
             surgery["case"] = {"tag": draw(st.sampled_from(["F1", "F2", "F3"])), "d": 2,
                                "p": 1, "q": 3, "m": 3, "n": 2, "k": draw(SMALL)}
+        elif draw(st.booleans()):
+            # F2 with q=1 at the block's twist matches the trivial H1, so the
+            # surgery checks run
+            surgery["case"] = {"tag": "F2", "p": draw(SMALL), "q": 1, "k": surgery["twist"]}
         if _rarely(draw):
             target = surgery.get("case", surgery) if draw(st.booleans()) else surgery
             target[draw(st.sampled_from(sorted(target) + ["tag", "bogus"]))] = \
@@ -210,6 +215,10 @@ def test_argv_never_escapes_the_exit_codes(argv):
 @given(scenarios())
 @example({"checks": [{"builtin": "tori", "params": [1, 2]}]})
 @example({"bounds": {"cosets": None}, "checks": []})
+@example({"checks": [{"configuration": _sphere_configuration(False),
+                      "verify": {"homology": "0"}}]})
+@example({"checks": [{"configuration": _sphere_configuration(),
+                      "surgery": {"point": 0, "knot": "B2: 1 1 1", "twist": 2}}]})
 def test_scenario_json_never_escapes_the_exit_codes(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")

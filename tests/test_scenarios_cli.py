@@ -86,6 +86,17 @@ def test_scenario_with_custom_configuration():
     assert any("group-preserved" in name for name in names)
 
 
+def test_scenario_surgery_block_runs_the_surgery_checks():
+    """An inline surgery block with a case prints the checks of `surgery case=`."""
+    report = run_scenario(os.path.join(SCENARIO_DIR, "custom_spheres.json"))
+    builtin = run_builtin("tori", {"m": 3, "n": 2, "k": 1})
+    names = ("hypothesis", "group-preserved", "cross-validation", "embedding-tags")
+    assert [(line.name, line.verdict, line.evidence) for line in report.lines[2:]] == \
+        [(f"checks[0] {line.name}", line.verdict, line.evidence)
+         for line in builtin.lines if line.name in names]
+    assert len(report.lines) == 6
+
+
 def test_scenario_parse_errors():
     with pytest.raises(ScenarioError, match="line"):
         run_scenario_text("{not json")
@@ -204,6 +215,10 @@ def test_cli_usage_errors(capsys):
          "error: unknown parameter 'surgery'\n"),
         (["verify", "spheres", "m=2", "n=2", "knot=B2: 1 1 1"],
          "error: unknown parameter 'knot'\n"),
+        # a theorem-1-1 case reads only its own parameters
+        (["verify", "theorem-1-1", "case=i", "p=99"], "error: unknown parameter 'p'\n"),
+        (["verify", "theorem-1-1", "case=ii", "p=1", "q=4", "k=1"],
+         "error: hypothesis of F2(p=1, q=4, k=1) fails; no claim is made\n"),
     ]
     for argv, message in cases:
         assert main(argv) == EXIT_USAGE, argv
@@ -248,13 +263,23 @@ def test_builtin_params_checked_before_computation(monkeypatch):
         run_builtin("nodal", {"d1": 2, "d2": 3, "k": 1})
 
 
+def _broken(*args, **kwargs):
+    raise ValueError("engine fault")
+
+
 def test_cli_internal_error_is_not_a_usage_error(monkeypatch, capsys):
     """An engine fault exits 1 with one line; it is not blamed on the input."""
-    def broken(*args, **kwargs):
-        raise ValueError("engine fault")
-
-    monkeypatch.setattr(scenarios, "verify_abelian_isomorphism", broken)
+    monkeypatch.setattr(scenarios, "verify_abelian_isomorphism", _broken)
     assert main(["verify", "tori", "m=1", "n=1"]) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: engine fault\n"
+
+
+def test_cli_scenario_surgery_engine_error_is_internal(monkeypatch, capsys):
+    """A scenario surgery block's engine fault is not relabelled as exit 2."""
+    monkeypatch.setattr(scenarios, "surgered_components", _broken)
+    assert main(["verify", os.path.join(SCENARIO_DIR, "custom_spheres.json")]) == EXIT_FAIL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: ValueError: engine fault\n"
@@ -321,6 +346,47 @@ def test_cli_actions_machine_output_pinned(capsys, flags, k, code, stdout):
     assert main(["--format", "machine", *flags, "actions", "m=3", "n=2", f"k={k}",
                  "count=3"]) == code
     assert capsys.readouterr().out == stdout
+
+
+_APPLICABLE = ("applicability\tpass\tnonzero-intersection: pass (component classes pair to "
+               "{0}); at-least-two-points: pass ({0} double points); nonvanishing-invariant: "
+               "pass (symplectic with positive intersections: canonical nonvanishing "
+               "invariant)\n")
+_MEMBER = ("group-preserved r={0} {1}\tpass\t{2}\n"
+           "component-1-standard r={0} {1}\tpass\tcomponent 1 embedding tag: Standard\n"
+           "component-2-unchanged r={0} {1}\tpass\tcomponent 2 embedding tag: Standard\n")
+_FAMILY_END = ("smoothly-distinct B2: 1 1 1 vs B2: 1 1 1 1 1\tpass\tverdict "
+               "SmoothlyInequivalent; coefficient multisets differ: [-1, 1, 1] vs "
+               "[-1, -1, 1, 1, 1]\n"
+               "topological-equivalence\tcited\tall family members are topologically "
+               "equivalent to the unsurgered configuration (surgery-theoretic result, cited)\n")
+_F1_PRESERVED = ("F1(d=2, k=0): hypothesis holds; abelianization matches target Z; eliminated "
+                 "1 redundant generators before rewriting (2 remain); all 1 generator "
+                 "commutators reduce to the identity (12 rules, confluent=True); abelian group "
+                 "with abelianization Z: isomorphic")
+
+
+def _finite_preserved(case, order, allocated):
+    return (f"{case}: hypothesis holds; abelianization matches target Z_{order}; coset "
+            f"enumeration completed: index {order} ({allocated} cosets allocated, cap "
+            f"100000); group order {order} equals abelianization order: group is abelian, "
+            f"hence isomorphic to Z_{order}")
+
+
+@pytest.mark.parametrize("case, points, first, second", [
+    ("i", 2, _F1_PRESERVED, _F1_PRESERVED),
+    ("ii", 3, _finite_preserved("F2(p=1, q=3, k=1)", 3, 10),
+     _finite_preserved("F2(p=1, q=3, k=1)", 3, 12)),
+    ("iii", 6, _finite_preserved("F3(m=3, n=2, k=1)", 6, 33),
+     _finite_preserved("F3(m=3, n=2, k=1)", 6, 40)),
+])
+def test_cli_theorem_1_1_machine_output_pinned(capsys, case, points, first, second):
+    """theorem-1-1 at its default parameters: the trefoil and T(2,5) members."""
+    assert main(["--format", "machine", "verify", "theorem-1-1", f"case={case}",
+                 "count=2"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        _APPLICABLE.format(points) + _MEMBER.format(1, "B2: 1 1 1", first)
+        + _MEMBER.format(2, "B2: 1 1 1 1 1", second) + _FAMILY_END)
 
 
 def test_cli_snf(capsys):
@@ -441,6 +507,14 @@ def test_cli_theorem_7_2_capped_is_inconclusive(capsys):
 
 def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
     spheres = _sphere_configuration_entry()
+
+    def custom_spheres(**surgery):
+        """The Z_6 example scenario with its surgery block changed."""
+        with open(os.path.join(SCENARIO_DIR, "custom_spheres.json"), encoding="utf-8") as f:
+            scenario = json.load(f)
+        scenario["checks"][0]["surgery"].update(surgery)
+        return scenario
+
     cases = [
         ({"checks": [{"builtin": "tori", "params": [1, 2]}]},
          "error: checks[0]: 'params' must be an object\n"),
@@ -448,6 +522,11 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
                      {"configuration": spheres,
                       "surgery": {"point": 7, "knot": "B2: 1 1 1", "twist": 1}}]},
          "error: checks[1]: double point index 7 out of range\n"),
+        # a case's group claim is about its own twist and its own base group
+        (custom_spheres(twist=2), "error: checks[0]: surgery case k=1 differs from twist 2\n"),
+        (custom_spheres(case={"tag": "F3", "m": 5, "n": 7, "k": 1}),
+         "error: checks[0]: surgery case F3(m=5, n=7, k=1) needs complement H1 Z_35, "
+         "not Z_6\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
 
@@ -529,6 +608,9 @@ def test_cli_scenario_wrong_type_fields_are_named(tmp_path, capsys):
         return {"checks": [{"configuration": entry}]}
 
     form = [[0, 1], [1, 0]]
+    ambient = _sphere_configuration_entry()["ambient"]
+    non_simply_connected = _sphere_configuration_entry()
+    non_simply_connected["ambient"]["simply_connected"] = False
     cases = [
         ({"checks": [{"configuration": {"ambient": {"form": form}, "components": 5}}]},
          "error: checks[0]: 'components' must be a list\n"),
@@ -545,5 +627,13 @@ def test_cli_scenario_wrong_type_fields_are_named(tmp_path, capsys):
          "error: checks[0]: each 'double_points' entry must be a list of 3 integers\n"),
         ({"checks": [{"configuration": [1]}]},
          "error: checks[0]: 'configuration' must be an object\n"),
+        # booleans take JSON booleans; the string "false" is not false
+        (configuration(ambient=dict(ambient, simply_connected="false")),
+         "error: checks[0]: 'simply_connected' must be a boolean\n"),
+        (configuration(symplectic_positive=1),
+         "error: checks[0]: 'symplectic_positive' must be a boolean\n"),
+        # complement H1 is defined here only for a simply connected ambient
+        ({"checks": [{"configuration": non_simply_connected, "verify": {"homology": "0"}}]},
+         "error: checks[0]: 'homology' needs a simply connected ambient manifold\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
