@@ -7,13 +7,20 @@ relator and the meridian column leaves a square matrix whose determinant is
 the polynomial up to a unit.  The stored normal form is symmetric about
 degree zero with value +1 at t = 1; that choice makes coefficient multisets
 comparable across knots.
+
+The determinant is a fraction-free Bareiss elimination on the dense kernel
+of `laurent`: each update a_ij <- (a_ij a_kk - a_ik a_kj) / a_{k-1,k-1} is
+one multiply-accumulate and one exact division.  Fox matrices are sparse,
+so the update is skipped when a_ij = 0 and a_ik = 0 or a_kj = 0: its
+numerator is then the zero polynomial, and zero divided by the nonzero
+previous pivot is exactly zero, so the skip changes no entry.
 """
 
 from __future__ import annotations
 
 from .knots import BraidWord, KnotDiagram, KnotGroupData, braid_to_diagram, \
     knot_group_from_braid, torus_knot, wirtinger_presentation
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, div_exact, mul_add
 from .words import Word
 
 
@@ -32,39 +39,14 @@ def fox_derivative_row(relator: Word, ngens: int) -> list[LaurentPoly]:
     return row
 
 
-def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[t] on dense coefficient lists (low degree first)."""
-    if not any(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    bb = list(b)
-    while bb and bb[-1] == 0:
-        bb.pop()
-    if not a:
-        return [0]
-    if len(a) < len(bb):
-        raise ArithmeticError("inexact polynomial division")
-    out = [0] * (len(a) - len(bb) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        if a[k + len(bb) - 1] % bb[-1]:
-            raise ArithmeticError("inexact polynomial division")
-        q = a[k + len(bb) - 1] // bb[-1]
-        out[k] = q
-        for i, c in enumerate(bb):
-            a[k + i] -= q * c
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
 def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant over Z[t, t^-1], exact, up to no unit at all.
 
     Each row is first shifted to plain polynomials; the accumulated shift is
     restored at the end.  Elimination is fraction-free (Bareiss), with exact
-    polynomial division at every step.
+    polynomial division at every step.  A zero pivot is replaced by the
+    first row below it with a nonzero entry in that column, flipping the
+    sign; with no such row the determinant is zero.
     """
     n = len(matrix)
     if n == 0:
@@ -74,58 +56,37 @@ def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     for row in matrix:
         if len(row) != n:
             raise ValueError("determinant needs a square matrix")
-        degrees = [p.min_degree for p in row if p.coeffs]
-        base = min(degrees) if degrees else 0
+        base = min((p.min_degree for p in row if p.coeffs), default=0)
         shift_total += base
-        dense = []
-        for p in row:
-            width = p.max_degree - base + 1 if p.coeffs else 1
-            cell = [0] * width
-            for d, c in p.terms():
-                cell[d - base] = c
-            dense.append(cell)
-        rows.append(dense)
-
-    def is_zero(c: list[int]) -> bool:
-        return not any(c)
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        if is_zero(a) or is_zero(b):
-            return [0]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return out
-
-    def sub(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * max(len(a), len(b))
-        for i, x in enumerate(a):
-            out[i] += x
-        for i, y in enumerate(b):
-            out[i] -= y
-        return out
+        rows.append([[0] * (p.min_degree - base) + list(p.coeffs) if p.coeffs else []
+                     for p in row])
 
     sign = 1
     prev: list[int] = [1]
     for k in range(n - 1):
-        if is_zero(rows[k][k]):
-            pivot_row = next((i for i in range(k + 1, n) if not is_zero(rows[i][k])), None)
+        if not rows[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if pivot_row is None:
                 return LaurentPoly.zero()
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
+        pivot = rows[k]
+        a_kk = pivot[k]
         for i in range(k + 1, n):
+            row = rows[i]
+            a_ik = row[k]
             for j in range(k + 1, n):
-                num = sub(mul(rows[i][j], rows[k][k]), mul(rows[i][k], rows[k][j]))
-                rows[i][j] = _poly_divexact(num, prev)
-            rows[i][k] = [0]
-        prev = rows[k][k]
+                a_ij = row[j]
+                a_kj = pivot[j]
+                # with a_ij = 0 and a_ik * a_kj = 0 the update is exactly 0
+                if a_ij or (a_ik and a_kj):
+                    num = mul_add(mul_add([], 1, a_ij, a_kk), -1, a_ik, a_kj)
+                    row[j] = div_exact(num, prev)
+            row[k] = []
+        prev = a_kk
 
-    final = rows[n - 1][n - 1]
-    det = LaurentPoly.make(shift_total, final)
-    return LaurentPoly.term(sign, 0) * det
+    det = LaurentPoly.make(shift_total, rows[n - 1][n - 1])
+    return -det if sign < 0 else det
 
 
 def normalize_alexander(raw: LaurentPoly) -> LaurentPoly:

@@ -2,6 +2,12 @@
 
 The canonical text form lists terms in ascending degree, e.g.
 `t^-1 - 1 + t`; the zero polynomial prints as `0`.
+
+Dense arithmetic lives in one kernel on plain coefficient lists, lowest
+degree first, with no trailing zero; `[]` is the zero polynomial.
+`mul_add` is the one multiply-accumulate (`out += s*a*b`) and `div_exact`
+the one exact division.  `LaurentPoly.__mul__` and the Bareiss
+determinant in `alexander` both run on it.
 """
 
 from __future__ import annotations
@@ -93,14 +99,9 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return LaurentPoly.make(self.min_degree + other.min_degree, out)
+        # a product of trimmed polynomials over Z is trimmed
+        return LaurentPoly(self.min_degree + other.min_degree,
+                           tuple(mul_add([], 1, self.coeffs, other.coeffs)))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -186,3 +187,62 @@ class LaurentPoly:
                 degree = int(m.group(3)) if m.group(3) else 1
             result = result + LaurentPoly.term(sign * coeff, degree)
         return result
+
+
+def mul_add(out: list[int], s: int, a, b) -> list[int]:
+    """`out += s*a*b` on coefficient lists (lowest degree first); returns `out`.
+
+    `out` is extended as needed and updated in place; `a` and `b` are only
+    read.  The result has its trailing zeros removed, so `[]` stands for 0.
+    """
+    if not a or not b or not s:
+        return out
+    width = len(a) + len(b) - 1
+    if len(out) < width:
+        out.extend([0] * (width - len(out)))
+    for i, x in enumerate(a):
+        if x:
+            x *= s
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def div_exact(a, b) -> list[int]:
+    """The quotient `a / b` of coefficient lists, which must divide exactly.
+
+    Raises ZeroDivisionError when `b` is zero and ArithmeticError when a
+    leading coefficient leaves a remainder or a nonzero leftover of degree
+    below `b` remains.  Neither argument is modified.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return []
+    lb = len(b)
+    if len(a) < lb:
+        raise ArithmeticError("inexact polynomial division")
+    lead = b[-1]
+    if lb == 1:
+        if lead == 1:
+            return list(a)
+        quotient = [x // lead for x in a]
+        if any(q * lead != x for q, x in zip(quotient, a)):
+            raise ArithmeticError("inexact polynomial division")
+        return quotient
+    rest = list(a)
+    quotient = [0] * (len(a) - lb + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        top = rest[k + lb - 1]
+        if top:
+            q, r = divmod(top, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            quotient[k] = q
+            for i, y in enumerate(b, k):
+                rest[i] -= q * y
+    if any(rest[:lb - 1]):
+        raise ArithmeticError("inexact polynomial division")
+    return quotient

@@ -413,9 +413,14 @@ def run_builtin(name: str, params: dict, bounds: Bounds = DEFAULT_BOUNDS) -> Rep
 
 # -- scenario files -----------------------------------------------------------
 
-def _json_object(value, what: str) -> dict:
+def _json_object(value, what: str, fields: tuple[str, ...] | None = None) -> dict:
+    """`value` as a JSON object; with `fields`, a key outside them is refused."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{what} must be an object")
+    if fields is not None:
+        for key in value:
+            if key not in fields:
+                raise ScenarioError(f"{what} has unknown field {key!r}")
     return value
 
 
@@ -449,9 +454,11 @@ def _json_ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
 
 def _configuration_from_json(data, where: str) -> Configuration:
     """A Configuration from its JSON block; a field of the wrong type is named."""
-    data = _json_object(data, f"{where}: 'configuration'")
+    data = _json_object(data, f"{where}: 'configuration'",
+                        ("ambient", "components", "double_points", "pi1", "symplectic_positive"))
     try:
-        ambient_data = _json_object(data["ambient"], f"{where}: 'ambient'")
+        ambient_data = _json_object(data["ambient"], f"{where}: 'ambient'",
+                                    ("name", "simply_connected", "form", "basis"))
         form = tuple(_json_ints(row, f"{where}: each 'form' row")
                      for row in _json_list(ambient_data["form"], f"{where}: 'form'"))
         basis = _json_list(ambient_data.get("basis", [f"A{i + 1}" for i in range(len(form))]),
@@ -463,7 +470,7 @@ def _configuration_from_json(data, where: str) -> Configuration:
         comps = []
         for i, c in enumerate(_json_list(data["components"], f"{where}: 'components'")):
             at = f"{where}: components[{i}]"
-            c = _json_object(c, at)
+            c = _json_object(c, at, ("label", "genus", "class"))
             comps.append(SurfaceComponent(str(c.get("label", f"C{i + 1}")),
                                           _json_int(c.get("genus", 0), f"{at} 'genus'"),
                                           _json_ints(c["class"], f"{at} 'class'")))
@@ -491,6 +498,7 @@ def _case_from_json(data, where: str) -> CaseParams:
         if tag not in SURGERY_CASES:
             raise ScenarioError(f"{where}: unknown case tag {data['tag']!r}")
         builtin, fields, fixed = SURGERY_CASES[tag]
+        _json_object(data, f"{where}: 'case'", ("tag", "k", *fields))
         params = {name: _json_int(data[field], f"{where}: case {field!r}")
                   for field, name in fields.items()}
         return surgery_case(builtin, {**fixed, **params},
@@ -520,10 +528,7 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
     where = f"checks[{index}]"
     config = _configuration_from_json(entry["configuration"], where)
     lines: list[CheckLine] = []
-    wanted = _json_object(entry.get("verify", {}), f"{where}: 'verify'")
-    for key in wanted:
-        if key not in ("homology", "group"):
-            raise ScenarioError(f"{where}: unknown verification {key!r}")
+    wanted = _json_object(entry.get("verify", {}), f"{where}: 'verify'", ("homology", "group"))
     if "homology" in wanted:
         computed = _complement_h1(config, f"{where}: 'homology'")
         expected = _expected_group(wanted["homology"], where)
@@ -537,7 +542,8 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
         verdict = verify_abelian_isomorphism(config.pi1, expected, bounds)
         lines.append(line_from_verdict(f"{where} group", verdict))
     if "surgery" in entry:
-        s = _json_object(entry["surgery"], f"{where}: 'surgery'")
+        s = _json_object(entry["surgery"], f"{where}: 'surgery'",
+                         ("point", "knot", "twist", "case"))
         try:
             point = _json_int(s["point"], f"{where}: surgery 'point'")
             knot = parse_knot(s["knot"])
@@ -572,50 +578,33 @@ def run_scenario_text(text: str, bounds: Bounds | None = None,
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{source}: line {err.lineno} column {err.colno}: {err.msg}") from None
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{source}: top level must be an object")
-    for key in data:
-        if key not in ("bounds", "checks"):
-            raise ScenarioError(f"{source}: unknown top-level field {key!r}")
+    _json_object(data, f"{source}: top level", ("bounds", "checks"))
+    bounds_data = _json_object(data.get("bounds", {}), f"{source}: 'bounds'", ("cosets", "rules"))
     if bounds is None:
-        bounds_data = data.get("bounds", {})
-        if not isinstance(bounds_data, dict):
-            raise ScenarioError(f"{source}: 'bounds' must be an object")
-        for key in bounds_data:
-            if key not in ("cosets", "rules"):
-                raise ScenarioError(f"{source}: unknown bounds field {key!r}")
         cosets = _integer(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets))
         rules = _integer(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules))
         if cosets is None or rules is None or cosets < 1 or rules < 1:
             raise ScenarioError(f"{source}: bounds must be integers >= 1")
         bounds = Bounds(cosets, rules)
-    checks = data.get("checks", [])
-    if not isinstance(checks, list):
-        raise ScenarioError(f"{source}: 'checks' must be a list")
+    checks = _json_list(data.get("checks", []), f"{source}: 'checks'")
 
     reports: list[Report] = []
     extra_lines: list[CheckLine] = []
     for index, entry in enumerate(checks):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"checks[{index}]: must be an object")
+        where = f"checks[{index}]"
+        entry = _json_object(entry, where)
         if "builtin" in entry:
-            for key in entry:
-                if key not in ("builtin", "params"):
-                    raise ScenarioError(f"checks[{index}]: unknown field {key!r}")
-            params = entry.get("params", {})
-            if not isinstance(params, dict):
-                raise ScenarioError(f"checks[{index}]: 'params' must be an object")
+            _json_object(entry, where, ("builtin", "params"))
+            params = _json_object(entry.get("params", {}), f"{where}: 'params'")
             try:
                 reports.append(run_builtin(str(entry["builtin"]), params, bounds))
             except ParamError as err:
-                raise ScenarioError(f"checks[{index}]: {err}") from None
+                raise ScenarioError(f"{where}: {err}") from None
         elif "configuration" in entry:
-            for key in entry:
-                if key not in ("configuration", "verify", "surgery"):
-                    raise ScenarioError(f"checks[{index}]: unknown field {key!r}")
+            _json_object(entry, where, ("configuration", "verify", "surgery"))
             extra_lines.extend(_run_configuration_entry(entry, index, bounds))
         else:
-            raise ScenarioError(f"checks[{index}]: needs 'builtin' or 'configuration'")
+            raise ScenarioError(f"{where}: needs 'builtin' or 'configuration'")
 
     if len(reports) == 1 and not extra_lines:
         return reports[0]

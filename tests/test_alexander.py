@@ -185,6 +185,10 @@ def test_laurent_determinant_rejects_non_square():
         laurent_determinant([[ONE], [T]])
 
 
+def _evaluate(poly, t):
+    return sum((c * Fraction(t) ** d for d, c in poly.terms()), Fraction(0))
+
+
 def test_laurent_determinant_matches_fraction_determinant_at_integers():
     rng = random.Random(11)
 
@@ -194,13 +198,87 @@ def test_laurent_determinant_matches_fraction_determinant_at_integers():
         return LaurentPoly.make(rng.randint(-2, 2),
                                 [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
 
-    def evaluate(poly, t):
-        return sum((c * Fraction(t) ** d for d, c in poly.terms()), Fraction(0))
-
     for _ in range(80):
         n = rng.randint(1, 4)
         matrix = [[random_poly() for _ in range(n)] for _ in range(n)]
         det = laurent_determinant(matrix)
         for t in (2, 3, -2, 5):
-            expected = fraction_det([[evaluate(p, t) for p in row] for row in matrix])
-            assert evaluate(det, t) == expected, (matrix, t)
+            expected = fraction_det([[_evaluate(p, t) for p in row] for row in matrix])
+            assert _evaluate(det, t) == expected, (matrix, t)
+
+
+def test_laurent_determinant_on_sparse_matrices_with_zero_pivots():
+    """5-10 square matrices with 60-85 % zero cells, checked against fractions.
+
+    On such matrices most Bareiss updates have a_ij = 0 and a_ik = 0 or
+    a_kj = 0, which the elimination skips.  A nonzero cell in each row, on
+    a random permutation, keeps most of them nonsingular.  a_00 is always
+    zero, and a row that repeats the leading cells of the row above makes a
+    later leading minor, and so a later pivot, vanish.
+    """
+    rng = random.Random(23)
+
+    def nonzero_poly():
+        return LaurentPoly.make(rng.randint(-2, 2), [rng.choice((-3, -2, -1, 1, 2, 3))]
+                                + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
+
+    for _ in range(60):
+        n = rng.randint(5, 10)
+        zeros = rng.uniform(0.60, 0.85)
+        matrix = [[ZERO if rng.random() < zeros else nonzero_poly() for _ in range(n)]
+                  for _ in range(n)]
+        for row, column in enumerate(rng.sample(range(n), n)):
+            matrix[row][column] = nonzero_poly()
+        matrix[0][0] = ZERO
+        k = rng.randint(2, n - 2)
+        matrix[k][:k + 1] = matrix[k - 1][:k + 1]
+        det = laurent_determinant(matrix)
+        for t in (2, 3, -2, 5):
+            expected = fraction_det([[_evaluate(p, t) for p in row] for row in matrix])
+            assert _evaluate(det, t) == expected, (matrix, t)
+
+
+# -- Fox against Burau: a closed braid's Wirtinger Fox matrix is I - Burau --------
+
+def burau_matrix(braid):
+    """Unreduced Burau matrix: sigma_i acts on strands i, i+1 as [[1-t, t], [1, 0]]."""
+    t, t_inv = LaurentPoly.term(1, 1), LaurentPoly.term(1, -1)
+    n = braid.strands
+    product = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for letter in braid.letters:
+        i = abs(letter) - 1
+        block = ([[ONE - t, t], [ONE, ZERO]] if letter > 0
+                 else [[ZERO, ONE], [t_inv, ONE - t_inv]])
+        generator = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+        for r in range(2):
+            for c in range(2):
+                generator[i + r][i + c] = block[r][c]
+        product = [[sum((product[r][m] * generator[m][c] for m in range(n)), ZERO)
+                    for c in range(n)] for r in range(n)]
+    return product
+
+
+def laplace_det(matrix):
+    """Determinant by cofactor expansion along the first row: no division at all."""
+    if not matrix:
+        return ONE
+    total = ZERO
+    for j, cell in enumerate(matrix[0]):
+        if cell:
+            term = cell * laplace_det([row[:j] + row[j + 1:] for row in matrix[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def up_to_units(poly):
+    """`poly` times the unit +-t^k that starts it at degree 0 with a positive coefficient."""
+    poly = poly.shift(-poly.min_degree)
+    return -poly if poly.coeffs and poly.coeffs[0] < 0 else poly
+
+
+def test_fox_alexander_matches_burau_minor_on_random_knot_braids():
+    for braid in random_knot_braids(300, max_letters=14, max_strands=6, seed=2010):
+        burau = burau_matrix(braid)
+        minor = [[(ONE if i == j else ZERO) - burau[i][j] for j in range(1, braid.strands)]
+                 for i in range(1, braid.strands)]
+        assert up_to_units(laplace_det(minor)) == up_to_units(alexander_of_braid(braid)), braid

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dpsurgery.laurent import LaurentPoly
+from dpsurgery.laurent import LaurentPoly, div_exact, mul_add
 
 
 def test_make_trims_and_validates():
@@ -93,3 +93,79 @@ def test_content_and_shift():
     assert p.content() == 2
     assert p.shift(3).min_degree == 3
     assert LaurentPoly.zero().content() == 0
+
+
+# -- the dense kernel: coefficient lists, lowest degree first, [] is zero -------
+
+def _dense(rng, max_len=7):
+    coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(0, max_len))]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _naive_mul_add(out, s, a, b):
+    total = list(out) + [0] * max(0, len(a) + len(b) - 1 - len(out))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            total[i + j] += s * x * y
+    while total and not total[-1]:
+        total.pop()
+    return total
+
+
+def test_kernel_mul_add_matches_naive_product():
+    rng = random.Random(5)
+    for _ in range(400):
+        out, a, b = _dense(rng), _dense(rng), _dense(rng)
+        s = rng.choice((1, -1, 3, -2, 0))
+        a_before, b_before = list(a), list(b)
+        expected = _naive_mul_add(out, s, a, b)
+        result = mul_add(out, s, a, b)
+        assert result == expected, (out, s, a, b)
+        assert result is out  # accumulated in place
+        assert (a, b) == (a_before, b_before)
+    assert mul_add([], 1, [], [1, 2]) == []
+    assert mul_add([0, 0, 1], -1, [1], [0, 0, 1]) == []  # cancellation is trimmed
+
+
+def test_kernel_div_exact_inverts_products():
+    rng = random.Random(6)
+    for _ in range(400):
+        q, b = _dense(rng), _dense(rng)
+        if not b:
+            continue
+        product = mul_add([], 1, q, b)
+        before = list(product)
+        assert div_exact(product, b) == q, (q, b)
+        assert product == before
+    with pytest.raises(ZeroDivisionError):
+        div_exact([1, 2], [])
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1, 3], [1, 2]),           # leading coefficient 3 leaves a remainder mod 2
+    ([2, 3], [2]),              # the same with a constant divisor
+    ([1, 0, 1], [0, 1]),        # quotient t leaves the nonzero leftover 1
+    ([5, 2, 1], [1, 2, 1]),     # quotient 1 leaves the leftover 4
+    ([1, 1], [1, 0, 1]),        # shorter than the divisor
+])
+def test_kernel_div_exact_refuses_remainder_and_leftover(a, b):
+    with pytest.raises(ArithmeticError, match="inexact"):
+        div_exact(a, b)
+
+
+def test_kernel_div_exact_refuses_random_inexact_divisions():
+    rng = random.Random(8)
+    for _ in range(300):
+        q, b = _dense(rng), _dense(rng)
+        if len(b) < 2:
+            continue
+        r = [rng.randint(-3, 3) for _ in range(len(b) - 1)]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            continue
+        a = mul_add(list(r), 1, q, b)  # q*b + r with r nonzero of lower degree
+        with pytest.raises(ArithmeticError):
+            div_exact(a, b)

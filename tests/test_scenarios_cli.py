@@ -100,7 +100,7 @@ def test_scenario_surgery_block_runs_the_surgery_checks():
 def test_scenario_parse_errors():
     with pytest.raises(ScenarioError, match="line"):
         run_scenario_text("{not json")
-    with pytest.raises(ScenarioError, match="unknown top-level"):
+    with pytest.raises(ScenarioError, match="top level has unknown field 'extra'"):
         run_scenario_text(json.dumps({"checks": [], "extra": 1}))
     with pytest.raises(ScenarioError, match="builtin"):
         run_scenario_text(json.dumps({"checks": [{"params": {}}]}))
@@ -416,6 +416,57 @@ def test_cli_snf_output_pinned(capsys, matrix, d, u, v, diagonal):
         + "summary: 1 checks | 1 pass, 0 fail, 0 inconclusive, 0 cited\n")
 
 
+_BRAID_5 = ("B5: -4 -3 2 2 4 -2 -2 -2 -4 -1 -1 -4 -2 2 1 4 -2 -3 3 3 2 -2 -4 -3 -1 3 -3 "
+            "-4 -4 -1 -1 -3 -2 -4")
+_BRAID_6 = ("B6: 1 4 4 -4 -2 -5 -5 1 4 1 -3 -5 1 4 1 5 1 3 -2 -3 -4 2 2 -5 -3 -5 3 3 -4 -1 "
+            "-4 3 -5")
+
+
+@pytest.mark.parametrize("braid, polynomial, multiset", [
+    ("B1:", "1", "[1]"),
+    ("B2: 1 1 1", "t^-1 - 1 + t", "[-1, 1, 1]"),
+    ("B3: 1 -2 1 -2", "-t^-1 + 3 - t", "[-1, -1, 3]"),
+    (_BRAID_5, "t^-5 - t^-4 + t^-2 - t^-1 + 1 - t + t^2 - t^4 + t^5",
+     "[-1, -1, -1, -1, 1, 1, 1, 1, 1]"),
+    (_BRAID_6, "t^-8 - 6 t^-7 + 18 t^-6 - 35 t^-5 + 53 t^-4 - 67 t^-3 + 75 t^-2 - 78 t^-1 "
+               "+ 79 - 78 t + 75 t^2 - 67 t^3 + 53 t^4 - 35 t^5 + 18 t^6 - 6 t^7 + t^8",
+     "[-78, -78, -67, -67, -35, -35, -6, -6, 1, 1, 18, 18, 53, 53, 75, 75, 79]"),
+], ids=["unknot", "trefoil", "figure-eight", "batch-5-strand", "batch-6-strand"])
+def test_cli_alexander_output_pinned(capsys, braid, polynomial, multiset):
+    """Unknot, trefoil, figure eight and two alexander-batch braids, pinned."""
+    assert main(["--format", "machine", "alexander", braid]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"alexander {braid}\tpass\tpolynomial {polynomial}; coefficient multiset {multiset}\n")
+
+
+def test_cli_alexander_family_output_pinned(capsys):
+    """K_r = T(2, 2r+1) has the alternating polynomial t^-r - ... + t^r."""
+    lines = [
+        "alexander K_1 B2: 1 1 1\tpass\tpolynomial t^-1 - 1 + t; "
+        "coefficient multiset [-1, 1, 1]",
+        "alexander K_2 B2: 1 1 1 1 1\tpass\tpolynomial t^-2 - t^-1 + 1 - t + t^2; "
+        "coefficient multiset [-1, -1, 1, 1, 1]",
+        "alexander K_3 B2: 1 1 1 1 1 1 1\tpass\tpolynomial t^-3 - t^-2 + t^-1 - 1 + t - t^2 "
+        "+ t^3; coefficient multiset [-1, -1, -1, 1, 1, 1, 1]",
+        "alexander K_4 B2: 1 1 1 1 1 1 1 1 1\tpass\tpolynomial t^-4 - t^-3 + t^-2 - t^-1 + 1 "
+        "- t + t^2 - t^3 + t^4; coefficient multiset [-1, -1, -1, -1, 1, 1, 1, 1, 1]",
+        "alexander K_5 B2: 1 1 1 1 1 1 1 1 1 1 1\tpass\tpolynomial t^-5 - t^-4 + t^-3 - t^-2 "
+        "+ t^-1 - 1 + t - t^2 + t^3 - t^4 + t^5; coefficient multiset "
+        "[-1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1]",
+        "alexander K_6 B2: 1 1 1 1 1 1 1 1 1 1 1 1 1\tpass\tpolynomial t^-6 - t^-5 + t^-4 "
+        "- t^-3 + t^-2 - t^-1 + 1 - t + t^2 - t^3 + t^4 - t^5 + t^6; coefficient multiset "
+        "[-1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1]",
+        "alexander K_7 B2: 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\tpass\tpolynomial t^-7 - t^-6 + t^-5 "
+        "- t^-4 + t^-3 - t^-2 + t^-1 - 1 + t - t^2 + t^3 - t^4 + t^5 - t^6 + t^7; coefficient "
+        "multiset [-1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1, 1]",
+        "alexander K_8 B2: 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\tpass\tpolynomial t^-8 - t^-7 "
+        "+ t^-6 - t^-5 + t^-4 - t^-3 + t^-2 - t^-1 + 1 - t + t^2 - t^3 + t^4 - t^5 + t^6 - t^7 "
+        "+ t^8; coefficient multiset [-1, -1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1, 1, 1]",
+    ]
+    assert main(["--format", "machine", "alexander", "family", "count=8"]) == EXIT_OK
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
 def test_cli_bounds_flags(capsys):
     code = main(["--bounds-cosets", "50", "--bounds-rules", "20",
                  "verify", "tori", "m=1", "n=1"])
@@ -515,6 +566,15 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
         scenario["checks"][0]["surgery"].update(surgery)
         return scenario
 
+    def misspelt(*path):
+        """custom_spheres.json with the key at `path` renamed to a misspelling."""
+        scenario = custom_spheres()
+        block = scenario
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1] + "x"] = block.pop(path[-1])
+        return scenario
+
     cases = [
         ({"checks": [{"builtin": "tori", "params": [1, 2]}]},
          "error: checks[0]: 'params' must be an object\n"),
@@ -527,6 +587,26 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
         (custom_spheres(case={"tag": "F3", "m": 5, "n": 7, "k": 1}),
          "error: checks[0]: surgery case F3(m=5, n=7, k=1) needs complement H1 Z_35, "
          "not Z_6\n"),
+        # an unknown key is refused in every block, never silently dropped
+        (misspelt("checks"), "error: PATH: top level has unknown field 'checksx'\n"),
+        ({"bounds": {"coset": 50}, "checks": []},
+         "error: PATH: 'bounds' has unknown field 'coset'\n"),
+        ({"checks": [{"builtin": "tori", "parms": {"m": 1, "n": 1}}]},
+         "error: checks[0] has unknown field 'parms'\n"),
+        (misspelt("checks", 0, "verify"), "error: checks[0] has unknown field 'verifyx'\n"),
+        (misspelt("checks", 0, "configuration", "pi1"),
+         "error: checks[0]: 'configuration' has unknown field 'pi1x'\n"),
+        (misspelt("checks", 0, "configuration", "ambient", "basis"),
+         "error: checks[0]: 'ambient' has unknown field 'basisx'\n"),
+        (misspelt("checks", 0, "configuration", "components", 1, "genus"),
+         "error: checks[0]: components[1] has unknown field 'genusx'\n"),
+        (misspelt("checks", 0, "verify", "group"),
+         "error: checks[0]: 'verify' has unknown field 'groupx'\n"),
+        (misspelt("checks", 0, "surgery", "case"),
+         "error: checks[0]: 'surgery' has unknown field 'casex'\n"),
+        # the case block takes the fields of its own tag only
+        (custom_spheres(case={"tag": "F3", "m": 3, "n": 2, "d": 2, "k": 1}),
+         "error: checks[0]: 'case' has unknown field 'd'\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
 
