@@ -17,12 +17,32 @@ c that start with x read backwards.  `coincidence` queues its transplanted
 entries the same way.  `CosetResult.deductions` counts the queue entries
 processed; it stays out of the evidence text.
 
-One scan routine serves both the deduction pass and the subgroup (HLT)
-fill.  It is a closure inside `coset_enumerate` over the table's row list,
-union-find parents and `rep`, bound once per enumeration: almost every
-entry it reads already points at a live coset, so it indexes the rows
-directly and calls `rep` only for an entry whose coset has died, writing
-the root back into the table.
+Table invariant: whenever `coincidence` is not running, every entry of a
+live row is None or a live coset, and c -x-> d exactly when d -x^1-> c.
+`define` and `set_entry` write an entry and its reverse together, into two
+empty slots of live rows.  `coincidence` writes the same pairs, between
+cosets live at that moment.  When it takes a dead coset y off its queue it
+clears the reverse of every entry in y's row; by the pair rule those are
+all the entries that point at y, and none is written afterwards, since y
+is no longer a root.  It returns only when every coset it killed has been
+taken off the queue.
+
+One scan routine, `scan(alpha, words)`, serves both the deduction pass and
+the subgroup (HLT) fill: a deduction (c, x) is one call over every
+rotation that starts with x, and the fill calls it with one subgroup word
+and defines the gap it returns.  It is a closure inside `coset_enumerate`
+over the table's row list and union-find, bound once per enumeration.  By
+the invariant a walk from a live coset meets only live cosets, so it
+indexes the rows with no union-find lookup per letter.  Only the start is
+resolved, before each word: a coincidence found by one rotation can kill
+it before the next.
+
+Each cyclically reduced relator and its inverse is stored once, doubled; a
+rotation is a span `(doubled, k, k + n)` of that copy, so the rotation
+buckets take O(total relator length), not its square.  A base word adds
+its rotations 0 .. period-1, in that order, unless a rotation of an earlier
+base already did; that is decided on the least rotation, found one
+rotation at a time.
 """
 
 from __future__ import annotations
@@ -124,6 +144,42 @@ class _Table:
                         self.deductions.append((mu, x))
 
 
+# (letters, start, end): the word letters[start:end], read in place
+_Span = tuple[tuple[int, ...], int, int]
+
+
+def _relator_rotations(relators: tuple[Word, ...], ncols: int) -> list[list[_Span]]:
+    """Every distinct rotation of each relator and its inverse, bucketed by first letter.
+
+    A rotation is the span `(doubled, k, k + n)`: letters k .. k+n-1 of the
+    base word stored twice over.
+    """
+    edp: list[list[_Span]] = [[] for _ in range(ncols)]
+    seen: set[tuple[int, ...]] = set()
+    for r in relators:
+        w = cyclically_reduce(r)
+        n = len(w.letters)
+        if not n:
+            continue
+        for base in (w.letters, w.inverse().letters):
+            doubled = base + base
+            # the least rotation among the first `period` ones, which repeat
+            least, period = base, n
+            for k in range(1, n):
+                rot = doubled[k:k + n]
+                if rot == base:
+                    period = k
+                    break
+                if rot < least:
+                    least = rot
+            if least in seen:
+                continue
+            seen.add(least)
+            for k in range(period):
+                edp[base[k]].append((doubled, k, k + n))
+    return edp
+
+
 def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (),
                     max_cosets: int = 100_000) -> CosetResult:
     """Index of the subgroup generated by `subgroup` words, if it completes.
@@ -138,83 +194,67 @@ def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (
             raise ValueError("subgroup word references unknown generator")
 
     ncols = 2 * p.ngens
-    # deduction table: every rotation of each relator and its inverse,
-    # bucketed by first letter
-    edp: list[list[tuple[int, ...]]] = [[] for _ in range(ncols)]
-    seen = set()
-    for r in p.relators:
-        w = cyclically_reduce(r)
-        for base in (w.letters, w.inverse().letters):
-            for k in range(len(base)):
-                rot = base[k:] + base[:k]
-                if rot not in seen:
-                    seen.add(rot)
-                    edp[rot[0]].append(rot)
+    edp = _relator_rotations(p.relators, ncols)
 
     table = _Table(ncols, max_cosets)
     rows, parent, rep, deductions = table.rows, table.parent, table.rep, table.deductions
+    coincidence, set_entry = table.coincidence, table.set_entry
 
-    def scan(alpha: int, word: tuple[int, ...]) -> tuple[int, int] | None:
-        """Check the cyclic relation word(alpha) = alpha, deducing or merging.
+    def scan(alpha: int, words: list[_Span] | tuple[_Span, ...]) -> tuple[int, int] | None:
+        """Check the cyclic relations word(alpha) = alpha, deducing or merging.
 
-        Returns the (coset, letter) entry that opens a gap of two or more
-        undefined entries, where nothing can be deduced yet; None otherwise.
-        An entry read through a dead coset is replaced by its live root.
+        Returns the (coset, letter) entry at which the last word that could
+        deduce nothing opens a gap of two or more undefined entries; None if
+        no word did.
         """
-        if parent[alpha] != alpha:
-            alpha = rep(alpha)
-        f = alpha
-        i = 0
-        n = len(word)
-        while i < n:
-            row = rows[f]
-            x = word[i]
-            d = row[x]
-            if d is None:
-                break
-            if parent[d] != d:
-                d = row[x] = rep(d)
-            f = d
-            i += 1
-        if i == n:
-            if f != alpha:
-                table.coincidence(f, alpha)
-            return None
-        b = alpha
-        j = n - 1
-        while j >= i:
-            row = rows[b]
-            x = word[j] ^ 1
-            d = row[x]
-            if d is None:
-                break
-            if parent[d] != d:
-                d = row[x] = rep(d)
-            b = d
-            j -= 1
-        if j < i:
-            table.coincidence(f, b)
-        elif j == i:
-            table.set_entry(f, word[i], b)
-        else:
-            return f, word[i]
-        return None
+        gap = None
+        for word, start, end in words:
+            # a coincidence found by the previous word can kill alpha
+            if parent[alpha] != alpha:
+                alpha = rep(alpha)
+            f = alpha
+            i = start
+            while i < end:
+                d = rows[f][word[i]]
+                if d is None:
+                    break
+                f = d
+                i += 1
+            else:
+                if f != alpha:
+                    coincidence(f, alpha)
+                continue
+            b = alpha
+            j = end - 1
+            while j >= i:
+                d = rows[b][word[j] ^ 1]
+                if d is None:
+                    break
+                b = d
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+            elif j == i:
+                set_entry(f, word[i], b)
+            else:
+                gap = f, word[i]
+        return gap
 
     processed = 0
 
     def process_deductions():
         nonlocal processed
+        popleft = deductions.popleft
         while deductions:
-            c, x = deductions.popleft()
+            c, x = popleft()
             processed += 1
-            c = rep(c)
-            for w in edp[x]:
-                scan(c, w)
+            scan(c, edp[x])
 
     try:
         for w in subgroup:
             # HLT fill: define cosets until the subgroup generator closes at 0
-            while (gap := scan(0, w.letters)) is not None:
+            fill = ((w.letters, 0, len(w.letters)),)
+            while (gap := scan(0, fill)) is not None:
                 table.define(*gap)
             process_deductions()
         alpha = 0

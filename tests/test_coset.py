@@ -1,6 +1,7 @@
 """Coset enumeration against brute-force permutation-group oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -158,42 +159,83 @@ def test_psl_2_7():
 
 
 def test_counts_pinned_at_parent():
-    """(completed, index, allocated) as the list-of-rows engine gave them.
+    """(completed, index, allocated, deductions) as the list-of-rows engine gave them.
 
     `allocated` counts every row ever defined, so it changes with the order
     in which entries are defined, deductions are processed or coincidences
-    are merged; a faster scan must leave all of them where they were.
+    are merged; `deductions` counts every queued entry processed.  A faster
+    scan must leave all of them where they were.
     """
     from dpsurgery.configurations import spheres_presentation, tori_presentation
     from dpsurgery.knots import knot_group_from_braid, torus_knot
     from dpsurgery.surgery import CaseParams, case_presentation, surgered_presentation
 
     cases = [
-        (tori_presentation(6, 7), (), 100_000, (True, 42, 79)),
-        (tori_presentation(10, 11), (), 100_000, (True, 110, 171)),
-        (tori_presentation(14, 15), (), 100_000, (True, 210, 295)),
-        (spheres_presentation(14, 15), (), 100_000, (True, 210, 210)),
+        (tori_presentation(6, 7), (), 100_000, (True, 42, 79, 873)),
+        (tori_presentation(10, 11), (), 100_000, (True, 110, 171, 3093)),
+        (tori_presentation(14, 15), (), 100_000, (True, 210, 295, 7521)),
+        (spheres_presentation(14, 15), (), 100_000, (True, 210, 210, 6090)),
         # capped: the cap is reached on the same definition
-        (tori_presentation(14, 15), (), 100, (False, None, 100)),
+        (tori_presentation(14, 15), (), 100, (False, None, 100, 1562)),
     ]
     tori = tori_presentation(10, 11)
     # subgroup runs go through the HLT fill before the Felsch pass
-    cases.append((tori, (tori.label_word("mu1"),), 100_000, (True, 11, 45)))
-    cases.append((tori, (tori.label_word("mu2"),), 100_000, (True, 10, 41)))
+    cases.append((tori, (tori.label_word("mu1"),), 100_000, (True, 11, 45, 666)))
+    cases.append((tori, (tori.label_word("mu2"),), 100_000, (True, 10, 41, 638)))
     # long relators: the F3(5,4,1) case and surgered presentations on T(2,17)
     raw = knot_group_from_braid(torus_knot(8))
     knot = raw.simplified()
     case = CaseParams.f3(5, 4, 1)
-    cases.append((case_presentation(case, knot), (), 100_000, (True, 20, 681)))
+    cases.append((case_presentation(case, knot), (), 100_000, (True, 20, 681, 1288)))
     cases.append((surgered_presentation(case.base_presentation(), knot, 1), (), 100_000,
-                  (True, 20, 464)))
-    cases.append((case_presentation(case, raw), (), 500, (False, None, 500)))
-    cases.append((coxeter_symmetric(5), (), 50, (False, None, 50)))
-    cases.append((coxeter_symmetric(6), (Word.gen(0),), 100_000, (True, 360, 360)))
+                  (True, 20, 464, 1921)))
+    cases.append((case_presentation(case, raw), (), 500, (False, None, 500, 722)))
+    cases.append((coxeter_symmetric(5), (), 50, (False, None, 50, 156)))
+    cases.append((coxeter_symmetric(6), (Word.gen(0),), 100_000, (True, 360, 360, 1800)))
+    # relators of length 334 (the capped surgery-sweep request) and T(2,21)
+    f233, surgered233 = _f3_233_presentations()
+    cases.append((f233, (), 500, (False, None, 500, 893)))
+    cases.append((surgered233, (), 500, (False, None, 500, 1772)))
+    t21 = knot_group_from_braid(torus_knot(10)).simplified()
+    cases.append((case_presentation(case, t21), (), 100_000, (True, 20, 833, 1576)))
     for p, subgroup, cap, expected in cases:
         result = coset_enumerate(p, subgroup, cap)
-        assert (result.completed, result.index, result.allocated) == expected
+        assert (result.completed, result.index, result.allocated, result.deductions) == expected
         assert result.max_cosets == cap
+
+
+def _f3_233_presentations():
+    """F3(2,3,3) collapsed and surgered on the simplified knot group of a 3-braid.
+
+    The knot group keeps a relator of 334 letters, so each presentation has
+    one too.
+    """
+    from dpsurgery.knots import knot_group_from_braid
+    from dpsurgery.scenarios import parse_knot
+    from dpsurgery.surgery import CaseParams, case_presentation, surgered_presentation
+
+    knot = knot_group_from_braid(parse_knot("B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2")).simplified()
+    case = CaseParams.f3(2, 3, 3)
+    return (case_presentation(case, knot),
+            surgered_presentation(case.base_presentation(), knot, case.k))
+
+
+def test_long_relator_rotations_stored_once():
+    """A relator's rotations are spans of one doubled copy, not n copies.
+
+    Storing every rotation of the 334-letter relators as its own tuple took
+    3.1 MB on this capped enumeration; the spans take about 0.2 MB.
+    """
+    p, _ = _f3_233_presentations()
+    assert max(len(r.letters) for r in p.relators) == 334
+    tracemalloc.start()
+    try:
+        result = coset_enumerate(p, (), 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.completed and result.allocated == 500
+    assert peak < 1_000_000
 
 
 def test_deductions_counted_once_per_entry():
@@ -215,14 +257,8 @@ def _random_word(rng, ngens, length):
     return Word(tuple(rng.randrange(2 * ngens) for _ in range(length)))
 
 
-def test_one_ended_deductions_match_two_ended(monkeypatch):
-    """Queueing only (c, x) for a new entry c -x-> d loses no deduction.
-
-    `edp` holds every rotation of each relator and of its inverse, and a
-    scan closes a cycle from both ends, so the cycles scanned from (d, x^1)
-    are those scanned from (c, x) read backwards.  Bringing the second push
-    back must leave every outcome and every allocation count unchanged.
-    """
+def _random_cases():
+    """300 seeded (presentation, subgroup, cap) triples, capped and completing."""
     rng = random.Random(20240605)
     cases = []
     for _ in range(300):
@@ -233,6 +269,52 @@ def test_one_ended_deductions_match_two_ended(monkeypatch):
         subgroup = [_random_word(rng, ngens, rng.randint(1, 6))
                     for _ in range(rng.randint(0, 2))]
         cases.append((p, subgroup, rng.choice((20, 200, 2000))))
+    return cases
+
+
+def test_final_tables_keep_the_scan_invariant(monkeypatch):
+    """Every live row points only at live cosets, and c -x-> d iff d -x^1-> c.
+
+    `scan` walks the rows with no union-find lookup per letter because of
+    this invariant (see the module docstring), so it must hold on completed
+    and capped tables alike, coincidences included (tori 14 x 15 merges 85
+    times).
+    """
+    from dpsurgery.configurations import tori_presentation
+
+    tables = []
+    init = _Table.__init__
+
+    def recording_init(self, ncols, cap):
+        init(self, ncols, cap)
+        tables.append(self)
+
+    monkeypatch.setattr(_Table, "__init__", recording_init)
+    runs = _random_cases()
+    runs.append((tori_presentation(14, 15), (), 100_000))
+    runs.append((coxeter_symmetric(5), (), 50))
+    for p, subgroup, cap in runs:
+        coset_enumerate(p, subgroup, cap)
+        table = tables[-1]
+        live = [c for c in range(len(table.rows)) if table.parent[c] == c]
+        assert len(live) == table.live
+        for c in live:
+            for x, d in enumerate(table.rows[c]):
+                if d is not None:
+                    assert table.parent[d] == d, (p, subgroup, cap, c, x)
+                    assert table.rows[d][x ^ 1] == c, (p, subgroup, cap, c, x)
+    assert len(tables) == len(runs)
+
+
+def test_one_ended_deductions_match_two_ended(monkeypatch):
+    """Queueing only (c, x) for a new entry c -x-> d loses no deduction.
+
+    `edp` holds every rotation of each relator and of its inverse, and a
+    scan closes a cycle from both ends, so the cycles scanned from (d, x^1)
+    are those scanned from (c, x) read backwards.  Bringing the second push
+    back must leave every outcome and every allocation count unchanged.
+    """
+    cases = _random_cases()
     shipped = [coset_enumerate(p, subgroup, cap) for p, subgroup, cap in cases]
 
     one_ended = _Table.set_entry

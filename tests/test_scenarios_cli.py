@@ -389,6 +389,43 @@ def test_cli_theorem_1_1_machine_output_pinned(capsys, case, points, first, seco
         + _MEMBER.format(2, "B2: 1 1 1 1 1", second) + _FAMILY_END)
 
 
+def _configuration_lines(h1, group_evidence, prefix=""):
+    return (f"{prefix}homology\tpass\tcomplement H1 = {h1}, expected {h1}\n"
+            f"{prefix}group\tpass\tabelianization matches target {h1}; {group_evidence}\n"
+            f"{prefix}h1-matches-abelianization\tpass\tpresentation abelianization {h1}, "
+            f"homology {h1}\n")
+
+
+def _enumerated_abelian(order, allocated):
+    return (f"coset enumeration completed: index {order} ({allocated} cosets allocated, "
+            f"cap 100000); group order {order} equals abelianization order: group is "
+            f"abelian, hence isomorphic to Z_{order}")
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["spheres", "m=6", "n=7"], _configuration_lines("Z_42", _enumerated_abelian(42, 42))),
+    (["tori", "m=6", "n=7"], _configuration_lines("Z_42", _enumerated_abelian(42, 79))),
+    (["nodal", "d1=2", "d2=4"], _configuration_lines(
+        "Z + Z_2", "all 1 generator commutators reduce to the identity (12 rules, "
+        "confluent=True); abelian group with abelianization Z + Z_2: isomorphic")),
+    (["rational", "p=2", "q=5"], _configuration_lines("Z_5", _enumerated_abelian(5, 5))),
+    ([os.path.join(SCENARIO_DIR, "custom_spheres.json")], (
+        "checks[0] homology\tpass\tcomplement H1 = Z_6, expected Z_6\n"
+        "checks[0] group\tpass\tabelianization matches target Z_6; "
+        + _enumerated_abelian(6, 6) + "\n"
+        "checks[0] hypothesis\tpass\tF3(m=3, n=2, k=1): arithmetic condition holds\n"
+        "checks[0] group-preserved\tpass\t" + _finite_preserved("F3(m=3, n=2, k=1)", 6, 33)
+        + "\n"
+        "checks[0] cross-validation\tpass\tamalgam abelianization Z_6, collapsed "
+        "abelianization Z_6; enumerated orders 6 and 6\n"
+        "checks[0] embedding-tags\tpass\tcomponent 1: Standard; component 2: Standard\n")),
+])
+def test_cli_configuration_machine_output_pinned(capsys, argv, stdout):
+    """Configuration builtins and a scenario file: the `N cosets allocated` evidence."""
+    assert main(["--format", "machine", "verify", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == stdout
+
+
 def test_cli_snf(capsys):
     code = main(["snf", "2 0; 0 3"])
     out = capsys.readouterr().out
