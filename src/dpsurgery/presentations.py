@@ -14,7 +14,9 @@ The text form of a presentation is
 
 from __future__ import annotations
 
+import heapq
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .snf import cokernel_invariants
@@ -326,51 +328,120 @@ def abelianization(p: Presentation) -> AbelianGroup:
 
 # -- Tietze simplification ---------------------------------------------------
 
+def _substitute(letters: tuple[int, ...], g: int, image: tuple[int, ...],
+                image_inverse: tuple[int, ...]) -> tuple[int, ...]:
+    """Freely reduced `letters` with generator g replaced by `image`."""
+    stack: list[int] = []
+    for x in letters:
+        if x >> 1 == g:
+            for y in image_inverse if x & 1 else image:
+                if stack and stack[-1] == y ^ 1:
+                    stack.pop()
+                else:
+                    stack.append(y)
+        elif stack and stack[-1] == x ^ 1:
+            stack.pop()
+        else:
+            stack.append(x)
+    return tuple(stack)
+
+
 def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = frozenset()) -> Presentation:
     """Eliminate generators that some relator defines in terms of the others.
 
-    A generator g (not in `keep`, not a label-by-index target we cannot move)
-    is eliminable when a relator contains it exactly once; the relator then
-    solves for g and the solution is substituted everywhere, including label
-    words.  Deterministic: always eliminates via the shortest usable relator.
-    The group is unchanged up to isomorphism.
+    A generator g not in `keep` is eliminable at a position of a relator
+    where it is the only occurrence of g; the relator then solves for g and
+    the solution is substituted everywhere, including label words.  The
+    group is unchanged up to isomorphism.
+
+    Each round eliminates via the shortest relator that has an eliminable
+    position, the earliest of those in relator order, at its first
+    eligible position; rounds go on until no relator has one.
+
+    Bookkeeping, so that a round touches only what its elimination
+    changes: relators keep their input index as a stable id and generators
+    keep their input index until one reindex at the end; an index maps
+    each generator to the relators it occurs in, and only those relators
+    and the labels holding the generator are rewritten.  Every relator
+    caches its first eligible position, recomputed only when the relator
+    changes, and a heap keyed by (length, id) over the relators with such
+    a position yields each round's pick.  Removing a relator keeps the
+    others in order, so (length, id) orders the relators as their current
+    positions would.  Once anything has been eliminated every label word
+    is freely reduced; with no elimination the labels are returned as
+    given.
     """
-    generators = list(p.generators)
-    relators = [free_reduce(r) for r in p.relators]
-    labels: dict[str, Word] = {}
-    for role, target in p.labels:
-        labels[role] = target if isinstance(target, Word) else Word.gen(target)
     keep_names = {p.generators[i] for i in keep}
+    kept = [name in keep_names for name in p.generators]
+    relators: list[tuple[int, ...] | None] = [free_reduce(r).letters for r in p.relators]
+    labels = {role: target.letters if isinstance(target, Word) else (2 * target,)
+              for role, target in p.labels}
+    relators_of: dict[int, set[int]] = defaultdict(set)
+    for rid, letters in enumerate(relators):
+        for x in letters:
+            relators_of[x >> 1].add(rid)
+    first: list[int | None] = [None] * len(relators)
+    heap: list[tuple[int, int]] = []
 
-    while True:
-        candidate = None
-        for ri, rel in enumerate(relators):
-            counts: dict[int, int] = {}
-            for x in rel.letters:
-                counts[x >> 1] = counts.get(x >> 1, 0) + 1
-            for pos, x in enumerate(rel.letters):
-                g = x >> 1
-                if counts[g] == 1 and generators[g] not in keep_names:
-                    key = (len(rel), ri, pos)
-                    if candidate is None or key < candidate[0]:
-                        candidate = (key, ri, pos, g)
-        if candidate is None:
-            break
-        _, ri, pos, g = candidate
-        rel = relators[ri]
-        before = Word(rel.letters[:pos])
-        after = Word(rel.letters[pos + 1:])
-        solved = free_reduce(before.inverse() * after.inverse())
-        if rel.letters[pos] & 1:
-            solved = solved.inverse()
-        images = {g: solved}
-        relators = [free_reduce(r.substitute(images)) for i, r in enumerate(relators) if i != ri]
-        labels = {role: w.substitute(images) for role, w in labels.items()}
-        mapping = {old: (old if old < g else old - 1) for old in range(len(generators)) if old != g}
-        generators.pop(g)
-        relators = [r.reindex(mapping) for r in relators]
-        labels = {role: w.reindex(mapping) for role, w in labels.items()}
+    def refresh(rid: int) -> None:
+        letters = relators[rid]
+        counts: dict[int, int] = {}
+        for x in letters:
+            counts[x >> 1] = counts.get(x >> 1, 0) + 1
+        for pos, x in enumerate(letters):
+            if counts[x >> 1] == 1 and not kept[x >> 1]:
+                first[rid] = pos
+                heapq.heappush(heap, (len(letters), rid))
+                return
+        first[rid] = None
 
-    relators = [r for r in relators if r.letters]
+    for rid in range(len(relators)):
+        refresh(rid)
+
+    eliminated = [False] * len(kept)
+    while heap:
+        length, rid = heapq.heappop(heap)
+        letters = relators[rid]
+        if letters is None or first[rid] is None or len(letters) != length:
+            continue  # a stale entry: the relator was used or has changed
+        pos = first[rid]
+        g = letters[pos] >> 1
+        # letters = before x after with x = g^(+-1), so x = (after before)^-1
+        rest = free_reduce(Word(letters[pos + 1:] + letters[:pos])).letters
+        inverse = tuple(x ^ 1 for x in reversed(rest))
+        image, image_inverse = (rest, inverse) if letters[pos] & 1 else (inverse, rest)
+        relators[rid] = None
+        for h in {x >> 1 for x in letters}:
+            relators_of[h].discard(rid)
+        for other in relators_of.pop(g):
+            old = relators[other]
+            new = _substitute(old, g, image, image_inverse)
+            relators[other] = new
+            old_gens, new_gens = {x >> 1 for x in old}, {x >> 1 for x in new}
+            for h in old_gens - new_gens:
+                relators_of[h].discard(other)
+            for h in new_gens - old_gens:
+                relators_of[h].add(other)
+            refresh(other)
+        for role, old in list(labels.items()):
+            if 2 * g in old or 2 * g + 1 in old:
+                labels[role] = _substitute(old, g, image, image_inverse)
+        eliminated[g] = True
+
+    generators = []
+    new_index = [0] * len(kept)
+    for old, name in enumerate(p.generators):
+        if not eliminated[old]:
+            new_index[old] = len(generators)
+            generators.append(name)
+
+    def reindex(letters: tuple[int, ...]) -> Word:
+        return Word(tuple(2 * new_index[x >> 1] + (x & 1) for x in letters))
+
+    reduced = any(eliminated)
+    words = {role: reindex(free_reduce(Word(letters)).letters if reduced else letters)
+             for role, letters in labels.items()}
     # Presentation turns single-generator label words back into indices
-    return Presentation(tuple(generators), tuple(relators), tuple(sorted(labels.items())))
+    return Presentation(tuple(generators),
+                        tuple(reindex(letters) for letters in relators if letters),
+                        tuple(sorted(words.items())))

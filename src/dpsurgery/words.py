@@ -60,19 +60,6 @@ class Word:
         """Largest generator index appearing, or -1 for the identity."""
         return max(self.letters) >> 1 if self.letters else -1
 
-    def substitute(self, images: dict[int, "Word"]) -> "Word":
-        """Replace each generator by its image word (others untouched)."""
-        parts: list[int] = []
-        for x in self.letters:
-            image = images.get(x >> 1)
-            if image is None:
-                parts.append(x)
-            elif x & 1:
-                parts.extend(image.inverse().letters)
-            else:
-                parts.extend(image.letters)
-        return free_reduce(Word(tuple(parts)))
-
     def reindex(self, mapping: dict[int, int]) -> "Word":
         return Word(tuple(2 * mapping[x >> 1] + (x & 1) for x in self.letters))
 

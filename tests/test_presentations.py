@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dpsurgery.knots import BraidWord, knot_group_from_braid, torus_knot
 from dpsurgery.presentations import (AbelianGroup, Presentation, abelianization,
                                      exponent_matrix, parse_presentation, parse_word,
                                      simplify_presentation)
@@ -174,3 +175,140 @@ def test_label_word():
     assert p.label_word("mu1") == Word.gen(0)
     assert p.label_word("mu2") == Word.gen(0) * Word.gen(1, -1)
     assert p.label_word("nope") is None
+
+
+# -- Tietze cross-check --------------------------------------------------------
+# The quadratic routine below is the earlier simplify_presentation, kept as
+# the reference: it rescans, substitutes into and reindexes every relator in
+# every round.  `_reference_substitute` is the earlier Word.substitute.
+
+def _reference_substitute(w, images):
+    parts = []
+    for x in w.letters:
+        image = images.get(x >> 1)
+        if image is None:
+            parts.append(x)
+        elif x & 1:
+            parts.extend(image.inverse().letters)
+        else:
+            parts.extend(image.letters)
+    return free_reduce(Word(tuple(parts)))
+
+
+def _reference_simplify(p, keep=frozenset()):
+    generators = list(p.generators)
+    relators = [free_reduce(r) for r in p.relators]
+    labels = {}
+    for role, target in p.labels:
+        labels[role] = target if isinstance(target, Word) else Word.gen(target)
+    keep_names = {p.generators[i] for i in keep}
+
+    while True:
+        candidate = None
+        for ri, rel in enumerate(relators):
+            counts = {}
+            for x in rel.letters:
+                counts[x >> 1] = counts.get(x >> 1, 0) + 1
+            for pos, x in enumerate(rel.letters):
+                g = x >> 1
+                if counts[g] == 1 and generators[g] not in keep_names:
+                    key = (len(rel), ri, pos)
+                    if candidate is None or key < candidate[0]:
+                        candidate = (key, ri, pos, g)
+        if candidate is None:
+            break
+        _, ri, pos, g = candidate
+        rel = relators[ri]
+        before = Word(rel.letters[:pos])
+        after = Word(rel.letters[pos + 1:])
+        solved = free_reduce(before.inverse() * after.inverse())
+        if rel.letters[pos] & 1:
+            solved = solved.inverse()
+        images = {g: solved}
+        relators = [free_reduce(_reference_substitute(r, images))
+                    for i, r in enumerate(relators) if i != ri]
+        labels = {role: _reference_substitute(w, images) for role, w in labels.items()}
+        mapping = {old: (old if old < g else old - 1) for old in range(len(generators)) if old != g}
+        generators.pop(g)
+        relators = [r.reindex(mapping) for r in relators]
+        labels = {role: w.reindex(mapping) for role, w in labels.items()}
+
+    relators = [r for r in relators if r.letters]
+    return Presentation(tuple(generators), tuple(relators), tuple(sorted(labels.items())))
+
+
+def _random_letters(rng, ngens, length):
+    return tuple(rng.randrange(2 * ngens) for _ in range(length))
+
+
+def _random_tietze_case(rng):
+    """1-7 generators, unreduced relators (some reducing to empty), index
+    labels, word labels with a cancelling pair, and a random keep set."""
+    ngens = rng.randint(1, 7)
+    relators = []
+    for _ in range(rng.randint(0, ngens + 3)):
+        if rng.random() < 0.1:
+            half = _random_letters(rng, ngens, rng.randint(0, 3))
+            relators.append(Word(half) * Word(half).inverse())
+        else:
+            relators.append(Word(_random_letters(rng, ngens, rng.randint(1, 8))))
+    labels = []
+    for i in range(rng.randint(0, 3)):
+        if rng.random() < 0.4:
+            labels.append((f"role{i}", rng.randrange(ngens)))
+            continue
+        letters = list(_random_letters(rng, ngens, rng.randint(0, 5)))
+        if rng.random() < 0.5:
+            x = rng.randrange(2 * ngens)
+            at = rng.randint(0, len(letters))
+            letters[at:at] = [x, x ^ 1]
+        labels.append((f"role{i}", Word(tuple(letters))))
+    rng.shuffle(labels)
+    keep = {g for g in range(ngens) if rng.random() < 0.2}
+    names = tuple(f"x{g}" for g in range(ngens))
+    return Presentation(names, tuple(relators), tuple(labels)), keep
+
+
+def _random_knot_braids(count, seed):
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        strands = rng.randint(2, 5)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(1, 14)))
+        braid = BraidWord(strands, letters)
+        if braid.is_knot_closure():
+            found.append(braid)
+    return found
+
+
+def _tietze_cases():
+    rng = random.Random(2718)
+    cases = [_random_tietze_case(rng) for _ in range(2000)]
+    for r in range(1, 16):
+        knot = knot_group_from_braid(torus_knot(r))
+        cases.append((knot.presentation, {knot.meridian}))
+    for braid in _random_knot_braids(200, seed=1618):
+        knot = knot_group_from_braid(braid)
+        cases.append((knot.presentation, {knot.meridian}))
+    return cases
+
+
+TIETZE_CASES = _tietze_cases()
+
+
+def test_simplify_matches_the_quadratic_reference():
+    eliminated = 0
+    for p, keep in TIETZE_CASES:
+        reduced = simplify_presentation(p, keep)
+        assert reduced == _reference_simplify(p, keep), (p.format(), sorted(keep))
+        eliminated += reduced.ngens < p.ngens
+    # the cases exercise the elimination rounds, not only the early exit
+    assert eliminated > len(TIETZE_CASES) // 2
+
+
+def test_simplify_is_idempotent():
+    for p, keep in TIETZE_CASES:
+        once = simplify_presentation(p, keep)
+        kept = {once.generators.index(p.generators[g]) for g in keep}
+        assert simplify_presentation(once, kept) == once, (p.format(), sorted(keep))

@@ -389,6 +389,26 @@ def test_cli_theorem_1_1_machine_output_pinned(capsys, case, points, first, seco
         + _MEMBER.format(2, "B2: 1 1 1 1 1", second) + _FAMILY_END)
 
 
+PINNED_DIR = os.path.join(os.path.dirname(__file__), "pinned")
+_CAPPED_F3 = ["--bounds-cosets", "500", "--bounds-rules", "200", "surgery", "case=F3", "m=2",
+              "n=3", "k=3", "knot=B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2"]
+
+
+@pytest.mark.parametrize("argv, code, pinned", [
+    (["--format", "machine", "verify", "theorem-1-1", "case=i", "count=10"], EXIT_OK,
+     "theorem-1-1-case-i-count-10.machine"),
+    # members up to T(2,21), each certified on its Tietze-reduced knot group
+    (["--format", "machine", "verify", "theorem-1-1", "case=iii", "count=10"], EXIT_OK,
+     "theorem-1-1-case-iii-count-10.machine"),
+    (_CAPPED_F3, EXIT_INCONCLUSIVE, "surgery-F3-capped.text"),
+])
+def test_cli_output_pinned_to_file(capsys, argv, code, pinned):
+    """Whole reports recorded from the command line, byte for byte."""
+    assert main(argv) == code
+    with open(os.path.join(PINNED_DIR, pinned), encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
 def _configuration_lines(h1, group_evidence, prefix=""):
     return (f"{prefix}homology\tpass\tcomplement H1 = {h1}, expected {h1}\n"
             f"{prefix}group\tpass\tabelianization matches target {h1}; {group_evidence}\n"
@@ -527,6 +547,39 @@ def test_cli_flags_after_subcommand(capsys):
     assert code == EXIT_OK
     assert before == after
     assert "\t" in before
+
+
+def test_cli_calls_in_one_process_do_not_leak(capsys):
+    """Each argv gives the same exit code, stdout and stderr whatever ran
+    before it in the process."""
+    spheres = os.path.join(SCENARIO_DIR, "custom_spheres.json")
+    argvs = [
+        ["--format", "text", "verify", "nodal", "d1=2", "d2=4"],
+        ["--format", "machine", "verify", "nodal", "d1=2", "d2=4"],
+        # a bounds flag left behind would override the file's own bounds
+        ["--format", "machine", "--bounds-cosets", "500", "verify", spheres],
+        ["--format", "machine", "verify", spheres],
+        ["verify", "nodal", "d1=2", "d2=4"],
+        ["snf", "--format", "machine", "2 1; 1 2"],
+        ["--bounds-cosets", "x", "verify", "nodal", "d1=2", "d2=4"],
+        ["--help"],
+        ["no-such-command"],
+    ]
+    def run(order):
+        results = {}
+        for i in order:
+            code = main(list(argvs[i]))
+            captured = capsys.readouterr()
+            results[i] = (code, captured.out, captured.err)
+        return results
+
+    forward = run(range(len(argvs)))
+    backward = run(reversed(range(len(argvs))))
+    assert forward == backward
+    codes = [forward[i][0] for i in range(len(argvs))]
+    assert codes == [EXIT_OK] * 6 + [EXIT_USAGE, EXIT_OK, EXIT_USAGE]
+    assert "cap 500)" in forward[2][1] and "cap 500)" not in forward[3][1]
+    assert forward[7][1].startswith("usage: dpsurgery")
 
 
 def _machine_lines(out):

@@ -73,11 +73,6 @@ def test_cyclic_reduction():
     assert cyclically_reduce(a * a) == a * a
 
 
-def test_substitute():
-    image = (a * b).substitute({1: A})
-    assert image == Word(())
-
-
 def test_rejects_bad_letters():
     with pytest.raises(ValueError):
         Word((-1,))
