@@ -21,7 +21,7 @@ from .surgery import CaseParams, GluingMatrix, SurgerySpec, apply_surgery, \
     case_presentation, check_case_hypothesis, surgered_presentation, \
     twist_gluing_matrix, validate_gluing_matrix, verify_group_preserved, \
     HypothesisError
-from .sw import DistinguishReport, FormalSW, applicability_check, distinguish, \
+from .sw import FormalSW, applicability_check, distinguish, \
     family_report, knot_surgery_transform
 from .actions import ActionCertificate, CoverPlan, CoverPlanError, \
     build_cover_plan, exotic_action_certificate

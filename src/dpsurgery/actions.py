@@ -20,10 +20,10 @@ from math import gcd
 
 from .configurations import Configuration
 from .presentations import AbelianGroup, exponent_matrix
-from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, combined, verdict_of
+from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, combined
 from .snf import element_order_in_cokernel
 from .surgery import CaseParams
-from .sw import FamilyReport, family_report
+from .sw import family_report
 from .verify import Bounds, DEFAULT_BOUNDS, Status, Verdict, verify_abelian_isomorphism
 
 
@@ -100,7 +100,6 @@ def build_cover_plan(config: Configuration, m: int, n: int,
 @dataclass(frozen=True)
 class ActionCertificate:
     checks: tuple[CheckLine, ...]
-    family: FamilyReport | None
     conclusion: str
 
     @property
@@ -138,19 +137,18 @@ def exotic_action_certificate(plan: CoverPlan, k: int, count: int,
           f"gcd(k, m) = gcd({k}, {m}) = {g_plotnick}"
           + ("" if check_b else " != 1: the cover need not untwist"))
 
-    family: FamilyReport | None = None
     if check_a:
-        case = CaseParams.f3(m, n, k)
-        family = family_report(plan.config, count, case, bounds)
-        statuses = [x.group_verdict.status for x in family.members]
-        undecided = statuses.count(Status.INCONCLUSIVE)
+        family = family_report(plan.config, count, CaseParams.f3(m, n, k), bounds)
+        groups = [lines[0].verdict for lines in family.knots]
+        undecided = groups.count(INCONCLUSIVE)
         checks.append(CheckLine(
-            "group-preserved-per-knot", combined(map(verdict_of, statuses)),
-            (f"{statuses.count(Status.ISOMORPHIC)}/{len(statuses)} knots verified "
+            "group-preserved-per-knot", combined(groups),
+            (f"{groups.count(PASS)}/{len(groups)} knots verified "
              f"isomorphic to Z_{m} + Z_{n}" + (f", {undecided} inconclusive" if undecided else ""),)))
-        check("sw-pairwise-distinct", family.applicability.ok and family.all_pairs_distinct(),
-              f"{sum(1 for p in family.pairs if p.verdict == 'SmoothlyInequivalent')}"
-              f"/{len(family.pairs)} pairs distinguished")
+        distinct = [line.verdict for line in family.pairs].count(PASS)
+        check("sw-pairwise-distinct",
+              family.applicability.verdict == PASS and distinct == len(family.pairs),
+              f"{distinct}/{len(family.pairs)} pairs distinguished")
     else:
         check("group-preserved-per-knot", False, "skipped: group-preservation gcd failed")
         check("sw-pairwise-distinct", False, "skipped: group-preservation gcd failed")
@@ -169,4 +167,4 @@ def exotic_action_certificate(plan: CoverPlan, k: int, count: int,
         conclusion = "certificate inconclusive at: " + open_checks
     else:
         conclusion = "certificate FAILED at: " + open_checks
-    return ActionCertificate(tuple(checks), family, conclusion)
+    return ActionCertificate(tuple(checks), conclusion)

@@ -56,8 +56,13 @@ class BraidWord:
             strands = int(head[1:])
         except ValueError:
             raise ValueError(f"bad strand count in {text!r}") from None
-        letters = tuple(int(tok) for tok in rest.split())
-        return BraidWord(strands, letters)
+        letters = []
+        for tok in rest.split():
+            try:
+                letters.append(int(tok))
+            except ValueError:
+                raise ValueError(f"bad braid letter {tok!r} in {text!r}") from None
+        return BraidWord(strands, tuple(letters))
 
 
 @dataclass(frozen=True)

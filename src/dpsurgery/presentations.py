@@ -369,8 +369,11 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
     others in order, so (length, id) orders the relators as their current
     positions would.  Once anything has been eliminated every label word
     is freely reduced; with no elimination the labels are returned as
-    given.
+    given.  A `keep` index outside 0..ngens-1 raises ValueError.
     """
+    outside = [i for i in keep if not 0 <= i < p.ngens]
+    if outside:
+        raise ValueError(f"keep index {min(outside)} out of range for {p.ngens} generators")
     keep_names = {p.generators[i] for i in keep}
     kept = [name in keep_names for name in p.generators]
     relators: list[tuple[int, ...] | None] = [free_reduce(r).letters for r in p.relators]

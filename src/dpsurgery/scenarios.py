@@ -347,28 +347,7 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
         raise ParamError(f"hypothesis of {case.describe()} fails; no claim is made")
     config = BUILTIN_CONFIGURATIONS[builtin](**builtin_params)
     ordered = [(key, p[key]) for key in ("case", *spec, "k", "count")]
-    report = family_report(config, p["count"], case, bounds)
-    lines = []
-    audit_ok = report.applicability.ok
-    lines.append(CheckLine("applicability", PASS if audit_ok else FAIL,
-                           tuple(report.applicability.lines())))
-    original = config.components
-    for member in report.members:
-        prefix = f"r={member.index} {member.knot.format()}"
-        lines.append(line_from_verdict(f"group-preserved {prefix}", member.group_verdict))
-        tag1 = member.component_tags[0]
-        lines.append(CheckLine(f"component-1-standard {prefix}",
-                               PASS if tag1 == "Standard" else FAIL,
-                               (f"component 1 embedding tag: {tag1}",)))
-        tag2 = member.component_tags[1]
-        lines.append(CheckLine(f"component-2-unchanged {prefix}",
-                               PASS if tag2 == original[1].embedding_tag.describe() else FAIL,
-                               (f"component 2 embedding tag: {tag2}",)))
-    for pair in report.pairs:
-        ok = pair.verdict == "SmoothlyInequivalent"
-        lines.append(CheckLine(f"smoothly-distinct {pair.pair[0]} vs {pair.pair[1]}",
-                               PASS if ok else FAIL,
-                               (f"verdict {pair.verdict}", pair.audit[-1])))
+    lines = list(family_report(config, p["count"], case, bounds).lines())
     lines.append(CheckLine("topological-equivalence", CITED,
                            ("all family members are topologically equivalent to the "
                             "unsurgered configuration (surgery-theoretic result, cited)",)))

@@ -250,6 +250,8 @@ def verify_group_preserved(c: CaseParams, knot: KnotGroupData,
                            require_hypothesis: bool = True) -> Verdict:
     """Verify that the surgered group matches the case's abelian target.
 
+    The case presentation is built on `knot` as given: pass
+    `KnotGroupData.simplified()` to certify on the Tietze-reduced knot group.
     Refuses to run when the arithmetic hypothesis fails (no claim is made
     there) unless `require_hypothesis` is disabled for negative controls.
     """
@@ -259,7 +261,7 @@ def verify_group_preserved(c: CaseParams, knot: KnotGroupData,
         prefix = (f"{c.describe()}: hypothesis FAILS; running anyway (negative control)",)
     else:
         prefix = (f"{c.describe()}: hypothesis holds",)
-    presentation = case_presentation(c, knot.simplified())
+    presentation = case_presentation(c, knot)
     verdict = verify_abelian_isomorphism(presentation, c.target(), bounds)
     return Verdict(verdict.status, prefix + verdict.evidence)
 

@@ -8,6 +8,10 @@ Surgery by a knot multiplies the invariant by its Alexander polynomial in
 r^2, so two surgered configurations can only be diffeomorphic when the two
 Alexander coefficient multisets agree; unequal multisets certify smooth
 inequivalence once the hypotheses are in place.
+
+Results are report `CheckLine`s: a pair passes exactly when the hypotheses
+hold and the multisets differ, and its evidence names the outcome
+`verdict SmoothlyInequivalent` or `verdict NotDistinguished`.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from .alexander import alexander_of_braid, coefficient_multiset, knot_family
 from .configurations import Configuration, algebraic_intersection
 from .knots import BraidWord
 from .laurent import LaurentPoly
+from .reports import FAIL, PASS, CheckLine, line_from_verdict
 from .surgery import CaseParams, SurgerySpec, check_case_hypothesis, surgered_components, \
     verify_group_preserved
-from .verify import Bounds, DEFAULT_BOUNDS, Verdict
+from .verify import Bounds, DEFAULT_BOUNDS
 
 
 @dataclass(frozen=True)
@@ -45,20 +50,9 @@ def knot_surgery_transform(sw: FormalSW, delta: LaurentPoly) -> FormalSW:
                     sw.spinc_label)
 
 
-@dataclass(frozen=True)
-class ApplicabilityAudit:
-    ok: bool
-    conditions: tuple[tuple[str, bool, str], ...]
-
-    def lines(self) -> list[str]:
-        out = []
-        for name, passed, detail in self.conditions:
-            out.append(f"{name}: {'pass' if passed else 'FAIL'} ({detail})")
-        return out
-
-
-def applicability_check(config: Configuration, sw: FormalSW | None = None) -> ApplicabilityAudit:
-    """Hypotheses of the smooth-inequivalence test for a 2-component configuration.
+def applicability_check(config: Configuration, sw: FormalSW | None = None) -> CheckLine:
+    """The `applicability` line: hypotheses of the smooth-inequivalence test
+    for a 2-component configuration, one `<name>: pass|FAIL (<detail>)` fact each.
 
     Needs a nonzero pairwise intersection number, at least two double points,
     and a nonvanishing invariant: either the symplectic-positivity flag (the
@@ -66,99 +60,98 @@ def applicability_check(config: Configuration, sw: FormalSW | None = None) -> Ap
     """
     if len(config.components) != 2:
         raise ValueError("applicability check needs a two-component configuration")
-    conditions = []
     pairing = algebraic_intersection(config, 0, 1)
-    conditions.append(("nonzero-intersection", pairing != 0,
-                       f"component classes pair to {pairing}"))
     points = len(config.double_points)
-    conditions.append(("at-least-two-points", points >= 2,
-                       f"{points} double points"))
     if sw is not None:
-        conditions.append(("nonvanishing-invariant", sw.nonvanishing,
-                           f"explicit invariant with spin-c label {sw.spinc_label!r}"))
+        nonvanishing = (sw.nonvanishing,
+                        f"explicit invariant with spin-c label {sw.spinc_label!r}")
     else:
-        conditions.append(("nonvanishing-invariant", config.symplectic_positive,
-                           "symplectic with positive intersections: canonical "
-                           "nonvanishing invariant" if config.symplectic_positive
-                           else "no symplectic positivity and no explicit invariant"))
-    return ApplicabilityAudit(all(passed for _, passed, _ in conditions),
-                              tuple(conditions))
+        nonvanishing = (config.symplectic_positive,
+                        "symplectic with positive intersections: canonical "
+                        "nonvanishing invariant" if config.symplectic_positive
+                        else "no symplectic positivity and no explicit invariant")
+    conditions = (("nonzero-intersection", pairing != 0,
+                   f"component classes pair to {pairing}"),
+                  ("at-least-two-points", points >= 2, f"{points} double points"),
+                  ("nonvanishing-invariant", *nonvanishing))
+    return CheckLine("applicability",
+                     PASS if all(passed for _, passed, _ in conditions) else FAIL,
+                     tuple(f"{name}: {'pass' if passed else 'FAIL'} ({detail})"
+                           for name, passed, detail in conditions))
 
 
-@dataclass(frozen=True)
-class DistinguishReport:
-    pair: tuple[str, str]
-    multisets: tuple[tuple[int, ...], tuple[int, ...]]
-    verdict: str  # "SmoothlyInequivalent" | "NotDistinguished"
-    audit: tuple[str, ...]
+def _compare(multiset1: tuple[int, ...], multiset2: tuple[int, ...],
+             applicability: CheckLine) -> tuple[str, str, str]:
+    """Whether the invariant separates two surgeries: (verdict, its
+    `verdict ...` fact, the fact it rests on).  Only applicable hypotheses
+    and unequal coefficient multisets pass."""
+    if applicability.verdict != PASS:
+        verdict, fact = FAIL, "hypotheses not met: no conclusion drawn"
+    elif multiset1 != multiset2:
+        verdict, fact = PASS, (f"coefficient multisets differ: {list(multiset1)} "
+                               f"vs {list(multiset2)}")
+    else:
+        verdict, fact = FAIL, "coefficient multisets agree: the invariant does not separate them"
+    outcome = "SmoothlyInequivalent" if verdict == PASS else "NotDistinguished"
+    return verdict, f"verdict {outcome}", fact
 
 
-def _compare(name1: str, multiset1: tuple[int, ...], name2: str,
-             multiset2: tuple[int, ...], audit: ApplicabilityAudit) -> DistinguishReport:
-    lines = tuple(audit.lines())
-    if not audit.ok:
-        return DistinguishReport((name1, name2), (multiset1, multiset2),
-                                 "NotDistinguished",
-                                 lines + ("hypotheses not met: no conclusion drawn",))
-    if multiset1 != multiset2:
-        return DistinguishReport(
-            (name1, name2), (multiset1, multiset2), "SmoothlyInequivalent",
-            lines + (f"coefficient multisets differ: {list(multiset1)} vs {list(multiset2)}",))
-    return DistinguishReport(
-        (name1, name2), (multiset1, multiset2), "NotDistinguished",
-        lines + ("coefficient multisets agree: the invariant does not separate them",))
-
-
-def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration) -> DistinguishReport:
-    """Compare the two surgered configurations through the invariant transform."""
-    audit = applicability_check(config)
-    m1 = coefficient_multiset(alexander_of_braid(knot1))
-    m2 = coefficient_multiset(alexander_of_braid(knot2))
-    return _compare(knot1.format(), m1, knot2.format(), m2, audit)
-
-
-@dataclass(frozen=True)
-class FamilyMember:
-    index: int
-    knot: BraidWord
-    group_verdict: Verdict
-    component_tags: tuple[str, ...]
+def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration) -> CheckLine:
+    """The `distinguish A vs B` line: the two surgered configurations compared
+    through the invariant transform, after the applicability facts."""
+    applicability = applicability_check(config)
+    verdict, outcome, fact = _compare(coefficient_multiset(alexander_of_braid(knot1)),
+                                      coefficient_multiset(alexander_of_braid(knot2)),
+                                      applicability)
+    return CheckLine(f"distinguish {knot1.format()} vs {knot2.format()}", verdict,
+                     applicability.evidence + (fact, outcome))
 
 
 @dataclass(frozen=True)
 class FamilyReport:
-    applicability: ApplicabilityAudit
-    members: tuple[FamilyMember, ...]
-    pairs: tuple[DistinguishReport, ...]
+    """A knotted family's report lines, grouped: the applicability line; per
+    knot its (group-preserved, component-1-standard, component-2-unchanged)
+    lines; one smoothly-distinct line per pair."""
+    applicability: CheckLine
+    knots: tuple[tuple[CheckLine, CheckLine, CheckLine], ...]
+    pairs: tuple[CheckLine, ...]
 
-    def all_pairs_distinct(self) -> bool:
-        return all(p.verdict == "SmoothlyInequivalent" for p in self.pairs)
+    def lines(self) -> tuple[CheckLine, ...]:
+        return (self.applicability, *(line for knot in self.knots for line in knot),
+                *self.pairs)
 
 
 def family_report(config: Configuration, count: int, case: CaseParams,
                   bounds: Bounds = DEFAULT_BOUNDS) -> FamilyReport:
     """Surger a family of torus knots at the first double point and certify the lot.
 
-    For each knot: record the embedding tags of the surgered components and
-    verify the group is preserved, both from the one knot group the family
-    built; then compare every pair through the invariant.  Requires the case
-    hypothesis and the applicability hypotheses.
+    For each knot `r=<i> <braid>`: verify the group is preserved on the
+    Tietze-reduced knot group, and check that component 1 becomes standard
+    and component 2 keeps its embedding tag; then compare every pair through
+    the invariant.  Requires the case hypothesis.
     """
     if not check_case_hypothesis(case):
         raise ValueError(f"case hypothesis fails for {case.describe()}")
-    audit = applicability_check(config)
+    applicability = applicability_check(config)
     family = knot_family(count)
-    members = []
+    unchanged = config.components[1].embedding_tag.describe()
+    knots = []
     for i, (braid, knot, _) in enumerate(family, start=1):
-        components = surgered_components(SurgerySpec(config, 0, braid, case.k), case.k)
-        verdict = verify_group_preserved(case, knot, bounds)
-        tags = tuple(c.embedding_tag.describe() for c in components)
-        members.append(FamilyMember(i, braid, verdict, tags))
+        prefix = f"r={i} {braid.format()}"
+        tag1, tag2 = (c.embedding_tag.describe() for c in
+                      surgered_components(SurgerySpec(config, 0, braid, case.k), case.k))
+        knots.append((
+            line_from_verdict(f"group-preserved {prefix}",
+                              verify_group_preserved(case, knot.simplified(), bounds)),
+            CheckLine(f"component-1-standard {prefix}", PASS if tag1 == "Standard" else FAIL,
+                      (f"component 1 embedding tag: {tag1}",)),
+            CheckLine(f"component-2-unchanged {prefix}", PASS if tag2 == unchanged else FAIL,
+                      (f"component 2 embedding tag: {tag2}",))))
     pairs = []
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            b1, _, d1 = family[i]
-            b2, _, d2 = family[j]
-            pairs.append(_compare(b1.format(), coefficient_multiset(d1),
-                                  b2.format(), coefficient_multiset(d2), audit))
-    return FamilyReport(audit, tuple(members), tuple(pairs))
+    for i, (b1, _, d1) in enumerate(family):
+        for b2, _, d2 in family[i + 1:]:
+            verdict, outcome, fact = _compare(coefficient_multiset(d1),
+                                              coefficient_multiset(d2), applicability)
+            pairs.append(CheckLine(f"smoothly-distinct {b1.format()} vs {b2.format()}",
+                                   verdict, (outcome, fact)))
+    return FamilyReport(applicability, tuple(knots), tuple(pairs))

@@ -37,7 +37,8 @@ def test_certificate_passes_table():
         plan = build_cover_plan(tori_configuration(m, n), m, n)
         certificate = exotic_action_certificate(plan, k, 5)
         assert certificate.verdict == PASS, (m, n, k, failed(certificate))
-        assert len(certificate.family.pairs) == 10
+        distinct = next(c for c in certificate.checks if c.name == "sw-pairwise-distinct")
+        assert distinct.evidence == ("10/10 pairs distinguished",)
         assert "smoothly inequivalent" in certificate.conclusion
 
 

@@ -29,7 +29,8 @@ SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=
 
 JUNK = st.sampled_from([None, -1, 0, 7, 2.5, "x", "", [], [1, 2], {}, {"a": 1}, True])
 KNOTS = ["B2: 1 1 1", "B2: 1 1 1 1 1", "B3: 1 -2 1 -2", "B2: 1 1 1 1 1 1 1", "B1:"]
-BRAIDS = st.sampled_from(3 * KNOTS + ["B2: 1 1", "B3: 1 2", "B2: 3", "nonsense", ""])
+BRAIDS = st.sampled_from(3 * KNOTS + ["B2: 1 1", "B3: 1 2", "B2: 3", "B2: 1 x", "nonsense",
+                                       ""])
 SMALL = st.integers(min_value=-1, max_value=4)
 BUILTINS = ["nodal", "rational", "spheres", "tori", "theorem-1-1", "theorem-7-2"]
 # parameters each builtin takes, in small ranges, so most drawn runs compute

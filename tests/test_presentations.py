@@ -142,6 +142,14 @@ def test_simplify_keeps_protected_generator():
     assert abelianization(reduced) == abelianization(p)
 
 
+@pytest.mark.parametrize("keep", [{-1}, {2}, {0, 5}])
+def test_simplify_refuses_keep_index_out_of_range(keep):
+    # a negative index would otherwise keep a generator counted from the end
+    p = parse_presentation("gens: a b ; rels: a b ;")
+    with pytest.raises(ValueError, match="keep index"):
+        simplify_presentation(p, keep=keep)
+
+
 def test_simplify_preserves_group_order():
     # Tietze moves must not change the group: enumerate both presentations
     from dpsurgery.coset import coset_enumerate

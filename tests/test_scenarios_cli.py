@@ -209,6 +209,7 @@ def test_cli_usage_errors(capsys):
         (["distinguish", "B2: 1 1 1", "B3: 1 -2 1 -2", "m=abc"],
          "error: m must be an integer\n"),
         (["alexander", "family", "count=x"], "error: count must be an integer\n"),
+        (["alexander", "B2: 1 x"], "error: bad braid letter 'x' in 'B2: 1 x'\n"),
         (["surgery", "case=F1", "d=None"], "error: d must be an integer\n"),
         # k= or knot= selects the surgery pipeline; there is no surgery= switch
         (["verify", "tori", "m=3", "n=2", "k=1", "surgery=0"],
@@ -401,6 +402,16 @@ _CAPPED_F3 = ["--bounds-cosets", "500", "--bounds-rules", "200", "surgery", "cas
     (["--format", "machine", "verify", "theorem-1-1", "case=iii", "count=10"], EXIT_OK,
      "theorem-1-1-case-iii-count-10.machine"),
     (_CAPPED_F3, EXIT_INCONCLUSIVE, "surgery-F3-capped.text"),
+    (["--format", "machine", "verify", "theorem-1-1", "case=ii", "count=4"], EXIT_OK,
+     "theorem-1-1-case-ii-count-4.machine"),
+    # the distinguish verdict comes last; theorem-1-1 pair lines put it first
+    (["--format", "machine", "distinguish", "B2: 1 1 1", "B1:"], EXIT_OK,
+     "distinguish-trefoil-unknot.machine"),
+    (["--format", "machine", "distinguish", "B2: 1 1 1", "B2: 1 1 1"], EXIT_FAIL,
+     "distinguish-trefoil-trefoil.machine"),
+    # one double point: the applicability hypotheses fail, nothing is concluded
+    (["--format", "machine", "distinguish", "B2: 1 1 1", "B1:", "m=1", "n=1"], EXIT_FAIL,
+     "distinguish-trefoil-unknot-m1-n1.machine"),
 ])
 def test_cli_output_pinned_to_file(capsys, argv, code, pinned):
     """Whole reports recorded from the command line, byte for byte."""

@@ -7,12 +7,12 @@ import pytest
 from dpsurgery.alexander import alexander_of_braid, coefficient_multiset
 from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, torus_knot
 from dpsurgery.laurent import LaurentPoly
+from dpsurgery.reports import FAIL, PASS
 from dpsurgery.scenarios import (rational_configuration, spheres_configuration,
                                  tori_configuration, trivial_complement_configuration)
 from dpsurgery.surgery import CaseParams
 from dpsurgery.sw import (FormalSW, applicability_check, distinguish, family_report,
                           knot_surgery_transform)
-from dpsurgery.verify import Status
 
 
 def test_formal_sw_validation():
@@ -63,50 +63,64 @@ def test_transform_kills_nonvanishing_only_for_zero():
     assert knot_surgery_transform(sw, LaurentPoly.parse("t")).nonvanishing
 
 
+def failed_conditions(line) -> list[str]:
+    return [fact.split(": FAIL")[0] for fact in line.evidence if ": FAIL (" in fact]
+
+
 def test_applicability_spheres_fails_without_invariant():
-    audit = applicability_check(spheres_configuration(3, 2))
-    assert not audit.ok
-    failed = [name for name, passed, _ in audit.conditions if not passed]
-    assert failed == ["nonvanishing-invariant"]
+    line = applicability_check(spheres_configuration(3, 2))
+    assert line.name == "applicability"
+    assert line.verdict == FAIL
+    assert failed_conditions(line) == ["nonvanishing-invariant"]
     # an explicit invariant rescues it
-    audit = applicability_check(spheres_configuration(3, 2), FormalSW.canonical())
-    assert audit.ok
+    line = applicability_check(spheres_configuration(3, 2), FormalSW.canonical())
+    assert line.verdict == PASS
+    assert failed_conditions(line) == []
 
 
 def test_applicability_tori_passes():
-    assert applicability_check(tori_configuration(3, 2)).ok
+    assert applicability_check(tori_configuration(3, 2)).verdict == PASS
 
 
 def test_applicability_needs_two_points():
-    audit = applicability_check(trivial_complement_configuration())
-    assert not audit.ok
-    failed = [name for name, passed, _ in audit.conditions if not passed]
-    assert "at-least-two-points" in failed
+    line = applicability_check(trivial_complement_configuration())
+    assert line.verdict == FAIL
+    assert "at-least-two-points" in failed_conditions(line)
 
 
 def test_distinguish_trefoil_vs_unknot():
-    report = distinguish(TREFOIL, UNKNOT, tori_configuration(3, 2))
-    assert report.verdict == "SmoothlyInequivalent"
-    assert report.multisets == ((-1, 1, 1), (1,))
+    line = distinguish(TREFOIL, UNKNOT, tori_configuration(3, 2))
+    assert line.name == f"distinguish {TREFOIL.format()} vs {UNKNOT.format()}"
+    assert line.verdict == PASS
+    assert line.evidence[-2:] == ("coefficient multisets differ: [-1, 1, 1] vs [1]",
+                                  "verdict SmoothlyInequivalent")
 
 
 def test_distinguish_equal_inputs():
-    report = distinguish(TREFOIL, TREFOIL, tori_configuration(3, 2))
-    assert report.verdict == "NotDistinguished"
+    line = distinguish(TREFOIL, TREFOIL, tori_configuration(3, 2))
+    assert line.verdict == FAIL
+    assert line.evidence[-2:] == (
+        "coefficient multisets agree: the invariant does not separate them",
+        "verdict NotDistinguished")
 
 
 def test_distinguish_is_symmetric():
     config = tori_configuration(3, 2)
     forward = distinguish(TREFOIL, FIGURE_EIGHT, config)
     backward = distinguish(FIGURE_EIGHT, TREFOIL, config)
-    assert forward.verdict == backward.verdict == "SmoothlyInequivalent"
-    assert forward.multisets == tuple(reversed(backward.multisets))
+    assert forward.verdict == backward.verdict == PASS
+    assert forward.evidence[-1] == backward.evidence[-1] == "verdict SmoothlyInequivalent"
+    m1 = list(coefficient_multiset(alexander_of_braid(TREFOIL)))
+    m2 = list(coefficient_multiset(alexander_of_braid(FIGURE_EIGHT)))
+    assert forward.evidence[-2] == f"coefficient multisets differ: {m1} vs {m2}"
+    assert backward.evidence[-2] == f"coefficient multisets differ: {m2} vs {m1}"
 
 
 def test_distinguish_never_positive_without_applicability():
-    report = distinguish(TREFOIL, UNKNOT, spheres_configuration(3, 2))
-    assert report.verdict == "NotDistinguished"
-    assert any("hypotheses not met" in line for line in report.audit)
+    line = distinguish(TREFOIL, UNKNOT, spheres_configuration(3, 2))
+    assert line.verdict == FAIL
+    assert line.evidence[-2:] == ("hypotheses not met: no conclusion drawn",
+                                  "verdict NotDistinguished")
 
 
 def test_torus_family_pairwise_distinct():
@@ -117,8 +131,8 @@ def test_torus_family_pairwise_distinct():
     assert sorted(len(m) for m in multisets) == [3, 5, 7, 9, 11, 13, 15, 17, 19, 21]
     for i in range(10):
         for j in range(i + 1, 10):
-            report = distinguish(torus_knot(i + 1), torus_knot(j + 1), config)
-            assert report.verdict == "SmoothlyInequivalent"
+            line = distinguish(torus_knot(i + 1), torus_knot(j + 1), config)
+            assert line.verdict == PASS
 
 
 def test_substitute_square_preserves_multisets():
@@ -129,24 +143,26 @@ def test_substitute_square_preserves_multisets():
 
 def test_family_report_tori():
     report = family_report(tori_configuration(3, 2), 3, CaseParams.f3(3, 2, 1))
-    assert report.applicability.ok
-    assert len(report.members) == 3
+    assert report.applicability.verdict == PASS
+    assert len(report.knots) == 3
     assert len(report.pairs) == 3
-    assert all(m.group_verdict.status is Status.ISOMORPHIC for m in report.members)
-    assert report.all_pairs_distinct()
+    assert all(group.verdict == PASS for group, _, _ in report.knots)
+    assert all(pair.verdict == PASS for pair in report.pairs)
+    assert len(report.lines()) == 1 + 3 * 3 + 3
 
 
 def test_family_report_single_knot_has_no_pairs():
     report = family_report(tori_configuration(3, 2), 1, CaseParams.f3(3, 2, 1))
-    assert len(report.members) == 1
+    assert len(report.knots) == 1
     assert report.pairs == ()
 
 
 def test_family_report_rational():
     report = family_report(rational_configuration(1, 3), 2, CaseParams.f2(1, 3, 1))
-    assert len(report.members) == 2 and len(report.pairs) == 1
-    assert all(m.group_verdict.status is Status.ISOMORPHIC for m in report.members)
-    assert report.all_pairs_distinct()
+    assert len(report.knots) == 2 and len(report.pairs) == 1
+    assert all(group.verdict == PASS for group, _, _ in report.knots)
+    assert report.applicability.verdict == PASS
+    assert all(pair.verdict == PASS for pair in report.pairs)
 
 
 def test_family_report_requires_hypothesis():
