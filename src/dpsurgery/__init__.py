@@ -15,8 +15,8 @@ from .laurent import LaurentPoly
 from .alexander import alexander_polynomial, alexander_of_braid, \
     coefficient_multiset, knot_family
 from .configurations import AmbientManifold, Configuration, EmbeddingTag, \
-    SmoothSurface, SurfaceComponent, algebraic_intersection, blow_up_on_component, \
-    complement_h1, smooth_and_stabilize, spheres_presentation, tori_presentation
+    SurfaceComponent, algebraic_intersection, complement_h1, spheres_presentation, \
+    tori_presentation
 from .surgery import CaseParams, GluingMatrix, SurgerySpec, apply_surgery, \
     case_presentation, check_case_hypothesis, surgered_presentation, \
     twist_gluing_matrix, validate_gluing_matrix, verify_group_preserved, \
@@ -27,7 +27,7 @@ from .actions import ActionCertificate, CoverPlan, CoverPlanError, \
     build_cover_plan, exotic_action_certificate
 from .scenarios import ParamError, ScenarioError, run_builtin, run_scenario, \
     run_scenario_text, nodal_configuration, rational_configuration, \
-    spheres_configuration, tori_configuration, trivial_complement_configuration
+    spheres_configuration, tori_configuration
 from .reports import Report, CheckLine
 
 __all__ = [name for name in dir() if not name.startswith("_")]

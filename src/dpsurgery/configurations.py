@@ -159,102 +159,6 @@ def complement_h1(config: Configuration) -> AbelianGroup:
     return AbelianGroup(free_rank, torsion)
 
 
-def blow_up_on_component(config: Configuration, index: int) -> Configuration:
-    """Blow up at one point of the chosen component.
-
-    The ambient gains an exceptional class E of square -1, the component's
-    class becomes class - E, and the component's meridian dies in the
-    complement presentation (it now bounds a punctured exceptional sphere).
-    """
-    if not (0 <= index < len(config.components)):
-        raise ValueError("component index out of range")
-    ambient = config.ambient
-    used = set(ambient.basis_labels)
-    counter = 1
-    while f"E{counter}" in used:
-        counter += 1
-    new_form = tuple(tuple(row) + (0,) for row in ambient.form) + \
-        (tuple(0 for _ in range(ambient.rank)) + (-1,),)
-    new_ambient = AmbientManifold(f"{ambient.name}#CP2bar", ambient.simply_connected,
-                                  new_form, ambient.basis_labels + (f"E{counter}",))
-    components = []
-    for i, comp in enumerate(config.components):
-        extra = -1 if i == index else 0
-        components.append(dc_replace(comp, homology_class=comp.homology_class + (extra,)))
-    pi1 = config.pi1
-    if pi1 is not None:
-        meridian = pi1.label_word(f"mu{index + 1}")
-        pi1 = Presentation(pi1.generators, pi1.relators + (meridian,), pi1.labels)
-    return Configuration(new_ambient, tuple(components), config.double_points,
-                         pi1, config.symplectic_positive)
-
-
-@dataclass(frozen=True)
-class SmoothSurface:
-    ambient: AmbientManifold
-    genus: int
-    homology_class: tuple[int, ...]
-    self_intersection: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "homology_class",
-                           tuple(int(x) for x in self.homology_class))
-        computed = self.ambient.pairing(self.homology_class, self.homology_class)
-        if computed != self.self_intersection:
-            raise ValueError(f"self-intersection {self.self_intersection} is not "
-                             f"the square {computed} of the class")
-
-
-def smooth_and_stabilize(config: Configuration) -> SmoothSurface:
-    """Smooth every double point, then blow up to kill the self-intersection.
-
-    Each smoothing replaces two transverse disks by an annulus, dropping the
-    Euler characteristic by 2; the result must be connected, i.e. the double
-    points must join all components.  The total class T needs T.T >= 0; that
-    many blow-ups at points of the surface leave a square-zero surface of
-    the same genus.
-    """
-    k = len(config.components)
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, _ in config.double_points:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    if k and len({find(i) for i in range(k)}) != 1:
-        raise ValueError("smoothing needs the double points to connect all components")
-
-    chi = sum(2 - 2 * comp.genus for comp in config.components) - 2 * len(config.double_points)
-    if chi % 2:
-        raise AssertionError("Euler characteristic of a closed surface must be even")
-    genus = (2 - chi) // 2
-    if genus < 0:
-        raise AssertionError("negative genus after smoothing")
-
-    rank = config.ambient.rank
-    total = [sum(comp.homology_class[i] for comp in config.components) for i in range(rank)]
-    square = config.ambient.pairing(total, total)
-    if square < 0:
-        raise ValueError(f"total class has negative square {square}; not supported")
-
-    ambient = config.ambient
-    new_form = tuple(tuple(row) + (0,) * square for row in ambient.form)
-    new_form += tuple(
-        tuple(0 for _ in range(rank + i)) + (-1,) + (0,) * (square - i - 1)
-        for i in range(square))
-    labels = ambient.basis_labels + tuple(f"E{i + 1}" for i in range(square))
-    name = ambient.name if square == 0 else f"{ambient.name}#{square}CP2bar"
-    new_ambient = AmbientManifold(name, ambient.simply_connected, new_form, labels)
-    new_class = tuple(total) + (-1,) * square
-    return SmoothSurface(new_ambient, genus, new_class, 0)
-
-
 def _descending_product(words: list[Word]) -> Word:
     out = Word.identity()
     for w in reversed(words):

@@ -68,12 +68,6 @@ class LaurentPoly:
             return 0
         return self.min_degree + len(self.coeffs) - 1
 
-    def coefficient(self, degree: int) -> int:
-        i = degree - self.min_degree
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def terms(self) -> list[tuple[int, int]]:
         """(degree, coefficient) pairs for nonzero coefficients, ascending."""
         return [(self.min_degree + i, c) for i, c in enumerate(self.coeffs) if c]

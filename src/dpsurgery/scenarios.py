@@ -109,15 +109,6 @@ def tori_configuration(m: int, n: int) -> Configuration:
                          symplectic_positive=True)
 
 
-def trivial_complement_configuration() -> Configuration:
-    """Two transverse spheres whose complement is simply connected."""
-    ambient = AmbientManifold("S2xS2", True, ((0, 1), (1, 0)), ("A", "B"))
-    comps = (SurfaceComponent("S1", 0, (1, 0)), SurfaceComponent("S2", 0, (0, 1)))
-    pi1 = Presentation(("mu1", "mu2"), (Word.gen(0), Word.gen(1)),
-                       (("mu1", 0), ("mu2", 1)))
-    return Configuration(ambient, comps, ((0, 1, 1),), pi1, symplectic_positive=False)
-
-
 BUILTIN_CONFIGURATIONS = {
     "nodal": nodal_configuration,
     "rational": rational_configuration,

@@ -5,9 +5,10 @@ integer Laurent polynomial in the rim-torus variable r together with a
 nonvanishing flag; for a positively-intersecting symplectic configuration
 the flag is justified externally and the canonical unit polynomial is used.
 Surgery by a knot multiplies the invariant by its Alexander polynomial in
-r^2, so two surgered configurations can only be diffeomorphic when the two
-Alexander coefficient multisets agree; unequal multisets certify smooth
-inequivalence once the hypotheses are in place.
+r^2 (Fintushel-Stern), so two surgered configurations can only be
+diffeomorphic when the two transformed invariants' coefficient multisets
+agree; unequal multisets certify smooth inequivalence once the hypotheses
+are in place.
 
 Results are report `CheckLine`s: a pair passes exactly when the hypotheses
 hold and the multisets differ, and its evidence names the outcome
@@ -32,7 +33,6 @@ from .verify import Bounds, DEFAULT_BOUNDS
 class FormalSW:
     value: LaurentPoly
     nonvanishing: bool
-    spinc_label: str
 
     def __post_init__(self):
         if self.nonvanishing and self.value.is_zero():
@@ -40,36 +40,37 @@ class FormalSW:
 
     @staticmethod
     def canonical() -> "FormalSW":
-        return FormalSW(LaurentPoly.one(), True, "taubes-canonical")
+        return FormalSW(LaurentPoly.one(), True)
 
 
 def knot_surgery_transform(sw: FormalSW, delta: LaurentPoly) -> FormalSW:
     """Multiply the invariant by delta(r^2); nonvanishing survives delta != 0."""
     return FormalSW(sw.value * delta.substitute_square(),
-                    sw.nonvanishing and not delta.is_zero(),
-                    sw.spinc_label)
+                    sw.nonvanishing and not delta.is_zero())
 
 
-def applicability_check(config: Configuration, sw: FormalSW | None = None) -> CheckLine:
+def _surgered_multiset(delta: LaurentPoly) -> tuple[int, ...]:
+    """Coefficient multiset of the canonical invariant after surgery by a
+    knot with Alexander polynomial delta: what a pair verdict compares."""
+    return coefficient_multiset(knot_surgery_transform(FormalSW.canonical(), delta).value)
+
+
+def applicability_check(config: Configuration) -> CheckLine:
     """The `applicability` line: hypotheses of the smooth-inequivalence test
     for a 2-component configuration, one `<name>: pass|FAIL (<detail>)` fact each.
 
     Needs a nonzero pairwise intersection number, at least two double points,
-    and a nonvanishing invariant: either the symplectic-positivity flag (the
-    canonical unit invariant is then used) or an explicitly supplied one.
+    and a nonvanishing invariant, which the symplectic-positivity flag
+    provides (the canonical unit invariant is then used).
     """
     if len(config.components) != 2:
         raise ValueError("applicability check needs a two-component configuration")
     pairing = algebraic_intersection(config, 0, 1)
     points = len(config.double_points)
-    if sw is not None:
-        nonvanishing = (sw.nonvanishing,
-                        f"explicit invariant with spin-c label {sw.spinc_label!r}")
-    else:
-        nonvanishing = (config.symplectic_positive,
-                        "symplectic with positive intersections: canonical "
-                        "nonvanishing invariant" if config.symplectic_positive
-                        else "no symplectic positivity and no explicit invariant")
+    nonvanishing = (config.symplectic_positive,
+                    "symplectic with positive intersections: canonical "
+                    "nonvanishing invariant" if config.symplectic_positive
+                    else "no symplectic positivity and no explicit invariant")
     conditions = (("nonzero-intersection", pairing != 0,
                    f"component classes pair to {pairing}"),
                   ("at-least-two-points", points >= 2, f"{points} double points"),
@@ -100,8 +101,8 @@ def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration) -> Ch
     """The `distinguish A vs B` line: the two surgered configurations compared
     through the invariant transform, after the applicability facts."""
     applicability = applicability_check(config)
-    verdict, outcome, fact = _compare(coefficient_multiset(alexander_of_braid(knot1)),
-                                      coefficient_multiset(alexander_of_braid(knot2)),
+    verdict, outcome, fact = _compare(_surgered_multiset(alexander_of_braid(knot1)),
+                                      _surgered_multiset(alexander_of_braid(knot2)),
                                       applicability)
     return CheckLine(f"distinguish {knot1.format()} vs {knot2.format()}", verdict,
                      applicability.evidence + (fact, outcome))
@@ -147,11 +148,11 @@ def family_report(config: Configuration, count: int, case: CaseParams,
                       (f"component 1 embedding tag: {tag1}",)),
             CheckLine(f"component-2-unchanged {prefix}", PASS if tag2 == unchanged else FAIL,
                       (f"component 2 embedding tag: {tag2}",))))
+    multisets = [(braid, _surgered_multiset(delta)) for braid, _, delta in family]
     pairs = []
-    for i, (b1, _, d1) in enumerate(family):
-        for b2, _, d2 in family[i + 1:]:
-            verdict, outcome, fact = _compare(coefficient_multiset(d1),
-                                              coefficient_multiset(d2), applicability)
+    for i, (b1, m1) in enumerate(multisets):
+        for b2, m2 in multisets[i + 1:]:
+            verdict, outcome, fact = _compare(m1, m2, applicability)
             pairs.append(CheckLine(f"smoothly-distinct {b1.format()} vs {b2.format()}",
                                    verdict, (outcome, fact)))
     return FamilyReport(applicability, tuple(knots), tuple(pairs))

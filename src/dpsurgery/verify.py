@@ -48,18 +48,19 @@ class Bounds:
 DEFAULT_BOUNDS = Bounds()
 
 
-def certify_abelian(p: Presentation, max_rules: int = 500, simplify: bool = True) -> Verdict:
+def certify_abelian(p: Presentation, max_rules: int = 500) -> Verdict:
     """Try to certify that the presented group is abelian by rewriting.
 
-    Runs bounded Knuth-Bendix completion under shortlex and reduces every
-    commutator of a generating set.  All commutators reducing to the empty
+    Eliminates redundant generators by Tietze moves, then runs bounded
+    Knuth-Bendix completion under shortlex and reduces every commutator of
+    the remaining generators.  All commutators reducing to the empty
     word certifies abelianness even if completion was cut short (each rule
     is a consequence of the relators).  A confluent system together with an
     irreducible commutator refutes it.  Anything else is inconclusive.
     """
     work = p
     notes = []
-    if simplify and p.ngens > 1:
+    if p.ngens > 1:
         work = simplify_presentation(p)
         if work.ngens < p.ngens:
             notes.append(f"eliminated {p.ngens - work.ngens} redundant generators "

@@ -45,9 +45,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(x ^ 1 for x in reversed(self.letters)))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)

@@ -5,9 +5,10 @@ import pytest
 from dpsurgery.actions import (CoverPlanError, CoverPlanInconclusive, build_cover_plan,
                                exotic_action_certificate)
 from dpsurgery.reports import CITED, FAIL, INCONCLUSIVE, PASS
-from dpsurgery.scenarios import (spheres_configuration, tori_configuration,
-                                 trivial_complement_configuration)
+from dpsurgery.scenarios import spheres_configuration, tori_configuration
 from dpsurgery.verify import Bounds, Status
+
+from test_sw import trivial_complement_configuration
 
 
 def failed(certificate) -> list[str]:

@@ -1,12 +1,11 @@
-"""Configurations: intersection arithmetic, complement homology, smoothing."""
+"""Configurations: intersection arithmetic, complement homology, family presentations."""
 
 from math import gcd
 
 import pytest
 
 from dpsurgery.configurations import (AmbientManifold, Configuration, SurfaceComponent,
-                                      algebraic_intersection, blow_up_on_component,
-                                      complement_h1, smooth_and_stabilize,
+                                      algebraic_intersection, complement_h1,
                                       spheres_presentation, tori_presentation)
 from dpsurgery.coset import coset_enumerate
 from dpsurgery.presentations import AbelianGroup, abelianization
@@ -84,91 +83,6 @@ def test_h1_agrees_with_presentation_abelianization():
                        tori_configuration(2, 3)]
     for config in builtin_configs:
         assert complement_h1(config) == abelianization(config.pi1)
-
-
-def test_blow_up_drops_self_intersection_by_one():
-    config = nodal_configuration(2, 3)
-    before = algebraic_intersection(config, 0, 0)
-    blown = blow_up_on_component(config, 0)
-    assert algebraic_intersection(blown, 0, 0) == before - 1
-    assert algebraic_intersection(blown, 0, 1) == algebraic_intersection(config, 0, 1)
-    assert algebraic_intersection(blown, 1, 1) == algebraic_intersection(config, 1, 1)
-    assert blown.ambient.rank == config.ambient.rank + 1
-
-
-def test_blow_up_each_component_trivializes_spheres_h1():
-    config = spheres_configuration(3, 2)
-    blown = blow_up_on_component(blow_up_on_component(config, 0), 1)
-    assert complement_h1(blown) == AbelianGroup.trivial()
-    # the complement presentation gets the killed meridians too
-    verdict = verify_abelian_isomorphism(blown.pi1, AbelianGroup.trivial())
-    assert verdict.status is Status.ISOMORPHIC
-
-
-def test_smooth_two_spheres_one_point():
-    config = Configuration(
-        S2XS2,
-        (SurfaceComponent("S1", 0, (1, 0)), SurfaceComponent("S2", 0, (0, 1))),
-        ((0, 1, 1),))
-    smooth = smooth_and_stabilize(config)
-    assert smooth.genus == 0
-    assert smooth.self_intersection == 0
-
-
-def test_smooth_two_spheres_d_points():
-    # spheres of classes (1,0) and (0,d) meet in exactly d points
-    for d in range(1, 6):
-        config = Configuration(
-            S2XS2,
-            (SurfaceComponent("S1", 0, (1, 0)), SurfaceComponent("S2", 0, (0, d))),
-            tuple((0, 1, 1) for _ in range(d)))
-        smooth = smooth_and_stabilize(config)
-        assert smooth.genus == d - 1
-        assert smooth.self_intersection == 0
-
-
-def test_smooth_sphere_families():
-    for d in range(1, 5):
-        config = Configuration(
-            S2XS2,
-            (SurfaceComponent("S1", 0, (d, 0)), SurfaceComponent("S2", 0, (0, d))),
-            tuple((0, 1, 1) for _ in range(d * d)))
-        smooth = smooth_and_stabilize(config)
-        # chi = 2 + 2 - 2*d^2, genus = d^2 - 1
-        assert smooth.genus == d * d - 1
-        assert smooth.self_intersection == 0
-
-
-def test_smooth_rational_2_2():
-    config = rational_configuration(2, 2)
-    # (2,2) curve has genus 1, the sphere 0; they meet in q = 2 points
-    smooth = smooth_and_stabilize(config)
-    assert smooth.genus == 2
-    total = (3, 2)
-    assert config.ambient.pairing(total, total) == 12
-    assert smooth.self_intersection == 0
-    assert smooth.ambient.rank == config.ambient.rank + 12
-
-
-def test_smooth_rejects_disconnected():
-    ambient = AmbientManifold("split", True, ((0, 0), (0, 0)), ("A", "B"))
-    config = Configuration(
-        ambient,
-        (SurfaceComponent("S1", 0, (1, 0)), SurfaceComponent("S2", 0, (0, 1))),
-        ())
-    with pytest.raises(ValueError):
-        smooth_and_stabilize(config)
-
-
-def test_smooth_rejects_negative_square():
-    ambient = AmbientManifold("neg", True, ((-1, 1), (1, -2)), ("A", "B"))
-    config = Configuration(
-        ambient,
-        (SurfaceComponent("S1", 0, (1, 0)), SurfaceComponent("S2", 0, (0, 1))),
-        ((0, 1, 1),))
-    # total class (1,1) has square -1
-    with pytest.raises(ValueError):
-        smooth_and_stabilize(config)
 
 
 def test_spheres_presentation_trivial_case():

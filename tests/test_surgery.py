@@ -6,14 +6,15 @@ from dpsurgery.coset import coset_enumerate
 from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, knot_group_from_braid, torus_knot
 from dpsurgery.presentations import AbelianGroup, abelianization, \
     parse_presentation
-from dpsurgery.scenarios import (nodal_configuration, rational_configuration,
-                                 tori_configuration, trivial_complement_configuration)
+from dpsurgery.scenarios import nodal_configuration, rational_configuration, tori_configuration
 from dpsurgery.surgery import (CaseParams, GluingMatrix, HypothesisError, SurgerySpec,
                                apply_surgery, case_presentation, check_case_hypothesis,
                                is_twist_matrix, surgered_presentation,
                                twist_gluing_matrix, validate_gluing_matrix,
                                verify_group_preserved)
 from dpsurgery.verify import Status, certify_abelian, verify_abelian_isomorphism
+
+from test_sw import trivial_complement_configuration
 
 
 TREFOIL_DATA = knot_group_from_braid(TREFOIL)

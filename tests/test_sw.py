@@ -5,19 +5,30 @@ import random
 import pytest
 
 from dpsurgery.alexander import alexander_of_braid, coefficient_multiset
+from dpsurgery.configurations import AmbientManifold, Configuration, SurfaceComponent
 from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, torus_knot
 from dpsurgery.laurent import LaurentPoly
+from dpsurgery.presentations import Presentation
 from dpsurgery.reports import FAIL, PASS
-from dpsurgery.scenarios import (rational_configuration, spheres_configuration,
-                                 tori_configuration, trivial_complement_configuration)
+from dpsurgery.scenarios import rational_configuration, spheres_configuration, tori_configuration
 from dpsurgery.surgery import CaseParams
 from dpsurgery.sw import (FormalSW, applicability_check, distinguish, family_report,
                           knot_surgery_transform)
+from dpsurgery.words import Word
+
+
+def trivial_complement_configuration() -> Configuration:
+    """Two transverse spheres whose complement is simply connected."""
+    ambient = AmbientManifold("S2xS2", True, ((0, 1), (1, 0)), ("A", "B"))
+    comps = (SurfaceComponent("S1", 0, (1, 0)), SurfaceComponent("S2", 0, (0, 1)))
+    pi1 = Presentation(("mu1", "mu2"), (Word.gen(0), Word.gen(1)),
+                       (("mu1", 0), ("mu2", 1)))
+    return Configuration(ambient, comps, ((0, 1, 1),), pi1, symplectic_positive=False)
 
 
 def test_formal_sw_validation():
     with pytest.raises(ValueError):
-        FormalSW(LaurentPoly.zero(), True, "bad")
+        FormalSW(LaurentPoly.zero(), True)
     canonical = FormalSW.canonical()
     assert canonical.value == LaurentPoly.one()
     assert canonical.nonvanishing
@@ -35,7 +46,7 @@ def test_transform_trefoil():
 
 
 def test_transform_expands_products_exactly():
-    sw = FormalSW(LaurentPoly.parse("t^-1 + t"), True, "x")
+    sw = FormalSW(LaurentPoly.parse("t^-1 + t"), True)
     out = knot_surgery_transform(sw, LaurentPoly.parse("t^-1 - 1 + t"))
     # (r + r^-1)(r^2 - 1 + r^-2) = r^3 + r^-3
     assert out.value == LaurentPoly.parse("t^-3 + t^3")
@@ -72,10 +83,6 @@ def test_applicability_spheres_fails_without_invariant():
     assert line.name == "applicability"
     assert line.verdict == FAIL
     assert failed_conditions(line) == ["nonvanishing-invariant"]
-    # an explicit invariant rescues it
-    line = applicability_check(spheres_configuration(3, 2), FormalSW.canonical())
-    assert line.verdict == PASS
-    assert failed_conditions(line) == []
 
 
 def test_applicability_tori_passes():
@@ -121,6 +128,21 @@ def test_distinguish_never_positive_without_applicability():
     assert line.verdict == FAIL
     assert line.evidence[-2:] == ("hypotheses not met: no conclusion drawn",
                                   "verdict NotDistinguished")
+
+
+def test_pair_verdicts_rest_on_the_transform(monkeypatch):
+    # with surgery leaving the invariant unchanged, every surgered invariant
+    # is the canonical unit and no pair may be told apart
+    monkeypatch.setattr("dpsurgery.sw.knot_surgery_transform", lambda sw, delta: sw)
+    line = distinguish(TREFOIL, UNKNOT, tori_configuration(3, 2))
+    assert line.verdict == FAIL
+    assert line.evidence[-2:] == (
+        "coefficient multisets agree: the invariant does not separate them",
+        "verdict NotDistinguished")
+    report = family_report(tori_configuration(3, 2), 3, CaseParams.f3(3, 2, 1))
+    assert report.applicability.verdict == PASS
+    assert len(report.pairs) == 3
+    assert all(pair.verdict == FAIL for pair in report.pairs)
 
 
 def test_torus_family_pairwise_distinct():
