@@ -59,9 +59,10 @@ def _cmd_verify(args, bounds: Bounds) -> Report:
     if os.path.exists(name):
         if params:
             raise ParamError("scenario runs take no key=value parameters")
-        # explicit bounds flags override the scenario file's own bounds
-        explicit = hasattr(args, "bounds_cosets") or hasattr(args, "bounds_rules")
-        return run_scenario(name, bounds if explicit else None)
+        # a bounds flag given overrides its own field of the file's bounds only
+        return run_scenario(name, {field: getattr(args, f"bounds_{field}")
+                                   for field in ("cosets", "rules")
+                                   if hasattr(args, f"bounds_{field}")})
     raise ParamError(f"{name!r} is neither a builtin ({', '.join(BUILTIN_NAMES)}) "
                      f"nor an existing scenario file")
 

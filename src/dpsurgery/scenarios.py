@@ -38,7 +38,8 @@ from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_fr
 from .surgery import CaseParams, SurgerySpec, case_presentation, \
     check_case_hypothesis, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import family_report
-from .verify import Bounds, DEFAULT_BOUNDS, verify_abelian_isomorphism
+from .verify import Bounds, DEFAULT_BOUNDS, commutator_subgroup_order, \
+    verify_abelian_isomorphism
 from .words import Word, commutator
 
 
@@ -243,7 +244,8 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
     # cross-validation of the two construction paths, both built on the
     # meridian-kept simplification; a path whose enumeration hits the cap
     # there is enumerated again on the unsimplified Wirtinger group, whose
-    # table can close where the simplified one does not
+    # table can close where the simplified one does not, and failing that
+    # takes its order from the commutator subgroup
     def amalgam_of(data):
         return surgered_presentation(case.base_presentation(), data, case.k)
 
@@ -258,17 +260,27 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
     if case.target().order() is not None:
         from .coset import coset_enumerate
 
-        def order_of(presentation, build):
-            result = coset_enumerate(presentation, (), bounds.max_cosets)
-            if result.completed:
-                return result
-            return coset_enumerate(build(raw_knot), (), bounds.max_cosets)
+        derived = []
 
-        r1 = order_of(amalgam, amalgam_of)
-        r2 = order_of(collapsed, collapsed_of)
-        if r1.completed and r2.completed:
-            facts.append(f"enumerated orders {r1.index} and {r2.index}")
-            agree = agree and r1.index == r2.index
+        def order_of(name, presentation, build):
+            result = coset_enumerate(presentation, (), bounds.max_cosets)
+            if not result.completed:
+                result = coset_enumerate(build(raw_knot), (), bounds.max_cosets)
+            if result.completed:
+                return result.index
+            order = commutator_subgroup_order(presentation, bounds.max_cosets).order
+            if order is not None:
+                derived.append(name)
+            return order
+
+        order1 = order_of("amalgam", amalgam, amalgam_of)
+        order2 = order_of("collapsed", collapsed, collapsed_of)
+        if order1 is not None and order2 is not None:
+            facts.append(f"enumerated orders {order1} and {order2}")
+            if derived:
+                facts.append(f"{' and '.join(derived)} order{'s' if len(derived) > 1 else ''} "
+                             f"from the commutator subgroup")
+            agree = agree and order1 == order2
         else:
             facts.append("order comparison skipped: an enumeration hit its cap")
             capped = True
@@ -542,20 +554,26 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
     return lines
 
 
-def run_scenario_text(text: str, bounds: Bounds | None = None,
+def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
                       source: str = "scenario") -> Report:
+    """Run a scenario given as JSON text.
+
+    `overrides` maps a field of the scenario's `bounds` ("cosets", "rules")
+    to a value that replaces the file's own; the other field keeps the
+    file's value, or the default.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{source}: line {err.lineno} column {err.colno}: {err.msg}") from None
     _json_object(data, f"{source}: top level", ("bounds", "checks"))
     bounds_data = _json_object(data.get("bounds", {}), f"{source}: 'bounds'", ("cosets", "rules"))
-    if bounds is None:
-        cosets = _integer(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets))
-        rules = _integer(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules))
-        if cosets is None or rules is None or cosets < 1 or rules < 1:
-            raise ScenarioError(f"{source}: bounds must be integers >= 1")
-        bounds = Bounds(cosets, rules)
+    bounds_data = {**bounds_data, **(overrides or {})}
+    cosets = _integer(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets))
+    rules = _integer(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules))
+    if cosets is None or rules is None or cosets < 1 or rules < 1:
+        raise ScenarioError(f"{source}: bounds must be integers >= 1")
+    bounds = Bounds(cosets, rules)
     checks = _json_list(data.get("checks", []), f"{source}: 'checks'")
 
     reports: list[Report] = []
@@ -586,11 +604,11 @@ def run_scenario_text(text: str, bounds: Bounds | None = None,
     return Report(f"scenario ({len(checks)} entries)", tuple(lines))
 
 
-def run_scenario(path: str, bounds: Bounds | None = None) -> Report:
+def run_scenario(path: str, overrides: dict[str, int] | None = None) -> Report:
     """Run a scenario file; identical parameters give byte-identical reports."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         raise ScenarioError(f"cannot read scenario {path!r}: {err}") from None
-    return run_scenario_text(text, bounds, source=path)
+    return run_scenario_text(text, overrides, source=path)

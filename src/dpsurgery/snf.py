@@ -9,8 +9,9 @@ row operations to ``U`` and its column operations to ``V`` only when the
 caller passes them:
 
 * ``smith_normal_form`` keeps both, for the ``snf`` command's ``(D, U, V)``;
-* ``element_order_in_cokernel`` keeps ``V`` only, to carry a vector into the
-  coordinates where the relation lattice is spanned by ``d_i * e_i``;
+* ``element_order_in_cokernel`` and ``cokernel_map`` keep ``V`` only, to
+  carry vectors into the coordinates where the relation lattice is spanned
+  by ``d_i * e_i``;
 * ``cokernel_invariants`` (and through it ``abelianization``,
   ``complement_h1`` and ``AbelianGroup.of_orders``) keeps neither.
 
@@ -187,6 +188,13 @@ def determinant(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _diagonal_and_v(m: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
+    """The Smith diagonal of m's relation rows and the column transform V."""
+    a = _relation_rows(m, ncols)
+    v = _identity(ncols)
+    return diagonal(_eliminate(a, ncols, v=v)), v
+
+
 def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int]) -> int | None:
     """Order of the class of `vector` in Z^ncols / rowspace(m); None if infinite.
 
@@ -195,9 +203,7 @@ def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int])
     """
     if len(vector) != ncols:
         raise ValueError("vector length must equal ncols")
-    a = _relation_rows(m, ncols)
-    v = _identity(ncols)
-    diag = diagonal(_eliminate(a, ncols, v=v))
+    diag, v = _diagonal_and_v(m, ncols)
     y = [sum(vector[j] * v[j][i] for j in range(ncols)) for i in range(ncols)]
     order = 1
     for i in range(ncols):
@@ -209,3 +215,19 @@ def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int])
             k = di // gcd(di, y[i])
             order = order * k // gcd(order, k)
     return order
+
+
+def cokernel_map(m: list[list[int]], ncols: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
+    """The quotient map onto Z^ncols / rowspace(m) when that group is finite.
+
+    Returns (torsion, images): the invariant factors >= 2, and for each
+    basis vector e_j its class as residues modulo those factors (row j of V,
+    read in the coordinates whose factor is >= 2).  None when the cokernel
+    is infinite.
+    """
+    diag, v = _diagonal_and_v(m, ncols)
+    if len(diag) < ncols or 0 in diag:
+        return None
+    keep = [i for i, d in enumerate(diag) if d >= 2]
+    return (tuple(diag[i] for i in keep),
+            [tuple(row[i] % diag[i] for i in keep) for row in v])

@@ -70,7 +70,7 @@ def applicability_check(config: Configuration) -> CheckLine:
     nonvanishing = (config.symplectic_positive,
                     "symplectic with positive intersections: canonical "
                     "nonvanishing invariant" if config.symplectic_positive
-                    else "no symplectic positivity and no explicit invariant")
+                    else "no symplectic positivity")
     conditions = (("nonzero-intersection", pairing != 0,
                    f"component classes pair to {pairing}"),
                   ("at-least-two-points", points >= 2, f"{points} double points"),

@@ -109,14 +109,16 @@ def test_capped_verdicts_stay_inconclusive():
     with pytest.raises(CoverPlanError) as refused:
         build_cover_plan(trivial_complement_configuration(), 3, 2)
     assert not isinstance(refused.value, CoverPlanInconclusive)
-    bounds = Bounds(max_cosets=40)
-    plan = build_cover_plan(tori_configuration(3, 2), 3, 2, bounds)
+    # at cap 30 the Z_5 + Z_2 plan completes, but each member's enumeration
+    # caps and its commutator subgroup (10 cosets) does not fit the cap
+    bounds = Bounds(max_cosets=30)
+    plan = build_cover_plan(tori_configuration(5, 2), 5, 2, bounds)
     certificate = exotic_action_certificate(plan, 1, 5, bounds)
     assert certificate.verdict == INCONCLUSIVE
     per_knot = next(c for c in certificate.checks if c.name == "group-preserved-per-knot")
     assert per_knot.verdict == INCONCLUSIVE
     assert certificate.conclusion == "certificate inconclusive at: group-preserved-per-knot"
     # a decided failure makes the certificate fail, not inconclusive
-    certificate = exotic_action_certificate(plan, 3, 5, bounds)
+    certificate = exotic_action_certificate(plan, 5, 5, bounds)
     assert certificate.verdict == FAIL
     assert certificate.conclusion.startswith("certificate FAILED at: group-preservation-gcd")

@@ -326,18 +326,19 @@ _K3 = _PLAN + (
     "group-preserved-per-knot, sw-pairwise-distinct\n")
 
 
+_K1_CERTIFIED = _PLAN + _K1 + (
+    "group-preserved-per-knot\tpass\t3/3 knots verified isomorphic to Z_3 + Z_2\n"
+    "sw-pairwise-distinct\tpass\t3/3 pairs distinguished\n") + _CITED + (
+    "conclusion\tpass\tdesk-scale certificate: 3 smoothly inequivalent, topologically "
+    "equivalent Z_3 + Z_2 actions of standard type\n")
+
+
 @pytest.mark.parametrize("flags, k, code, stdout", [
-    ([], 1, EXIT_OK, _PLAN + _K1 + (
-        "group-preserved-per-knot\tpass\t3/3 knots verified isomorphic to Z_3 + Z_2\n"
-        "sw-pairwise-distinct\tpass\t3/3 pairs distinguished\n") + _CITED + (
-        "conclusion\tpass\tdesk-scale certificate: 3 smoothly inequivalent, topologically "
-        "equivalent Z_3 + Z_2 actions of standard type\n")),
+    ([], 1, EXIT_OK, _K1_CERTIFIED),
     ([], 3, EXIT_FAIL, _K3),
-    (["--bounds-cosets", "40"], 1, EXIT_INCONCLUSIVE, _PLAN + _K1 + (
-        "group-preserved-per-knot\tinconclusive\t2/3 knots verified isomorphic to "
-        "Z_3 + Z_2, 1 inconclusive\n"
-        "sw-pairwise-distinct\tpass\t3/3 pairs distinguished\n") + _CITED + (
-        "conclusion\tinconclusive\tcertificate inconclusive at: group-preserved-per-knot\n")),
+    # at cap 40 the third knot's enumeration caps and its commutator
+    # subgroup decides it, so the report is the one at the default cap
+    (["--bounds-cosets", "40"], 1, EXIT_OK, _K1_CERTIFIED),
     (["--bounds-cosets", "5"], 1, EXIT_INCONCLUSIVE, (
         "cover-plan\tinconclusive\tcomplement group did not verify as Z_6: Inconclusive; "
         "abelianization matches target Z_6; coset enumeration inconclusive: table cap 5 "
@@ -391,8 +392,14 @@ def test_cli_theorem_1_1_machine_output_pinned(capsys, case, points, first, seco
 
 
 PINNED_DIR = os.path.join(os.path.dirname(__file__), "pinned")
-_CAPPED_F3 = ["--bounds-cosets", "500", "--bounds-rules", "200", "surgery", "case=F3", "m=2",
-              "n=3", "k=3", "knot=B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2"]
+_F3_SURGERY = ["surgery", "case=F3", "m=2", "n=3", "k=3",
+               "knot=B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2"]
+# group-preserved caps at 500 and its commutator subgroup, on 19 Schreier
+# generators over the 6 elements of Z_6, is trivial by Tietze
+_CAPPED_F3 = ["--bounds-cosets", "500", "--bounds-rules", "200", *_F3_SURGERY]
+# below 6 * 4 + 1 = 25 the route does not run: 6 cosets and 19 Schreier
+# generators of the 4-generator case presentation exceed the cap
+_CAPPED_F3_BELOW_ROUTE = ["--bounds-cosets", "20", "--bounds-rules", "200", *_F3_SURGERY]
 
 
 @pytest.mark.parametrize("argv, code, pinned", [
@@ -401,7 +408,7 @@ _CAPPED_F3 = ["--bounds-cosets", "500", "--bounds-rules", "200", "surgery", "cas
     # members up to T(2,21), each certified on its Tietze-reduced knot group
     (["--format", "machine", "verify", "theorem-1-1", "case=iii", "count=10"], EXIT_OK,
      "theorem-1-1-case-iii-count-10.machine"),
-    (_CAPPED_F3, EXIT_INCONCLUSIVE, "surgery-F3-capped.text"),
+    (_CAPPED_F3_BELOW_ROUTE, EXIT_INCONCLUSIVE, "surgery-F3-capped.text"),
     (["--format", "machine", "verify", "theorem-1-1", "case=ii", "count=4"], EXIT_OK,
      "theorem-1-1-case-ii-count-4.machine"),
     # the distinguish verdict comes last; theorem-1-1 pair lines put it first
@@ -412,6 +419,7 @@ _CAPPED_F3 = ["--bounds-cosets", "500", "--bounds-rules", "200", "surgery", "cas
     # one double point: the applicability hypotheses fail, nothing is concluded
     (["--format", "machine", "distinguish", "B2: 1 1 1", "B1:", "m=1", "n=1"], EXIT_FAIL,
      "distinguish-trefoil-unknot-m1-n1.machine"),
+    (_CAPPED_F3, EXIT_OK, "surgery-F3-capped-route.text"),
 ])
 def test_cli_output_pinned_to_file(capsys, argv, code, pinned):
     """Whole reports recorded from the command line, byte for byte."""
@@ -541,6 +549,26 @@ def test_cli_bounds_flags(capsys):
     assert code in (EXIT_OK, 3)  # tiny bounds may leave it inconclusive
 
 
+@pytest.mark.parametrize("flags, tori, nodal", [
+    ([], "cap 3 exhausted", "rewrite-rule cap 1 exhausted"),
+    (["--bounds-cosets", "100"], "(19 cosets allocated, cap 100)",
+     "rewrite-rule cap 1 exhausted"),
+    (["--bounds-rules", "100"], "cap 3 exhausted", "(12 rules, confluent=True)"),
+    (["--bounds-cosets", "100", "--bounds-rules", "100"], "(19 cosets allocated, cap 100)",
+     "(12 rules, confluent=True)"),
+])
+def test_cli_bounds_flag_overrides_only_its_own_scenario_bound(tmp_path, capsys, flags,
+                                                              tori, nodal):
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps({"bounds": {"cosets": 3, "rules": 1}, "checks": [
+        {"builtin": "tori", "params": {"m": 2, "n": 3}},
+        {"builtin": "nodal", "params": {"d1": 2, "d2": 4}}]}))
+    main(["--format", "machine", *flags, "verify", str(path)])
+    lines = _machine_lines(capsys.readouterr().out)
+    assert tori in lines["tori m=2 n=3 :: group"][1]
+    assert nodal in lines["nodal d1=2 d2=4 :: group"][1]
+
+
 def test_cli_rejects_nonpositive_bounds(capsys):
     for flags in (["--bounds-cosets", "0"], ["--bounds-rules", "-1"]):
         assert main(flags + ["verify", "tori", "m=1", "n=1"]) == EXIT_USAGE
@@ -600,17 +628,30 @@ def _machine_lines(out):
 
 def test_cli_capped_cross_validation_is_inconclusive(capsys):
     # the amalgam hits the cap on the simplified knot group and again on the
-    # unsimplified one, while group-preserved decides within it
-    code = main(["--format", "machine", "--bounds-cosets", "500", "--bounds-rules", "200",
-                 "surgery", "case=F3", "m=5", "n=3", "k=3",
-                 "knot=B3: -1 2 2 2 -1 -2 2 -1 1 -1 1 1"])
+    # unsimplified one, and its commutator subgroup needs 6 * 6 + 1 = 37 rows
+    # and Schreier generators; group-preserved decides within the cap by the
+    # commutator subgroup of the 4-generator collapsed presentation (25)
+    code = main(["--format", "machine", "--bounds-cosets", "30", "--bounds-rules", "200",
+                 *_F3_SURGERY])
     lines = _machine_lines(capsys.readouterr().out)
     assert code == EXIT_INCONCLUSIVE
     verdict, evidence = lines["cross-validation"]
     assert verdict == "inconclusive"
     assert "order comparison skipped: an enumeration hit its cap" in evidence
     assert lines["group-preserved"][0] == "pass"
-    assert "index 15 (453 cosets allocated, cap 500)" in lines["group-preserved"][1]
+    assert "table cap 30 exhausted" in lines["group-preserved"][1]
+    assert "commutator subgroup is trivial" in lines["group-preserved"][1]
+
+
+def test_cli_capped_cross_validation_takes_orders_from_the_commutator_subgroup(capsys):
+    # both paths cap at 500 on both knot groups; the orders come from the
+    # commutator subgroups, and the fact says so
+    assert main(["--format", "machine", *_CAPPED_F3]) == EXIT_OK
+    lines = _machine_lines(capsys.readouterr().out)
+    assert lines["cross-validation"] == (
+        "pass", "amalgam abelianization Z_6, collapsed abelianization Z_6; "
+                "enumerated orders 6 and 6; amalgam and collapsed orders from the "
+                "commutator subgroup")
 
 
 def test_cli_cross_validation_decides_on_the_simplified_knot_group(capsys):
@@ -646,13 +687,16 @@ def test_cli_theorem_7_2_capped_is_inconclusive(capsys):
     assert list(lines) == ["cover-plan"]
     verdict, evidence = lines["cover-plan"]
     assert verdict == "inconclusive" and "table cap 5 exhausted" in evidence
-    # the plan completes at cap 40, but three of the five members do not
-    code = main(["--format", "machine", "--bounds-cosets", "40",
-                 "actions", "m=3", "n=2", "k=1", "count=5"])
+    # the plan completes at cap 30, but no member does: each member's
+    # enumeration caps, and the commutator subgroup route needs more rows
+    # and Schreier generators than the cap allows (10 cosets of Z_5 + Z_2)
+    code = main(["--format", "machine", "--bounds-cosets", "30",
+                 "actions", "m=5", "n=2", "k=1", "count=5"])
     lines = _machine_lines(capsys.readouterr().out)
     assert code == EXIT_INCONCLUSIVE
+    assert lines["cover-plan"][0] == "pass"
     assert lines["group-preserved-per-knot"] == (
-        "inconclusive", "2/5 knots verified isomorphic to Z_3 + Z_2, 3 inconclusive")
+        "inconclusive", "0/5 knots verified isomorphic to Z_5 + Z_2, 5 inconclusive")
     assert lines["conclusion"] == (
         "inconclusive", "certificate inconclusive at: group-preserved-per-knot")
 

@@ -83,6 +83,8 @@ def test_applicability_spheres_fails_without_invariant():
     assert line.name == "applicability"
     assert line.verdict == FAIL
     assert failed_conditions(line) == ["nonvanishing-invariant"]
+    # only the symplectic-positivity flag provides the invariant
+    assert line.evidence[-1] == "nonvanishing-invariant: FAIL (no symplectic positivity)"
 
 
 def test_applicability_tori_passes():

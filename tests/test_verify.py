@@ -1,10 +1,19 @@
 """The composite isomorphism decision procedure."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dpsurgery.presentations import AbelianGroup, parse_presentation
-from dpsurgery.verify import (Bounds, Status, Verdict, nonabelian_quotient_witness,
-                              verify_abelian_isomorphism)
+from dpsurgery import verify
+from dpsurgery.coset import coset_enumerate
+from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, BraidWord, knot_group_from_braid
+from dpsurgery.presentations import (AbelianGroup, Presentation, abelianization,
+                                     parse_presentation, simplify_presentation)
+from dpsurgery.surgery import CaseParams, case_presentation, surgered_presentation, \
+    verify_group_preserved
+from dpsurgery.verify import (Bounds, Status, Verdict, commutator_subgroup_order,
+                              nonabelian_quotient_witness, verify_abelian_isomorphism)
+from dpsurgery.words import Word
 
 
 def test_cyclic_five():
@@ -76,3 +85,128 @@ def test_inconclusive_cites_bounds():
 def test_bounds_validation():
     with pytest.raises(ValueError):
         Bounds(0, 10)
+
+
+# -- the commutator subgroup route ----------------------------------------------
+
+def test_route_on_small_groups():
+    cases = [
+        ("gens: a b ; rels: a^2 , b^3 , [a,b] ;", 6, False, "commutator subgroup is trivial"),
+        ("gens: a b ; rels: a^3 , b^2 , a b a b ;", 6, True,
+         "commutator subgroup has abelianization Z_3: group is nonabelian"),
+        ("gens: a b ; rels: a^4 , b^2 A^2 , B a b a ;", 8, True,  # quaternion
+         "commutator subgroup has abelianization Z_2: group is nonabelian"),
+    ]
+    for text, order, nonabelian, fact in cases:
+        derived = commutator_subgroup_order(parse_presentation(text), 1000)
+        assert (derived.order, derived.nonabelian) == (order, nonabelian), text
+        assert fact in derived.evidence
+    # an infinite abelianization is out of the route's reach
+    trefoil = parse_presentation("gens: a b ; rels: a b a B A B ;")
+    assert commutator_subgroup_order(trefoil, 1000) == verify.DerivedOrder(None, False, ())
+
+
+def test_route_guard_counts_cosets_and_schreier_generators():
+    # Z_6 on two generators: 6 transversal rows and 6 * 1 + 1 Schreier generators
+    p = parse_presentation("gens: a b ; rels: a^2 , b^3 , [a,b] ;")
+    assert commutator_subgroup_order(p, 12).order is None
+    assert commutator_subgroup_order(p, 13).order == 6
+
+
+@st.composite
+def finite_presentations(draw):
+    """Two or three generators, a power of each and of their product ab (so
+    among them the von Dyck groups, dihedral, A_4, S_4 and the perfect A_5),
+    and up to two short random relators."""
+    n = draw(st.integers(2, 3))
+    letters = st.integers(0, 2 * n - 1)
+    relators = [Word.gen(g, draw(st.integers(2, 5))) for g in range(n)]
+    relators.append((Word.gen(0) * Word.gen(1)) ** draw(st.integers(2, 5)))
+    relators += [Word(tuple(draw(st.lists(letters, min_size=1, max_size=8))))
+                 for _ in range(draw(st.integers(0, 2)))]
+    return Presentation(tuple("abc"[:n]), tuple(relators))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(finite_presentations())
+def test_route_agrees_with_enumeration(p):
+    """Wherever the route and an enumeration both complete, they give one order."""
+    order = abelianization(p).order()
+    assert order is not None  # a power relator on every generator
+    derived = commutator_subgroup_order(p, 5_000)
+    result = coset_enumerate(p, (), 5_000)
+    if derived.order is not None and result.completed:
+        assert derived.order == result.index
+        assert derived.nonabelian == (result.index != order)
+    if derived.nonabelian and result.completed:
+        assert result.index != order
+
+
+# Capped cases decided by their commutator subgroup: the four of the ROADMAP
+# baseline, then the pinned capped surgery request of the CLI tests.  Each
+# caps at 500 rows.  Felsch on the Tietze-simplified case presentation needs
+# 6 669, 13 420, 11 588 and 5 006 cosets for four of them; F3(3, 4, -2) needs
+# over 500 000, so its order is the theorem's target alone.
+_CAPPED_CASES = [
+    (CaseParams.f3(2, 5, 1), "B4: 3 -1 2 -1 -1 2 -1 2 1", 10, True),
+    (CaseParams.f3(5, 4, 2), "B3: -2 -2 1 2 2 2 2 2 -1 2 1 1", 20, True),
+    (CaseParams.f3(3, 4, -2), "B4: -1 -3 2 1 1 -3 -2 -2 -3 1 2", 12, False),
+    (CaseParams.f2(4, 5, 3), "B3: 2 -2 1 1 1 1 1 2 -1 2 2 2", 5, True),
+    (CaseParams.f3(2, 3, 3), "B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2", 6, True),
+]
+
+
+@pytest.mark.parametrize("case, knot, order, enumerable", _CAPPED_CASES)
+def test_route_decides_capped_cases(case, knot, order, enumerable):
+    data = knot_group_from_braid(BraidWord.parse(knot)).simplified()
+    verdict = verify_group_preserved(case, data, Bounds(500, 200))
+    assert verdict.status is Status.ISOMORPHIC, verdict.evidence
+    assert "coset enumeration inconclusive: table cap 500 exhausted (500 cosets allocated)" \
+        in verdict.evidence
+    assert any(fact.startswith("commutator subgroup by Reidemeister-Schreier")
+               for fact in verdict.evidence)
+    assert verdict.evidence[-1] == (f"group order {order} equals abelianization order: "
+                                    f"group is abelian, hence isomorphic to {case.target()}")
+    if enumerable:
+        result = coset_enumerate(simplify_presentation(case_presentation(case, data)), (),
+                                 20_000)
+        assert result.completed and result.index == order
+
+
+def test_route_on_the_criterion_3_q2_cell():
+    """G' is Z_3 for the trefoil and Z_5 for the figure eight: orders 6 and 10."""
+    case = CaseParams.f2(1, 2, 1)
+    for braid, quotient, order in ((TREFOIL, "Z_3", 6), (FIGURE_EIGHT, "Z_5", 10)):
+        knot = knot_group_from_braid(braid)
+        amalgam = surgered_presentation(case.base_presentation(), knot, case.k)
+        for p in (amalgam, case_presentation(case, knot)):
+            derived = commutator_subgroup_order(p, 100_000)
+            assert (derived.order, derived.nonabelian) == (order, True)
+            assert (f"commutator subgroup has abelianization {quotient}: group is nonabelian"
+                    in derived.evidence)
+            result = coset_enumerate(p, (), 100_000)
+            assert result.completed and result.index == order
+
+
+def test_capped_finite_target_never_runs_the_witness(monkeypatch):
+    calls = []
+    original = verify.nonabelian_quotient_witness
+
+    def spy(p, max_cosets):
+        calls.append(p)
+        return original(p, max_cosets)
+
+    def refuse(p, max_cosets):
+        raise AssertionError("the witness ran on a finite target")
+
+    monkeypatch.setattr(verify, "nonabelian_quotient_witness", refuse)
+    case, knot, _, _ = _CAPPED_CASES[0]
+    data = knot_group_from_braid(BraidWord.parse(knot)).simplified()
+    for cap in (20, 500):  # below the route's need, and decided by it
+        verdict = verify_group_preserved(case, data, Bounds(cap, 200))
+        assert verdict.status is (Status.INCONCLUSIVE if cap == 20 else Status.ISOMORPHIC)
+    # an infinite target still reaches the witness
+    monkeypatch.setattr(verify, "nonabelian_quotient_witness", spy)
+    test_trefoil_vs_z_is_refuted()
+    assert len(calls) == 1
