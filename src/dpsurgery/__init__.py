@@ -17,9 +17,8 @@ from .alexander import alexander_polynomial, alexander_of_braid, \
 from .configurations import AmbientManifold, Configuration, EmbeddingTag, \
     SurfaceComponent, algebraic_intersection, complement_h1, spheres_presentation, \
     tori_presentation
-from .surgery import CaseParams, GluingMatrix, SurgerySpec, apply_surgery, \
-    case_presentation, check_case_hypothesis, surgered_presentation, \
-    twist_gluing_matrix, validate_gluing_matrix, verify_group_preserved, \
+from .surgery import CaseParams, SurgerySpec, apply_surgery, case_presentation, \
+    check_case_hypothesis, surgered_presentation, verify_group_preserved, \
     HypothesisError
 from .sw import FormalSW, applicability_check, distinguish, \
     family_report, knot_surgery_transform

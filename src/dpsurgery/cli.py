@@ -31,6 +31,7 @@ import os
 import sys
 
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
+from .knots import parse_int
 from .reports import EXIT_FAIL, EXIT_USAGE, FAIL, PASS, CheckLine, Report
 from .scenarios import (BUILTIN_NAMES, EXAMPLE_PARAMS, SURGERY_CASES, SURGERY_PARAMS,
                         ParamError, ScenarioError, parse_knot, run_builtin, run_scenario,
@@ -47,6 +48,8 @@ def _parse_kv(tokens: list[str]) -> dict[str, str]:
         key, sep, value = token.partition("=")
         if not sep or not key:
             raise ParamError(f"expected key=value, got {token!r}")
+        if key in params:
+            raise ParamError(f"duplicate parameter {key!r}")
         params[key] = value
     return params
 
@@ -128,7 +131,7 @@ def _cmd_snf(args, bounds: Bounds) -> Report:
         if not chunk:
             continue
         try:
-            rows.append([int(tok) for tok in chunk.split()])
+            rows.append([parse_int(tok) for tok in chunk.split()])
         except ValueError:
             raise ParamError(f"bad matrix row {chunk!r}") from None
     if not rows:
@@ -153,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subcommand's unset flags from clobbering values parsed
     # before the subcommand; real defaults are applied in main()
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bounds-cosets", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--bounds-cosets", type=parse_int, default=argparse.SUPPRESS,
                         help=f"coset table cap (default {DEFAULT_BOUNDS.max_cosets})")
-    common.add_argument("--bounds-rules", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--bounds-rules", type=parse_int, default=argparse.SUPPRESS,
                         help=f"rewrite rule cap (default {DEFAULT_BOUNDS.max_rules})")
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS,

@@ -22,7 +22,6 @@ class EmbeddingTag:
     kind: str  # "standard" | "twist-spun"
     knot: BraidWord | None = None
     twist: int | None = None
-    note: str = ""
 
     def __post_init__(self):
         if self.kind not in ("standard", "twist-spun"):
@@ -31,17 +30,15 @@ class EmbeddingTag:
     def describe(self) -> str:
         if self.kind == "standard":
             return "Standard"
-        base = f"ConnectSumTwistSpun({self.knot.format()}, {self.twist})"
-        return base + (f" [{self.note}]" if self.note else "")
+        return f"ConnectSumTwistSpun({self.knot.format()}, {self.twist})"
 
 
 def tag_standard() -> EmbeddingTag:
     return EmbeddingTag("standard")
 
 
-def tag_twist_spun(knot: BraidWord, twist: int, general: bool = False) -> EmbeddingTag:
-    note = "general gluing matrix; no embedding claim" if general else ""
-    return EmbeddingTag("twist-spun", knot, twist, note)
+def tag_twist_spun(knot: BraidWord, twist: int) -> EmbeddingTag:
+    return EmbeddingTag("twist-spun", knot, twist)
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,6 @@ class Configuration:
             for i in range(k):
                 if self.pi1.label(f"mu{i + 1}") is None:
                     raise ValueError(f"pi1 presentation must label mu{i + 1}")
-
-    def replace(self, **changes) -> "Configuration":
-        return dc_replace(self, **changes)
 
 
 def algebraic_intersection(config: Configuration, i: int, j: int) -> int:

@@ -7,11 +7,26 @@ knot (single-cycle permutation) are accepted as knot input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix
 from .snf import cokernel_invariants
 from .words import Word, free_reduce
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An optional '-' and ASCII digits, nothing else; ValueError otherwise.
+
+    Reads argv values, JSON integer strings, braid words, `snf` rows and
+    the bounds flags.  `int()` would also take underscores, surrounding
+    spaces, a '+' and non-ASCII digits.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -53,13 +68,13 @@ class BraidWord:
             raise ValueError(f"braid word must start with 'B<strands>:', got {text!r}")
         head, _, rest = text.partition(":")
         try:
-            strands = int(head[1:])
+            strands = parse_int(head[1:].strip())
         except ValueError:
             raise ValueError(f"bad strand count in {text!r}") from None
         letters = []
         for tok in rest.split():
             try:
-                letters.append(int(tok))
+                letters.append(parse_int(tok))
             except ValueError:
                 raise ValueError(f"bad braid letter {tok!r} in {text!r}") from None
         return BraidWord(strands, tuple(letters))

@@ -232,7 +232,7 @@ def _parse_token(token: str, index: dict[str, int]) -> Word:
     if token == "1":
         return Word.identity()
     power = 1
-    m = re.match(r"^(.*)\^(-?\d+)$", token)
+    m = re.match(r"^(.*)\^(-?[0-9]+)$", token)
     if m:
         token, power = m.group(1), int(m.group(2))
     m = re.match(r"^\[([^,\[\]]+),([^,\[\]]+)\]$", token)

@@ -32,7 +32,7 @@ from .actions import (CoverPlanError, CoverPlanInconclusive, build_cover_plan,
                       exotic_action_certificate)
 from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
                              complement_h1, spheres_presentation, tori_presentation)
-from .knots import BraidWord, knot_group_from_braid
+from .knots import BraidWord, knot_group_from_braid, parse_int
 from .presentations import AbelianGroup, Presentation, abelianization
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
 from .surgery import CaseParams, SurgerySpec, case_presentation, \
@@ -121,13 +121,16 @@ BUILTIN_CONFIGURATIONS = {
 # -- parameter handling -------------------------------------------------------
 
 def _integer(value) -> int | None:
-    """`value` as an int: an int, or a string of one as argv gives them.
+    """`value` as an int: an int, or a string that `parse_int` reads, as argv
+    gives them.
 
     None for anything else; a JSON float or boolean is never truncated.
     """
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
         try:
-            return int(value)
+            return parse_int(value)
         except ValueError:
             pass
     return None
@@ -225,7 +228,7 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
     hypothesis failed, the embedding tags."""
     tags = CheckLine("embedding-tags", PASS, tuple(
         f"component {i + 1}: {c.embedding_tag.describe()}"
-        for i, c in enumerate(surgered_components(spec, spec.twist))))
+        for i, c in enumerate(surgered_components(spec))))
     if case is None:
         return [tags]
     hypothesis = check_case_hypothesis(case)
@@ -562,8 +565,16 @@ def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
     to a value that replaces the file's own; the other field keeps the
     file's value, or the default.
     """
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ScenarioError(f"{source}: duplicate key {key!r}")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{source}: line {err.lineno} column {err.colno}: {err.msg}") from None
     _json_object(data, f"{source}: top level", ("bounds", "checks"))

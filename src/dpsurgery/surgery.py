@@ -18,65 +18,14 @@ only when its enumeration hits the coset cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .configurations import Configuration, SurfaceComponent, tag_standard, tag_twist_spun
 from .knots import BraidWord, KnotGroupData, knot_group_from_braid
 from .presentations import AbelianGroup, Presentation
-from .snf import determinant as snf_determinant
 from .verify import Bounds, DEFAULT_BOUNDS, Verdict, verify_abelian_isomorphism
 from .words import Word, commutator, free_reduce
-
-
-@dataclass(frozen=True)
-class GluingMatrix:
-    """3x3 unimodular matrix in the shape admitting a local gluing.
-
-    Rows follow the pattern ((p, k, 0), (-gamma, beta, 0),
-    (-alpha*gamma + b*p, alpha*beta + b*k, 1)) with p*beta + k*gamma = 1.
-    """
-
-    p: int
-    k: int
-    gamma: int
-    beta: int
-    alpha: int = 0
-    b: int = 0
-
-    @property
-    def entries(self) -> tuple[tuple[int, int, int], ...]:
-        return ((self.p, self.k, 0),
-                (-self.gamma, self.beta, 0),
-                (-self.alpha * self.gamma + self.b * self.p,
-                 self.alpha * self.beta + self.b * self.k, 1))
-
-    def determinant(self) -> int:
-        return snf_determinant([list(row) for row in self.entries])
-
-
-def validate_gluing_matrix(a: GluingMatrix) -> tuple[bool, list[str]]:
-    """Check the pattern, the Bezout condition and unimodularity."""
-    diagnostics: list[str] = []
-    bezout = a.p * a.beta + a.k * a.gamma
-    if bezout != 1:
-        diagnostics.append(f"p*beta + k*gamma = {bezout}, must be 1")
-    det = a.determinant()
-    if det != 1:
-        diagnostics.append(f"determinant = {det}, must be 1")
-    if not diagnostics:
-        diagnostics.append("pattern, Bezout condition and unimodularity all hold")
-        return True, diagnostics
-    return False, diagnostics
-
-
-def twist_gluing_matrix(k: int) -> GluingMatrix:
-    """The k-twist matrix: upper unitriangular with (1,2) entry k."""
-    return GluingMatrix(p=1, k=k, gamma=0, beta=1, alpha=0, b=0)
-
-
-def is_twist_matrix(a: GluingMatrix) -> bool:
-    return a == twist_gluing_matrix(a.k)
 
 
 @dataclass(frozen=True)
@@ -271,7 +220,7 @@ class SurgerySpec:
     configuration: Configuration
     point: int
     knot: BraidWord
-    twist: int | GluingMatrix
+    twist: int
 
     def __post_init__(self):
         if not (0 <= self.point < len(self.configuration.double_points)):
@@ -287,15 +236,15 @@ def _is_line_in_projective_plane(config: Configuration, component: int) -> bool:
             and tuple(surface.homology_class) == (1,))
 
 
-def surgered_components(spec: SurgerySpec, k: int) -> tuple[SurfaceComponent, ...]:
-    """Components after k-twisted surgery at the spec's double point.
+def surgered_components(spec: SurgerySpec) -> tuple[SurfaceComponent, ...]:
+    """Components after the spec's twisted surgery at its double point.
 
     The first component at the point acquires a twist-spun connected-sum tag
     unless a recognized untwisting applies: twist +-1 always untwists, and
     twist 0 untwists a degree-one sphere in the projective plane.  Every
     other component is untouched.
     """
-    config = spec.configuration
+    config, k = spec.configuration, spec.twist
     comp_a = config.double_points[spec.point][0]
     if k in (1, -1) or (k == 0 and _is_line_in_projective_plane(config, comp_a)):
         tag = tag_standard()
@@ -316,22 +265,6 @@ def apply_surgery(spec: SurgerySpec) -> Configuration:
     config = spec.configuration
     comp_a, comp_b, _ = config.double_points[spec.point]
 
-    if isinstance(spec.twist, GluingMatrix):
-        matrix = spec.twist
-        ok, diagnostics = validate_gluing_matrix(matrix)
-        if not ok:
-            raise ValueError("invalid gluing matrix: " + "; ".join(diagnostics))
-        if not is_twist_matrix(matrix):
-            # recorded, but no embedding or group claim is available
-            components = list(config.components)
-            components[comp_a] = components[comp_a].with_tag(
-                tag_twist_spun(spec.knot, matrix.k, general=True))
-            return config.replace(components=tuple(components), pi1=None,
-                                  symplectic_positive=False)
-        k = matrix.k
-    else:
-        k = spec.twist
-
     pi1 = None
     if config.pi1 is not None:
         base = config.pi1
@@ -340,7 +273,8 @@ def apply_surgery(spec: SurgerySpec) -> Configuration:
         if target_a is None or target_b is None:
             raise ValueError(f"complement presentation lacks {role_a}/{role_b} labels")
         relabeled = base.with_labels({"mu1": target_a, "mu2": target_b})
-        pi1 = surgered_presentation(relabeled, knot_group_from_braid(spec.knot), k)
+        pi1 = surgered_presentation(relabeled, knot_group_from_braid(spec.knot),
+                                    spec.twist)
 
-    return config.replace(components=surgered_components(spec, k), pi1=pi1,
-                          symplectic_positive=False)
+    return replace(config, components=surgered_components(spec), pi1=pi1,
+                   symplectic_positive=False)

@@ -140,7 +140,7 @@ def family_report(config: Configuration, count: int, case: CaseParams,
     for i, (braid, knot, _) in enumerate(family, start=1):
         prefix = f"r={i} {braid.format()}"
         tag1, tag2 = (c.embedding_tag.describe() for c in
-                      surgered_components(SurgerySpec(config, 0, braid, case.k), case.k))
+                      surgered_components(SurgerySpec(config, 0, braid, case.k)))
         knots.append((
             line_from_verdict(f"group-preserved {prefix}",
                               verify_group_preserved(case, knot.simplified(), bounds)),

@@ -27,7 +27,8 @@ from dpsurgery.cli import main
 SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
-JUNK = st.sampled_from([None, -1, 0, 7, 2.5, "x", "", [], [1, 2], {}, {"a": 1}, True])
+JUNK = st.sampled_from([None, -1, 0, 7, 2.5, "x", "", "1_0", "\u0663", [], [1, 2], {}, {"a": 1},
+                        True])
 KNOTS = ["B2: 1 1 1", "B2: 1 1 1 1 1", "B3: 1 -2 1 -2", "B2: 1 1 1 1 1 1 1", "B1:"]
 BRAIDS = st.sampled_from(3 * KNOTS + ["B2: 1 1", "B3: 1 2", "B2: 3", "B2: 1 x", "nonsense",
                                        ""])
@@ -90,7 +91,7 @@ def _check_invariants(code: int, out: str, err: str):
             assert "hit its cap" not in evidence, line
 
 
-BOUNDS_FLAGS = st.tuples(st.sampled_from(["1", "30", "200", "30", "200", "0", "x"]),
+BOUNDS_FLAGS = st.tuples(st.sampled_from(["1", "30", "200", "30", "200", "0", "x", "1_0"]),
                          st.sampled_from(["1", "20", "100"])).map(
     lambda b: ["--bounds-cosets", b[0], "--bounds-rules", b[1]])
 
@@ -133,7 +134,9 @@ def argvs(draw):
     else:
         tail = ["x=1"]
     if _rarely(draw):
-        tail.append(draw(st.sampled_from(["novalue", "=3", "k=", "bogus=1"])))
+        # junk, or a key=value token given a second time
+        tail.append(draw(st.sampled_from(["novalue", "=3", "k=", "bogus=1"]
+                                         + [token for token in tail if "=" in token])))
     return draw(BOUNDS_FLAGS) + ["--format", "machine", command] + tail
 
 def _sphere_configuration(simply_connected=True):
@@ -201,6 +204,16 @@ def scenarios(draw):
         data[key] = draw(st.one_of(JUNK, st.fixed_dictionaries({"cosets": JUNK})))
     return data
 
+
+@st.composite
+def scenario_texts(draw):
+    """A scenario as JSON text; now and then with its 'bounds' key given twice."""
+    text = json.dumps(draw(scenarios()))
+    if _rarely(draw):
+        text = '{"bounds": {}, ' + text[1:]
+    return text
+
+
 @SETTINGS
 @given(argvs())
 @example(["--bounds-cosets", "100", "--format", "machine", "surgery", "case=F3", "m=3", "n=2",
@@ -213,16 +226,17 @@ def test_argv_never_escapes_the_exit_codes(argv):
 
 
 @SETTINGS
-@given(scenarios())
-@example({"checks": [{"builtin": "tori", "params": [1, 2]}]})
-@example({"bounds": {"cosets": None}, "checks": []})
-@example({"checks": [{"configuration": _sphere_configuration(False),
-                      "verify": {"homology": "0"}}]})
-@example({"checks": [{"configuration": _sphere_configuration(),
-                      "surgery": {"point": 0, "knot": "B2: 1 1 1", "twist": 2}}]})
-def test_scenario_json_never_escapes_the_exit_codes(data):
+@given(scenario_texts())
+@example(json.dumps({"checks": [{"builtin": "tori", "params": [1, 2]}]}))
+@example(json.dumps({"bounds": {"cosets": None}, "checks": []}))
+@example(json.dumps({"checks": [{"configuration": _sphere_configuration(False),
+                                 "verify": {"homology": "0"}}]}))
+@example(json.dumps({"checks": [{"configuration": _sphere_configuration(),
+                                 "surgery": {"point": 0, "knot": "B2: 1 1 1", "twist": 2}}]}))
+@example('{"bounds": {"cosets": 5, "cosets": 100000}, "checks": []}')
+def test_scenario_json_never_escapes_the_exit_codes(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
+            handle.write(text)
         _check_invariants(*_run(["--format", "machine", "verify", path]))

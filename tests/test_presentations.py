@@ -95,6 +95,8 @@ def test_parse_word_tokens():
     assert parse_word("1", names) == Word(())
     with pytest.raises(ValueError):
         parse_word("c", names)
+    with pytest.raises(ValueError):
+        parse_word("a^\u0663", names)  # a power is ASCII digits only
 
 
 def test_validation():

@@ -220,12 +220,25 @@ def test_cli_usage_errors(capsys):
         (["verify", "theorem-1-1", "case=i", "p=99"], "error: unknown parameter 'p'\n"),
         (["verify", "theorem-1-1", "case=ii", "p=1", "q=4", "k=1"],
          "error: hypothesis of F2(p=1, q=4, k=1) fails; no claim is made\n"),
+        # an integer is an optional '-' and ASCII digits: no '_', no other digits
+        (["verify", "tori", "m=1_0", "n=2"], "error: m must be an integer\n"),
+        (["verify", "tori", "m=\u0663", "n=2"], "error: m must be an integer\n"),
+        (["alexander", "B\u0662: 1 1 1"], "error: bad strand count in 'B\u0662: 1 1 1'\n"),
+        (["alexander", "B2: 1 1_0 1"], "error: bad braid letter '1_0' in 'B2: 1 1_0 1'\n"),
+        (["snf", "1_0 2"], "error: bad matrix row '1_0 2'\n"),
+        # a key given twice is refused, not overwritten
+        (["verify", "tori", "m=3", "m=5", "n=2"], "error: duplicate parameter 'm'\n"),
+        (["alexander", "family", "count=2", "count=3"],
+         "error: duplicate parameter 'count'\n"),
     ]
     for argv, message in cases:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message, argv
+    # the bounds flags take the same integers (argparse prints its usage)
+    assert main(["--bounds-cosets", "1_0", "verify", "tori", "m=1", "n=1"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_surgery(capsys):
@@ -752,14 +765,25 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
         # the case block takes the fields of its own tag only
         (custom_spheres(case={"tag": "F3", "m": 3, "n": 2, "d": 2, "k": 1}),
          "error: checks[0]: 'case' has unknown field 'd'\n"),
+        # integer strings are read as on argv; a key given twice is refused
+        ({"checks": [{"builtin": "tori", "params": {"m": "1_0", "n": 1}}]},
+         "error: checks[0]: m must be an integer\n"),
+        ({"checks": [{"builtin": "tori", "params": {"m": "\u0663", "n": 1}}]},
+         "error: checks[0]: m must be an integer\n"),
+        (custom_spheres(twist=" 1"), "error: checks[0]: surgery 'twist' must be an integer\n"),
+        ('{"bounds": {"cosets": 5, "cosets": 100000}, "checks": []}',
+         "error: PATH: duplicate key 'cosets'\n"),
+        ('{"checks": [{"builtin": "tori", "params": {"m": 1, "n": 1, "m": 2}}]}',
+         "error: PATH: duplicate key 'm'\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
 
 
 def _assert_usage_errors(tmp_path, capsys, cases):
+    """Each scenario (JSON text, or an object to dump) exits 2 with its message."""
     for scenario, message in cases:
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
+        path.write_text(scenario if isinstance(scenario, str) else json.dumps(scenario))
         assert main(["verify", str(path)]) == EXIT_USAGE, scenario
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,4 +1,4 @@
-"""Twisted surgery: gluing matrices, the two presentation paths, embeddings."""
+"""Twisted surgery: hypotheses, the two presentation paths, embedding tags."""
 
 import pytest
 
@@ -7,10 +7,8 @@ from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, knot_group_from_braid
 from dpsurgery.presentations import AbelianGroup, abelianization, \
     parse_presentation
 from dpsurgery.scenarios import nodal_configuration, rational_configuration, tori_configuration
-from dpsurgery.surgery import (CaseParams, GluingMatrix, HypothesisError, SurgerySpec,
-                               apply_surgery, case_presentation, check_case_hypothesis,
-                               is_twist_matrix, surgered_presentation,
-                               twist_gluing_matrix, validate_gluing_matrix,
+from dpsurgery.surgery import (CaseParams, HypothesisError, SurgerySpec, apply_surgery,
+                               case_presentation, check_case_hypothesis, surgered_presentation,
                                verify_group_preserved)
 from dpsurgery.verify import Status, certify_abelian, verify_abelian_isomorphism
 
@@ -20,41 +18,6 @@ from test_sw import trivial_complement_configuration
 TREFOIL_DATA = knot_group_from_braid(TREFOIL)
 FIG8_DATA = knot_group_from_braid(FIGURE_EIGHT)
 UNKNOT_DATA = knot_group_from_braid(UNKNOT)
-
-
-# -- gluing matrices ----------------------------------------------------------
-
-def test_twist_matrix_zero_is_identity():
-    assert twist_gluing_matrix(0).entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_twist_matrix_pattern():
-    for k in (-3, -1, 0, 1, 5):
-        a = twist_gluing_matrix(k)
-        ok, _ = validate_gluing_matrix(a)
-        assert ok
-        assert a.entries[0][1] == k
-        assert is_twist_matrix(a)
-
-
-def test_general_matrix_bezout():
-    a = GluingMatrix(p=2, k=1, gamma=-1, beta=1)
-    ok, _ = validate_gluing_matrix(a)
-    assert ok
-    assert not is_twist_matrix(a)
-    bad, diagnostics = validate_gluing_matrix(GluingMatrix(p=2, k=2, gamma=1, beta=1))
-    assert not bad
-    assert any("must be 1" in d for d in diagnostics)
-
-
-def test_twist_matrices_compose_additively():
-    for j in (-2, 0, 3):
-        for k in (-1, 2, 5):
-            left = twist_gluing_matrix(j).entries
-            right = twist_gluing_matrix(k).entries
-            product = tuple(tuple(sum(left[i][t] * right[t][m] for t in range(3))
-                                  for m in range(3)) for i in range(3))
-            assert product == twist_gluing_matrix(j + k).entries
 
 
 # -- hypotheses ----------------------------------------------------------------
@@ -221,15 +184,6 @@ def test_surgery_preserves_homology_and_points():
     # the new complement presentation is the full amalgam
     verdict = verify_abelian_isomorphism(surgered.pi1, AbelianGroup.cyclic(3))
     assert verdict.status is Status.ISOMORPHIC
-
-
-def test_general_matrix_surgery_records_no_claim():
-    config = tori_configuration(3, 2)
-    matrix = GluingMatrix(p=2, k=1, gamma=-1, beta=1)
-    surgered = apply_surgery(SurgerySpec(config, 0, TREFOIL, matrix))
-    assert surgered.pi1 is None
-    tag = surgered.components[0].embedding_tag
-    assert tag.kind == "twist-spun" and "no embedding claim" in tag.note
 
 
 def test_invalid_point_index():
