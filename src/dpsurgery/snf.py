@@ -11,7 +11,9 @@ caller passes them:
 * ``smith_normal_form`` keeps both, for the ``snf`` command's ``(D, U, V)``;
 * ``element_order_in_cokernel`` and ``cokernel_map`` keep ``V`` only, to
   carry vectors into the coordinates where the relation lattice is spanned
-  by ``d_i * e_i``;
+  by ``d_i * e_i``; ``cokernel_map`` gives the whole quotient map, free
+  coordinates included, which `verify` reads for the commutator-subgroup
+  route and for the infinite cyclic check;
 * ``cokernel_invariants`` (and through it ``abelianization``,
   ``complement_h1`` and ``AbelianGroup.of_orders``) keeps neither.
 
@@ -217,17 +219,17 @@ def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int])
     return order
 
 
-def cokernel_map(m: list[list[int]], ncols: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
-    """The quotient map onto Z^ncols / rowspace(m) when that group is finite.
+def cokernel_map(m: list[list[int]], ncols: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The quotient map onto Z^ncols / rowspace(m).
 
-    Returns (torsion, images): the invariant factors >= 2, and for each
-    basis vector e_j its class as residues modulo those factors (row j of V,
-    read in the coordinates whose factor is >= 2).  None when the cokernel
-    is infinite.
+    Returns (factors, images): the invariant factors >= 2 followed by a 0
+    for each free coordinate, and for each basis vector e_j its class in
+    those coordinates (row j of V, reduced modulo each factor >= 2 and read
+    as an integer in a free one).  The cokernel is finite exactly when no
+    factor is 0.
     """
     diag, v = _diagonal_and_v(m, ncols)
-    if len(diag) < ncols or 0 in diag:
-        return None
-    keep = [i for i, d in enumerate(diag) if d >= 2]
+    diag += [0] * (ncols - len(diag))
+    keep = [i for i, d in enumerate(diag) if d != 1]
     return (tuple(diag[i] for i in keep),
-            [tuple(row[i] % diag[i] for i in keep) for row in v])
+            [tuple(row[i] % diag[i] if diag[i] else row[i] for i in keep) for row in v])

@@ -6,9 +6,13 @@ outcome: no bounded run is ever silently converted into a yes or a no.
 
 A group is compared with a finite abelian target by its order: coset
 enumeration first, and when that hits the cap, the order of the commutator
-subgroup (`commutator_subgroup_order`).  An infinite target needs a
-Knuth-Bendix abelianness certificate; the exponent-quotient search
-(`nonabelian_quotient_witness`) is its only refuter.
+subgroup (`commutator_subgroup_order`).  Against Z, the index of the
+subgroup generated by one word that maps onto a generator of the
+abelianization decides (`cyclic_subgroup_verdict`): index 1 is Z, any
+other index refutes it.  When that enumeration caps, and for every other
+infinite target, a Knuth-Bendix abelianness certificate is needed, and the
+exponent-quotient search (`nonabelian_quotient_witness`) is the only
+refuter.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from math import prod
 
 from .coset import coset_enumerate
 from .presentations import (AbelianGroup, Presentation, abelianization, exponent_matrix,
-                            simplify_presentation)
+                            format_word, simplify_presentation)
 from .rewriting import knuth_bendix
 from .snf import cokernel_map
 from .words import Word, commutator
@@ -150,10 +154,9 @@ def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
     the Schreier generators count against `max_cosets`: past it the route
     does not run.
     """
-    quotient = cokernel_map(exponent_matrix(p), p.ngens)
-    if quotient is None:
+    torsion, images = cokernel_map(exponent_matrix(p), p.ngens)
+    if 0 in torsion:
         return DerivedOrder(None, False, ())
-    torsion, images = quotient
     index = prod(torsion)
     n = p.ngens
     if index * n + 1 > max_cosets:
@@ -225,6 +228,58 @@ def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
     return DerivedOrder(index * result.index, result.index > 1, tuple(evidence))
 
 
+def _generator_word(images: list[int]) -> Word:
+    """A word whose image is 1 in Z, from the generators' images, whose gcd is 1.
+
+    The first generator mapping to +-1 when there is one; otherwise the
+    product of x_j^(u_j) with sum(u_j * c_j) = 1, by extended Euclid folded
+    over the images.
+    """
+    for j, c in enumerate(images):
+        if abs(c) == 1:
+            return Word.gen(j)
+    g, coefficients = 0, []
+    for c in images:
+        # invariant: r = s * g + t * c for both rows
+        r0, r1, s0, s1, t0, t1 = g, c, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+        g, coefficients = r0, [s0 * u for u in coefficients] + [t0]
+    return Word(tuple(x for j, u in enumerate(coefficients) for x in Word.gen(j, g * u).letters))
+
+
+def cyclic_subgroup_verdict(p: Presentation, max_cosets: int) -> Verdict:
+    """Decide whether a group with abelianization Z is Z, by one coset enumeration.
+
+    Let g be a word whose image generates G^ab = Z (read off the Smith
+    column transform, `snf.cokernel_map`).  If [G : <g>] = 1, G is cyclic,
+    so abelian and equal to G^ab.  If G is Z, the map G -> G^ab is an
+    isomorphism, so g generates G.  Hence G is Z exactly when the index is
+    1, and an index N > 1 refutes it.  The enumeration is over the subgroup
+    <g> (Holt-Eick-O'Brien 2005, ch. 5); past the cap the verdict is
+    inconclusive.
+    """
+    factors, images = cokernel_map(exponent_matrix(p), p.ngens)
+    if factors != (0,):
+        raise ValueError("the abelianization is not Z")
+    g = _generator_word([image[0] for image in images])
+    name = format_word(g, p.generators)
+    result = coset_enumerate(p, (g,), max_cosets)
+    if not result.completed:
+        return Verdict(Status.INCONCLUSIVE, (
+            f"index of the subgroup generated by {name} inconclusive: table cap "
+            f"{max_cosets} exhausted ({result.allocated} cosets allocated)",))
+    fact = (f"{name} maps to a generator of the abelianization Z; the subgroup it "
+            f"generates has index {result.index} ({result.allocated} cosets allocated, "
+            f"cap {max_cosets})")
+    if result.index == 1:
+        return Verdict(Status.ISOMORPHIC, (fact, "group is cyclic, hence isomorphic to Z"))
+    return Verdict(Status.NOT_ISOMORPHIC, (
+        fact, f"a group isomorphic to Z would be generated by {name}: index {result.index} "
+              f"refutes it"))
+
+
 def verify_abelian_isomorphism(p: Presentation, target: AbelianGroup,
                                bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
     """Decide whether the presented group is isomorphic to the abelian target.
@@ -233,9 +288,11 @@ def verify_abelian_isomorphism(p: Presentation, target: AbelianGroup,
     settled by coset enumeration of the total order (a group whose order
     equals its abelianization's order is abelian); (c) when that hits the
     cap, by the order of the commutator subgroup
-    (`commutator_subgroup_order`); (d) infinite targets need an abelianness
-    certificate, or else a finite nonabelian quotient refutes them; (e)
-    otherwise the verdict is inconclusive.
+    (`commutator_subgroup_order`); (d) the target Z is settled by the index
+    of one cyclic subgroup (`cyclic_subgroup_verdict`); (e) other infinite
+    targets, and Z when (d) hits the cap, need an abelianness certificate,
+    or else a finite nonabelian quotient refutes them; (f) otherwise the
+    verdict is inconclusive.
     """
     ab = abelianization(p)
     if ab != target:
@@ -263,6 +320,11 @@ def verify_abelian_isomorphism(p: Presentation, target: AbelianGroup,
             evidence.append("nonabelian group cannot be isomorphic to an abelian target")
             return Verdict(Status.NOT_ISOMORPHIC, tuple(evidence))
     else:
+        if target == AbelianGroup.free(1):
+            cyclic = cyclic_subgroup_verdict(p, bounds.max_cosets)
+            evidence.extend(cyclic.evidence)
+            if cyclic.status is not Status.INCONCLUSIVE:
+                return Verdict(cyclic.status, tuple(evidence))
         cert = certify_abelian(p, bounds.max_rules)
         evidence.extend(cert.evidence)
         if cert.status is Status.ISOMORPHIC:

@@ -375,10 +375,12 @@ _FAMILY_END = ("smoothly-distinct B2: 1 1 1 vs B2: 1 1 1 1 1\tpass\tverdict "
                "[-1, -1, 1, 1, 1]\n"
                "topological-equivalence\tcited\tall family members are topologically "
                "equivalent to the unsurgered configuration (surgery-theoretic result, cited)\n")
-_F1_PRESERVED = ("F1(d=2, k=0): hypothesis holds; abelianization matches target Z; eliminated "
-                 "1 redundant generators before rewriting (2 remain); all 1 generator "
-                 "commutators reduce to the identity (12 rules, confluent=True); abelian group "
-                 "with abelianization Z: isomorphic")
+
+
+def _f1_preserved(allocated):
+    return ("F1(d=2, k=0): hypothesis holds; abelianization matches target Z; s maps to a "
+            "generator of the abelianization Z; the subgroup it generates has index 1 "
+            f"({allocated} cosets allocated, cap 100000); group is cyclic, hence isomorphic to Z")
 
 
 def _finite_preserved(case, order, allocated):
@@ -389,7 +391,7 @@ def _finite_preserved(case, order, allocated):
 
 
 @pytest.mark.parametrize("case, points, first, second", [
-    ("i", 2, _F1_PRESERVED, _F1_PRESERVED),
+    ("i", 2, _f1_preserved(2), _f1_preserved(3)),
     ("ii", 3, _finite_preserved("F2(p=1, q=3, k=1)", 3, 10),
      _finite_preserved("F2(p=1, q=3, k=1)", 3, 12)),
     ("iii", 6, _finite_preserved("F3(m=3, n=2, k=1)", 6, 33),

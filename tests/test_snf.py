@@ -6,8 +6,8 @@ from math import gcd
 
 import pytest
 
-from dpsurgery.snf import (cokernel_invariants, determinant, element_order_in_cokernel,
-                           mat_mul, smith_normal_form)
+from dpsurgery.snf import (cokernel_invariants, cokernel_map, determinant,
+                           element_order_in_cokernel, mat_mul, smith_normal_form)
 
 
 def cofactor_det(m):
@@ -167,3 +167,21 @@ def test_element_order_matches_index_oracle():
         rank_v, order_v = _torsion_order(m + [vector], cols)
         expected = None if rank_v < rank else order // order_v
         assert element_order_in_cokernel(m, cols, vector) == expected, (m, vector)
+
+
+def test_cokernel_map_reports_free_coordinates():
+    """Factors >= 2 first, then a 0 per free coordinate; a free image is an integer."""
+    # Z^2 / <(2, -3)> = Z with a -> 3, b -> 2 up to one sign
+    factors, images = cokernel_map([[2, -3]], 2)
+    assert factors == (0,)
+    assert sorted(abs(c) for c, in images) == [2, 3]
+    assert 2 * images[0][0] - 3 * images[1][0] == 0
+    # Z_2 + Z: e_0 has order 2 and e_1 generates the free part
+    factors, images = cokernel_map([[2, 0], [0, 0]], 2)
+    assert factors == (2, 0)
+    assert images[0] == (1, 0) and images[1][0] == 0 and abs(images[1][1]) == 1
+    # finite: residues only; e_0 has order 2 and e_1 order 3 in Z_6
+    factors, images = cokernel_map([[2, 0], [0, 3]], 2)
+    assert factors == (6,)
+    assert images[0] == (3,) and images[1][0] in (2, 4)
+    assert cokernel_map([], 3) == ((0, 0, 0), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

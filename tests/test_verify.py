@@ -8,11 +8,12 @@ from dpsurgery import verify
 from dpsurgery.coset import coset_enumerate
 from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, BraidWord, knot_group_from_braid
 from dpsurgery.presentations import (AbelianGroup, Presentation, abelianization,
-                                     parse_presentation, simplify_presentation)
+                                     parse_presentation, parse_word, simplify_presentation)
 from dpsurgery.surgery import CaseParams, case_presentation, surgered_presentation, \
     verify_group_preserved
-from dpsurgery.verify import (Bounds, Status, Verdict, commutator_subgroup_order,
-                              nonabelian_quotient_witness, verify_abelian_isomorphism)
+from dpsurgery.verify import (Bounds, Status, Verdict, certify_abelian, commutator_subgroup_order,
+                              cyclic_subgroup_verdict, nonabelian_quotient_witness,
+                              verify_abelian_isomorphism)
 from dpsurgery.words import Word
 
 
@@ -210,3 +211,102 @@ def test_capped_finite_target_never_runs_the_witness(monkeypatch):
     monkeypatch.setattr(verify, "nonabelian_quotient_witness", spy)
     test_trefoil_vs_z_is_refuted()
     assert len(calls) == 1
+
+
+# -- infinite cyclic targets: the index of one cyclic subgroup ------------------
+
+def test_cyclic_subgroup_index_refutes_z():
+    """Z_3 x| Z: the abelianization is Z, generated by x, and <x> has index 3."""
+    p = parse_presentation("gens: x t ; rels: t^3 , x t X t ;")
+    verdict = verify_abelian_isomorphism(p, AbelianGroup.free(1))
+    assert verdict.status is Status.NOT_ISOMORPHIC
+    assert verdict.evidence[1] == ("x maps to a generator of the abelianization Z; the subgroup "
+                                   "it generates has index 3 (3 cosets allocated, cap 100000)")
+    assert not any("coset enumeration completed: index" in fact for fact in verdict.evidence)
+
+
+def test_cyclic_subgroup_word_is_a_bezout_product():
+    """a -> 3 and b -> 2: no generator maps to +-1, so g is a^u b^v with 3u + 2v = +-1."""
+    p = parse_presentation("gens: a b ; rels: a^2 B^3 , [a,b] ;")
+    verdict = verify_abelian_isomorphism(p, AbelianGroup.free(1))
+    assert verdict.status is Status.ISOMORPHIC
+    fact = verdict.evidence[1]
+    name = fact.split(" maps to a generator")[0]
+    word = parse_word(name, p.generators)
+    assert {x >> 1 for x in word.letters} == {0, 1}
+    assert abs(3 * word.exponent_sum(0) + 2 * word.exponent_sum(1)) == 1
+    assert "the subgroup it generates has index 1" in fact
+    assert verdict.evidence[-1] == "group is cyclic, hence isomorphic to Z"
+
+
+def test_cyclic_subgroup_verdict_needs_abelianization_z():
+    with pytest.raises(ValueError):
+        cyclic_subgroup_verdict(parse_presentation("gens: a b ; rels: [a,b] ;"), 100)
+
+
+def test_cyclic_subgroup_cap_falls_through_to_rewriting():
+    """<a> has infinite index in the trefoil group: the cap is recorded, and
+    Knuth-Bendix and the quotient search decide as before."""
+    trefoil = parse_presentation("gens: a b ; rels: a b a B A B ;")
+    verdict = verify_abelian_isomorphism(trefoil, AbelianGroup.free(1), Bounds(300, 150))
+    assert verdict.evidence[1] == ("index of the subgroup generated by a inconclusive: table "
+                                   "cap 300 exhausted (300 cosets allocated)")
+    assert verdict.status is Status.NOT_ISOMORPHIC
+    assert verdict.evidence[-1] == "nonabelian group cannot be isomorphic to an abelian target"
+
+
+@st.composite
+def z_presentations(draw):
+    """Two or three generators with abelianization Z, and up to two random
+    relators with zero exponent sums.  The first relators are either a^p b^q
+    with p, q coprime (its letters shuffled), or b^m and a b A b^e with m and
+    e + 1 coprime (among them Z_m x| Z, where <a> has index m); a third
+    generator is set equal to a random word in a and b."""
+    n = draw(st.integers(2, 3))
+    letters = st.integers(0, 2 * n - 1)
+    if draw(st.booleans()):
+        p, q = draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (3, 2), (2, -3), (1, -2), (5, 3)]))
+        first = list(Word.gen(0, p).letters + Word.gen(1, q).letters)
+        relators = [Word(tuple(draw(st.permutations(first))))]
+    else:
+        m, e = draw(st.sampled_from([(3, 1), (5, 1), (4, 2), (5, 2), (7, 1), (2, 2), (3, 3)]))
+        relators = [Word.gen(1, m), Word((0, 2, 1)) * Word.gen(1, e)]
+    if n == 3:
+        w = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+        relators.append(Word((5,) + tuple(w)))
+    for _ in range(draw(st.integers(0, 2))):
+        w = draw(st.lists(letters, min_size=1, max_size=5))
+        shuffled = draw(st.permutations(w))
+        relators.append(Word(tuple(w)) * Word(tuple(shuffled)).inverse())
+    return Presentation(tuple("abc"[:n]), tuple(relators))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(z_presentations())
+def test_cyclic_subgroup_agrees_with_rewriting(p):
+    """Wherever the index test and the abelianness certificate both decide, they agree."""
+    assert abelianization(p) == AbelianGroup.free(1)
+    cyclic = cyclic_subgroup_verdict(p, 2_000)
+    cert = certify_abelian(p, 100)
+    if Status.INCONCLUSIVE not in (cyclic.status, cert.status):
+        assert cyclic.status is cert.status, (p.format(), cyclic.evidence, cert.evidence)
+
+
+# F1 surgeries of surgery-sweep seed 1001 at the workload's caps: two are
+# decided by the index of <g>, where Knuth-Bendix alone stopped at 200 rules;
+# on the third the enumeration caps too, and the evidence names both caps
+@pytest.mark.parametrize("d, knot, status", [
+    (1, "B4: 2 2 -2 -1 1 3 3 2 3 1 2", Status.ISOMORPHIC),
+    (6, "B4: -3 1 -2 -1 2 -3 -3 3 1 1 -3", Status.ISOMORPHIC),
+    (5, "B3: -1 -1 1 -2 1 1 1 -2 1 1 2 -1", Status.INCONCLUSIVE),
+])
+def test_f1_regressions_at_the_sweep_caps(d, knot, status):
+    data = knot_group_from_braid(BraidWord.parse(knot)).simplified()
+    verdict = verify_group_preserved(CaseParams.f1(d, 0), data, Bounds(500, 200))
+    assert verdict.status is status, verdict.evidence
+    if status is Status.ISOMORPHIC:
+        assert "the subgroup it generates has index 1" in verdict.evidence[2]
+    else:
+        assert any("table cap 500 exhausted" in fact for fact in verdict.evidence)
+        assert any("rewrite-rule cap 200 exhausted" in fact for fact in verdict.evidence)
