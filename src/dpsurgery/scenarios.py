@@ -35,11 +35,10 @@ from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
 from .knots import BraidWord, knot_group_from_braid, parse_int
 from .presentations import AbelianGroup, Presentation, abelianization
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
-from .surgery import CaseParams, SurgerySpec, case_presentation, \
-    check_case_hypothesis, surgered_components, surgered_presentation, verify_group_preserved
+from .surgery import CaseParams, SurgerySpec, case_presentation, check_case_hypothesis, \
+    on_unsimplified, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import family_report
-from .verify import Bounds, DEFAULT_BOUNDS, commutator_subgroup_order, \
-    verify_abelian_isomorphism
+from .verify import Bounds, DEFAULT_BOUNDS, decide_group, verify_abelian_isomorphism
 from .words import Word, commutator
 
 
@@ -241,52 +240,33 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
         return lines
     raw_knot = knot_group_from_braid(spec.knot)
     knot_data = raw_knot.simplified()
-    verdict = verify_group_preserved(case, knot_data, bounds)
+    verdict = verify_group_preserved(case, knot_data, bounds, raw_knot)
     lines.append(line_from_verdict("group-preserved", verdict))
 
-    # cross-validation of the two construction paths, both built on the
-    # meridian-kept simplification; a path whose enumeration hits the cap
-    # there is enumerated again on the unsimplified Wirtinger group, whose
-    # table can close where the simplified one does not, and failing that
-    # takes its order from the commutator subgroup
-    def amalgam_of(data):
-        return surgered_presentation(case.base_presentation(), data, case.k)
-
-    def collapsed_of(data):
-        return case_presentation(case, data)
-
-    amalgam, collapsed = amalgam_of(knot_data), collapsed_of(knot_data)
-    ab1, ab2 = abelianization(amalgam), abelianization(collapsed)
+    # cross-validation: both construction paths built on the meridian-kept
+    # simplification, their orders decided as in group-preserved
+    builds = {"amalgam": lambda data: surgered_presentation(case.base_presentation(), data,
+                                                            case.k),
+              "collapsed": lambda data: case_presentation(case, data)}
+    paths = {name: build(knot_data) for name, build in builds.items()}
+    ab1, ab2 = map(abelianization, paths.values())
     facts = [f"amalgam abelianization {ab1}, collapsed abelianization {ab2}"]
-    agree = ab1 == ab2
-    capped = False
+    agree, capped = ab1 == ab2, False
     if case.target().order() is not None:
-        from .coset import coset_enumerate
-
-        derived = []
-
-        def order_of(name, presentation, build):
-            result = coset_enumerate(presentation, (), bounds.max_cosets)
-            if not result.completed:
-                result = coset_enumerate(build(raw_knot), (), bounds.max_cosets)
-            if result.completed:
-                return result.index
-            order = commutator_subgroup_order(presentation, bounds.max_cosets).order
-            if order is not None:
-                derived.append(name)
-            return order
-
-        order1 = order_of("amalgam", amalgam, amalgam_of)
-        order2 = order_of("collapsed", collapsed, collapsed_of)
-        if order1 is not None and order2 is not None:
-            facts.append(f"enumerated orders {order1} and {order2}")
+        decisions = {name: decide_group(paths[name], case.target(), bounds,
+                                        on_unsimplified(build, raw_knot))
+                     for name, build in builds.items()}
+        orders = [d.order for d in decisions.values()]
+        derived = [name for name, d in decisions.items() if d.derived]
+        if None in orders:
+            facts.append("order comparison skipped: an enumeration hit its cap")
+            capped = True
+        else:
+            facts.append(f"enumerated orders {orders[0]} and {orders[1]}")
             if derived:
                 facts.append(f"{' and '.join(derived)} order{'s' if len(derived) > 1 else ''} "
                              f"from the commutator subgroup")
-            agree = agree and order1 == order2
-        else:
-            facts.append("order comparison skipped: an enumeration hit its cap")
-            capped = True
+            agree = agree and orders[0] == orders[1]
     verdict = FAIL if not agree else INCONCLUSIVE if capped else PASS
     lines.append(CheckLine("cross-validation", verdict, tuple(facts)))
     lines.append(tags)

@@ -11,9 +11,9 @@ to the fundamental group of the new complement are provided:
 
 The two paths are cross-validated against each other by the test suite, on
 the Wirtinger knot group and on its meridian-kept simplification.  The
-``surgery`` report cross-validates them too: it enumerates both on the
-simplification and enumerates a path again on the unsimplified knot group
-only when its enumeration hits the coset cap.
+``surgery`` report's `group-preserved` and both `cross-validation` paths
+decide by `verify.decide_group`: on the simplification, on the raw knot
+group only after a cap, then the commutator route or Knuth-Bendix.
 """
 
 from __future__ import annotations
@@ -194,25 +194,27 @@ def case_presentation(c: CaseParams, knot: KnotGroupData) -> Presentation:
                         tuple(sorted(labels.items())))
 
 
+def on_unsimplified(build, raw: KnotGroupData | None):
+    """`decide_group` fallbacks: `build(raw)`, built only on demand; none without `raw`."""
+    if raw is not None:
+        yield "the unsimplified Wirtinger group", build(raw)
+
+
 def verify_group_preserved(c: CaseParams, knot: KnotGroupData,
                            bounds: Bounds = DEFAULT_BOUNDS,
-                           require_hypothesis: bool = True) -> Verdict:
+                           raw: KnotGroupData | None = None) -> Verdict:
     """Verify that the surgered group matches the case's abelian target.
 
-    The case presentation is built on `knot` as given: pass
-    `KnotGroupData.simplified()` to certify on the Tietze-reduced knot group.
-    Refuses to run when the arithmetic hypothesis fails (no claim is made
-    there) unless `require_hypothesis` is disabled for negative controls.
+    The case presentation is built on `knot`, typically simplified, and on
+    `raw`, the unsimplified knot group, only after a cap (`decide_group`).
+    Refuses to run when the arithmetic hypothesis fails: no claim is made.
     """
     if not check_case_hypothesis(c):
-        if require_hypothesis:
-            raise HypothesisError(f"hypothesis of {c.describe()} fails; no claim is made")
-        prefix = (f"{c.describe()}: hypothesis FAILS; running anyway (negative control)",)
-    else:
-        prefix = (f"{c.describe()}: hypothesis holds",)
-    presentation = case_presentation(c, knot)
-    verdict = verify_abelian_isomorphism(presentation, c.target(), bounds)
-    return Verdict(verdict.status, prefix + verdict.evidence)
+        raise HypothesisError(f"hypothesis of {c.describe()} fails; no claim is made")
+    verdict = verify_abelian_isomorphism(
+        case_presentation(c, knot), c.target(), bounds,
+        on_unsimplified(lambda data: case_presentation(c, data), raw))
+    return Verdict(verdict.status, (f"{c.describe()}: hypothesis holds",) + verdict.evidence)
 
 
 @dataclass(frozen=True)

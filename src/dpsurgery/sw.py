@@ -126,10 +126,10 @@ def family_report(config: Configuration, count: int, case: CaseParams,
                   bounds: Bounds = DEFAULT_BOUNDS) -> FamilyReport:
     """Surger a family of torus knots at the first double point and certify the lot.
 
-    For each knot `r=<i> <braid>`: verify the group is preserved on the
-    Tietze-reduced knot group, and check that component 1 becomes standard
-    and component 2 keeps its embedding tag; then compare every pair through
-    the invariant.  Requires the case hypothesis.
+    For each knot `r=<i> <braid>`: verify the group is preserved (on the
+    Tietze-reduced knot group, on the raw one only after a cap), check that
+    component 1 becomes standard and component 2 keeps its embedding tag;
+    then compare every pair through the invariant.  Requires the case hypothesis.
     """
     if not check_case_hypothesis(case):
         raise ValueError(f"case hypothesis fails for {case.describe()}")
@@ -143,7 +143,7 @@ def family_report(config: Configuration, count: int, case: CaseParams,
                       surgered_components(SurgerySpec(config, 0, braid, case.k)))
         knots.append((
             line_from_verdict(f"group-preserved {prefix}",
-                              verify_group_preserved(case, knot.simplified(), bounds)),
+                              verify_group_preserved(case, knot.simplified(), bounds, knot)),
             CheckLine(f"component-1-standard {prefix}", PASS if tag1 == "Standard" else FAIL,
                       (f"component 1 embedding tag: {tag1}",)),
             CheckLine(f"component-2-unchanged {prefix}", PASS if tag2 == unchanged else FAIL,

@@ -4,21 +4,19 @@ Every procedure here is bounded, deterministic, and returns a Verdict whose
 evidence lists the facts actually established.  Inconclusive is a first-class
 outcome: no bounded run is ever silently converted into a yes or a no.
 
-A group is compared with a finite abelian target by its order: coset
-enumeration first, and when that hits the cap, the order of the commutator
-subgroup (`commutator_subgroup_order`).  Against Z, the index of the
-subgroup generated by one word that maps onto a generator of the
-abelianization decides (`cyclic_subgroup_verdict`): index 1 is Z, any
-other index refutes it.  When that enumeration caps, and for every other
-infinite target, a Knuth-Bendix abelianness certificate is needed, and the
-exponent-quotient search (`nonabelian_quotient_witness`) is the only
-refuter.
+`decide_group` alone turns presentations of one group into an order or an
+index, in one order: the simplified presentation, the raw one only after a
+cap, then on the first the commutator route (finite targets) or
+Knuth-Bendix and the exponent-quotient witness (infinite targets).
+Surgery's `group-preserved` and `cross-validation` both call it.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 
 from .coset import coset_enumerate
@@ -43,9 +41,6 @@ class Verdict:
     def __post_init__(self):
         if not self.evidence:
             raise ValueError("a verdict must cite at least one evidence fact")
-
-    def __str__(self) -> str:
-        return self.status.value
 
 
 @dataclass(frozen=True)
@@ -155,11 +150,8 @@ def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
     does not run.
     """
     torsion, images = cokernel_map(exponent_matrix(p), p.ngens)
-    if 0 in torsion:
-        return DerivedOrder(None, False, ())
-    index = prod(torsion)
-    n = p.ngens
-    if index * n + 1 > max_cosets:
+    index, n = prod(torsion), p.ngens
+    if 0 in torsion or index * n + 1 > max_cosets:
         return DerivedOrder(None, False, ())
 
     # breadth-first transversal: act[c][x] is coset c times letter x, and a
@@ -280,63 +272,86 @@ def cyclic_subgroup_verdict(p: Presentation, max_cosets: int) -> Verdict:
               f"refutes it"))
 
 
-def verify_abelian_isomorphism(p: Presentation, target: AbelianGroup,
-                               bounds: Bounds = DEFAULT_BOUNDS) -> Verdict:
-    """Decide whether the presented group is isomorphic to the abelian target.
+@dataclass(frozen=True)
+class GroupDecision:
+    """`decide_group`'s verdict, the group order it found, and whether G' gave it."""
+    verdict: Verdict
+    order: int | None
+    derived: bool
 
-    Steps: (a) abelianization must equal the target; (b) finite targets are
-    settled by coset enumeration of the total order (a group whose order
-    equals its abelianization's order is abelian); (c) when that hits the
-    cap, by the order of the commutator subgroup
-    (`commutator_subgroup_order`); (d) the target Z is settled by the index
-    of one cyclic subgroup (`cyclic_subgroup_verdict`); (e) other infinite
-    targets, and Z when (d) hits the cap, need an abelianness certificate,
-    or else a finite nonabelian quotient refutes them; (f) otherwise the
-    verdict is inconclusive.
+
+_NONABELIAN = "nonabelian group cannot be isomorphic to an abelian target"
+
+
+def decide_group(p: Presentation, target: AbelianGroup, bounds: Bounds = DEFAULT_BOUNDS,
+                 fallbacks: Iterable[tuple[str, Presentation]] = ()) -> GroupDecision:
+    """Decide whether a group whose abelianization is the target is the target.
+
+    `p` presents the group; `fallbacks` lazily yields (name, presentation)
+    pairs of it, each enumerated only after the one before capped, its facts
+    prefixed `on <name>: `.  A finite target is settled by the order (equal
+    to the abelianization's, the group is abelian), Z by the index of one
+    cyclic subgroup (`cyclic_subgroup_verdict`).  When all cap, the
+    commutator subgroup (`commutator_subgroup_order`), or Knuth-Bendix and
+    the quotient witness, run once, on `p`.  The verdict assumes the
+    abelianization check of `verify_abelian_isomorphism`; the order does not.
     """
-    ab = abelianization(p)
-    if ab != target:
-        return Verdict(Status.NOT_ISOMORPHIC,
-                       (f"abelianization is {ab}, target is {target}",))
-    evidence = [f"abelianization matches target {target}"]
+    evidence: list[str] = []
+    attempts = chain([("", p)], ((f"on {name}: ", q) for name, q in fallbacks))
+    order, nonabelian, derived = None, False, False
+
+    def decision(status: Status, *facts: str) -> GroupDecision:
+        return GroupDecision(Verdict(status, tuple(evidence) + facts), order, derived)
 
     target_order = target.order()
     if target_order is not None:
-        result = coset_enumerate(p, (), bounds.max_cosets)
-        evidence.extend(result.evidence())
-        order, nonabelian = result.index, False
-        if not result.completed:
-            derived = commutator_subgroup_order(p, bounds.max_cosets)
-            evidence.extend(derived.evidence)
-            order, nonabelian = derived.order, derived.nonabelian
+        for prefix, q in attempts:
+            result = coset_enumerate(q, (), bounds.max_cosets)
+            evidence.extend(prefix + fact for fact in result.evidence())
+            if result.completed:
+                order = result.index
+                break
+        else:
+            route = commutator_subgroup_order(p, bounds.max_cosets)
+            evidence.extend(route.evidence)
+            order, nonabelian, derived = route.order, route.nonabelian, route.order is not None
         if order == target_order:
-            evidence.append(f"group order {order} equals abelianization order: "
-                            f"group is abelian, hence isomorphic to {target}")
-            return Verdict(Status.ISOMORPHIC, tuple(evidence))
+            return decision(Status.ISOMORPHIC, f"group order {order} equals abelianization "
+                            f"order: group is abelian, hence isomorphic to {target}")
         if order is not None:
-            evidence.append(f"group order {order} != {target_order} = |target|")
-            return Verdict(Status.NOT_ISOMORPHIC, tuple(evidence))
+            return decision(Status.NOT_ISOMORPHIC,
+                            f"group order {order} != {target_order} = |target|")
         if nonabelian:
-            evidence.append("nonabelian group cannot be isomorphic to an abelian target")
-            return Verdict(Status.NOT_ISOMORPHIC, tuple(evidence))
+            return decision(Status.NOT_ISOMORPHIC, _NONABELIAN)
     else:
         if target == AbelianGroup.free(1):
-            cyclic = cyclic_subgroup_verdict(p, bounds.max_cosets)
-            evidence.extend(cyclic.evidence)
-            if cyclic.status is not Status.INCONCLUSIVE:
-                return Verdict(cyclic.status, tuple(evidence))
+            for prefix, q in attempts:
+                cyclic = cyclic_subgroup_verdict(q, bounds.max_cosets)
+                evidence.extend(prefix + fact for fact in cyclic.evidence)
+                if cyclic.status is not Status.INCONCLUSIVE:
+                    return decision(cyclic.status)
         cert = certify_abelian(p, bounds.max_rules)
         evidence.extend(cert.evidence)
         if cert.status is Status.ISOMORPHIC:
-            evidence.append(f"abelian group with abelianization {target}: isomorphic")
-            return Verdict(Status.ISOMORPHIC, tuple(evidence))
+            return decision(Status.ISOMORPHIC,
+                            f"abelian group with abelianization {target}: isomorphic")
         if cert.status is Status.NOT_ISOMORPHIC:
-            evidence.append("nonabelian group cannot be isomorphic to an abelian target")
-            return Verdict(Status.NOT_ISOMORPHIC, tuple(evidence))
+            return decision(Status.NOT_ISOMORPHIC, _NONABELIAN)
         witness = nonabelian_quotient_witness(p, min(bounds.max_cosets, 20_000))
         if witness is not None:
-            evidence.append(witness)
-            evidence.append("nonabelian group cannot be isomorphic to an abelian target")
-            return Verdict(Status.NOT_ISOMORPHIC, tuple(evidence))
-    evidence.append("bounds exhausted without a decision")
-    return Verdict(Status.INCONCLUSIVE, tuple(evidence))
+            return decision(Status.NOT_ISOMORPHIC, witness, _NONABELIAN)
+    return decision(Status.INCONCLUSIVE, "bounds exhausted without a decision")
+
+
+def verify_abelian_isomorphism(p: Presentation, target: AbelianGroup,
+                               bounds: Bounds = DEFAULT_BOUNDS,
+                               fallbacks: Iterable[tuple[str, Presentation]] = ()) -> Verdict:
+    """Decide whether the presented group is isomorphic to the abelian target:
+    the abelianization must equal it, then `decide_group` decides on `p`
+    (typically simplified), on `fallbacks` (the raw one) only after a cap,
+    and after all cap by the commutator route or Knuth-Bendix on `p`."""
+    ab = abelianization(p)
+    if ab != target:
+        return Verdict(Status.NOT_ISOMORPHIC, (f"abelianization is {ab}, target is {target}",))
+    verdict = decide_group(p, target, bounds, fallbacks).verdict
+    return Verdict(verdict.status, (f"abelianization matches target {target}",) + verdict.evidence)

@@ -3,8 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Criterion 3 also checks the q=2 cell F2(p=1, q=2, k=1), which
 lies outside the case hypothesis, as an exact refusal: the verifier must
-decline to run it by default and, run as a negative control, must prove
-the group is not Z_2 by its enumerated order (see that test's docstring).
+decline to run it, and the group check of its case presentation, run as a
+negative control, must prove the group is not Z_2 by its enumerated order
+(see that test's docstring).
 """
 
 import random
@@ -97,8 +98,8 @@ def test_criterion_3_case_verification_matrix():
             inconclusive += verdict.status is Status.INCONCLUSIVE
     assert inconclusive == 0
     # negative control: the failed-hypothesis cell must never certify Z_4
-    verdict = verify_group_preserved(CaseParams.f2(1, 4, 1), KNOTS["trefoil"],
-                                     require_hypothesis=False)
+    case = CaseParams.f2(1, 4, 1)
+    verdict = verify_abelian_isomorphism(case_presentation(case, KNOTS["trefoil"]), case.target())
     assert verdict.status is not Status.ISOMORPHIC
     _report("criterion-3 case verification matrix",
             "7 positive cells x 2 knots + negative control")
@@ -117,9 +118,10 @@ def test_criterion_3_f2_q2_cell_as_stated():
     Z_2, equal to the target, so only the order step of
     `verify_abelian_isomorphism` can tell the two apart.
 
-    The test checks that the default call raises HypothesisError, that the
-    negative-control call is exactly NOT_ISOMORPHIC (the enumeration is tiny,
-    so INCONCLUSIVE is a failure too) and quotes the order, and that both
+    The test checks that `verify_group_preserved` raises HypothesisError,
+    that the group check of the case presentation against Z_2, run as a
+    negative control, is exactly NOT_ISOMORPHIC (the enumeration is tiny, so
+    INCONCLUSIVE is a failure too) and quotes the order, and that both
     construction paths enumerate to 2 det(K), with det(K) from the coloring
     matrix, which does not use the coset engine.
     """
@@ -130,10 +132,8 @@ def test_criterion_3_f2_q2_cell_as_stated():
         order = 2 * coloring_determinant(braid_to_diagram(braid))
         with pytest.raises(HypothesisError):
             verify_group_preserved(case, knot)
-        verdict = verify_group_preserved(case, knot, require_hypothesis=False)
+        verdict = verify_abelian_isomorphism(case_presentation(case, knot), case.target())
         assert verdict.status is Status.NOT_ISOMORPHIC, (name, verdict.evidence)
-        assert verdict.evidence[0] == \
-            "F2(p=1, q=2, k=1): hypothesis FAILS; running anyway (negative control)"
         assert "abelianization matches target Z_2" in verdict.evidence
         assert f"group order {order} != 2 = |target|" in verdict.evidence
         amalgam = surgered_presentation(case.base_presentation(), knot, case.k)

@@ -6,11 +6,13 @@ from dpsurgery.coset import coset_enumerate
 from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, knot_group_from_braid, torus_knot
 from dpsurgery.presentations import AbelianGroup, abelianization, \
     parse_presentation
-from dpsurgery.scenarios import nodal_configuration, rational_configuration, tori_configuration
+from dpsurgery import scenarios, surgery
+from dpsurgery.scenarios import nodal_configuration, rational_configuration, run_builtin, \
+    tori_configuration
 from dpsurgery.surgery import (CaseParams, HypothesisError, SurgerySpec, apply_surgery,
                                case_presentation, check_case_hypothesis, surgered_presentation,
                                verify_group_preserved)
-from dpsurgery.verify import Status, certify_abelian, verify_abelian_isomorphism
+from dpsurgery.verify import Bounds, Status, certify_abelian, verify_abelian_isomorphism
 
 from test_sw import trivial_complement_configuration
 
@@ -141,12 +143,34 @@ def test_refuses_outside_hypothesis():
 
 
 def test_negative_control_never_certifies_z4():
-    verdict = verify_group_preserved(CaseParams.f2(1, 4, 1), TREFOIL_DATA,
-                                     require_hypothesis=False)
+    case = CaseParams.f2(1, 4, 1)
+    verdict = verify_abelian_isomorphism(case_presentation(case, TREFOIL_DATA), case.target())
     assert verdict.status in (Status.NOT_ISOMORPHIC, Status.INCONCLUSIVE)
     # the enumerated order is 12, an honest refutation
     if verdict.status is Status.NOT_ISOMORPHIC:
         assert any("12" in fact for fact in verdict.evidence)
+
+
+def test_uncapped_surgery_never_builds_a_raw_presentation(monkeypatch):
+    # the number of generators of each knot group that a case or amalgam
+    # presentation is built on
+    ngens = []
+    for module in (surgery, scenarios):
+        for name in ("case_presentation", "surgered_presentation"):
+            def spy(*args, build=getattr(module, name)):
+                ngens.append(args[1].presentation.ngens)
+                return build(*args)
+            monkeypatch.setattr(module, name, spy)
+    # the trefoil's Wirtinger group has 3 generators, its simplification 2:
+    # group-preserved and both cross-validation paths build on the latter
+    run_builtin("tori", {"m": 3, "n": 2, "k": 1, "knot": "B2: 1 1 1"})
+    assert ngens == [2, 2, 2]
+    # capped at 500 on the 3-generator simplification, each of the three
+    # goes on to the 12-generator Wirtinger group
+    ngens.clear()
+    run_builtin("tori", {"m": 2, "n": 3, "k": 3, "knot": "B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2"},
+                Bounds(500, 200))
+    assert sorted(ngens) == [3, 3, 3, 12, 12, 12]
 
 
 # -- apply_surgery ----------------------------------------------------------------

@@ -293,20 +293,43 @@ def test_cyclic_subgroup_agrees_with_rewriting(p):
         assert cyclic.status is cert.status, (p.format(), cyclic.evidence, cert.evidence)
 
 
-# F1 surgeries of surgery-sweep seed 1001 at the workload's caps: two are
-# decided by the index of <g>, where Knuth-Bendix alone stopped at 200 rules;
-# on the third the enumeration caps too, and the evidence names both caps
+# F1 surgeries of surgery-sweep seed 1001 at the workload's caps, each decided
+# by the index of <g> with no rewriting.  The last two cap on the
+# Tietze-simplified knot group, where they need 666 and 87 117 cosets, and
+# are decided on the unsimplified Wirtinger group (26 and 13 cosets)
+_RAW_DECIDED = (5, 2)
+
+
 @pytest.mark.parametrize("d, knot, status", [
     (1, "B4: 2 2 -2 -1 1 3 3 2 3 1 2", Status.ISOMORPHIC),
     (6, "B4: -3 1 -2 -1 2 -3 -3 3 1 1 -3", Status.ISOMORPHIC),
-    (5, "B3: -1 -1 1 -2 1 1 1 -2 1 1 2 -1", Status.INCONCLUSIVE),
+    (5, "B3: -1 -1 1 -2 1 1 1 -2 1 1 2 -1", Status.ISOMORPHIC),
+    (2, "B4: 3 -1 2 -1 -1 2 -1 2 1", Status.ISOMORPHIC),
 ])
 def test_f1_regressions_at_the_sweep_caps(d, knot, status):
-    data = knot_group_from_braid(BraidWord.parse(knot)).simplified()
-    verdict = verify_group_preserved(CaseParams.f1(d, 0), data, Bounds(500, 200))
+    raw = knot_group_from_braid(BraidWord.parse(knot))
+    verdict = verify_group_preserved(CaseParams.f1(d, 0), raw.simplified(), Bounds(500, 200), raw)
     assert verdict.status is status, verdict.evidence
-    if status is Status.ISOMORPHIC:
-        assert "the subgroup it generates has index 1" in verdict.evidence[2]
+    decided = [fact for fact in verdict.evidence
+               if "the subgroup it generates has index 1" in fact]
+    if d in _RAW_DECIDED:
+        assert verdict.evidence[2].startswith("index of the subgroup generated by")
+        assert "table cap 500 exhausted" in verdict.evidence[2]
+        assert decided == [verdict.evidence[3]]
+        assert decided[0].startswith("on the unsimplified Wirtinger group: ")
     else:
-        assert any("table cap 500 exhausted" in fact for fact in verdict.evidence)
-        assert any("rewrite-rule cap 200 exhausted" in fact for fact in verdict.evidence)
+        assert decided == [verdict.evidence[2]]
+    assert not any("rewrite-rule" in fact for fact in verdict.evidence)
+
+
+def test_f1_capped_on_both_knot_groups_names_both_caps():
+    """Below the 26 cosets the raw group needs, both index enumerations cap,
+    and Knuth-Bendix on the simplified group stops at its rule cap."""
+    raw = knot_group_from_braid(BraidWord.parse("B3: -1 -1 1 -2 1 1 1 -2 1 1 2 -1"))
+    verdict = verify_group_preserved(CaseParams.f1(5, 0), raw.simplified(), Bounds(25, 200), raw)
+    assert verdict.status is Status.INCONCLUSIVE, verdict.evidence
+    cap = "index of the subgroup generated by s inconclusive: table cap 25 exhausted"
+    assert verdict.evidence[2].startswith(cap)
+    assert verdict.evidence[3].startswith("on the unsimplified Wirtinger group: " + cap)
+    assert any("rewrite-rule cap 200 exhausted" in fact for fact in verdict.evidence)
+    assert verdict.evidence[-1] == "bounds exhausted without a decision"
