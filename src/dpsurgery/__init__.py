@@ -22,8 +22,7 @@ from .surgery import CaseParams, SurgerySpec, apply_surgery, case_presentation, 
     HypothesisError
 from .sw import FormalSW, applicability_check, distinguish, \
     family_report, knot_surgery_transform
-from .actions import ActionCertificate, CoverPlan, CoverPlanError, \
-    build_cover_plan, exotic_action_certificate
+from .actions import build_cover_plan, exotic_action_certificate
 from .scenarios import ParamError, ScenarioError, run_builtin, run_scenario, \
     run_scenario_text, nodal_configuration, rational_configuration, \
     spheres_configuration, tori_configuration

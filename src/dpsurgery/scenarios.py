@@ -28,8 +28,7 @@ from __future__ import annotations
 import json
 from math import gcd
 
-from .actions import (CoverPlanError, CoverPlanInconclusive, build_cover_plan,
-                      exotic_action_certificate)
+from .actions import build_cover_plan, exotic_action_certificate
 from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
                              complement_h1, spheres_presentation, tori_presentation)
 from .knots import BraidWord, knot_group_from_braid, parse_int
@@ -341,25 +340,16 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
 
 
 def _run_theorem_7_2(params: dict, bounds: Bounds) -> Report:
-    p = take_params(params, {
-        "m": (int, None, lambda v: v >= 1, "m >= 1"),
-        "n": (int, None, lambda v: v >= 1, "n >= 1"),
-        "k": (int, 1, None, ""),
-        "count": (int, 5, lambda v: v >= 2, "count >= 2"),
-    })
-    ordered = [("m", p["m"]), ("n", p["n"]), ("k", p["k"]), ("count", p["count"])]
-    title = _title("theorem-7-2", ordered)
-    config = tori_configuration(p["m"], p["n"])
-    try:
-        plan = build_cover_plan(config, p["m"], p["n"], bounds)
-    except CoverPlanError as err:
-        verdict = INCONCLUSIVE if isinstance(err, CoverPlanInconclusive) else FAIL
-        return Report(title, (CheckLine("cover-plan", verdict, (str(err),)),))
-    lines = [CheckLine("cover-plan", PASS, tuple(plan.describe()))]
-    certificate = exotic_action_certificate(plan, p["k"], p["count"], bounds)
-    lines.extend(certificate.checks)
-    lines.append(CheckLine("conclusion", certificate.verdict, (certificate.conclusion,)))
-    return Report(title, tuple(lines))
+    p = take_params(params, {"m": _M, "n": _N, "k": (int, 1, None, ""),
+                             "count": (int, 5, lambda v: v >= 2, "count >= 2")})
+    m, n = p["m"], p["n"]
+    title = _title("theorem-7-2", [(key, p[key]) for key in ("m", "n", "k", "count")])
+    config = tori_configuration(m, n)
+    plan = build_cover_plan(config, m, n, bounds)
+    if plan.verdict != PASS:
+        return Report(title, (plan,))
+    return Report(title, (plan, *exotic_action_certificate(config, m, n, p["k"], p["count"],
+                                                           bounds)))
 
 
 BUILTIN_NAMES = ("nodal", "rational", "spheres", "tori", "theorem-1-1", "theorem-7-2")

@@ -24,8 +24,8 @@ from .configurations import Configuration, algebraic_intersection
 from .knots import BraidWord
 from .laurent import LaurentPoly
 from .reports import FAIL, PASS, CheckLine, line_from_verdict
-from .surgery import CaseParams, SurgerySpec, check_case_hypothesis, surgered_components, \
-    verify_group_preserved
+from .surgery import CaseParams, HypothesisError, SurgerySpec, check_case_hypothesis, \
+    surgered_components, verify_group_preserved
 from .verify import Bounds, DEFAULT_BOUNDS
 
 
@@ -132,7 +132,7 @@ def family_report(config: Configuration, count: int, case: CaseParams,
     then compare every pair through the invariant.  Requires the case hypothesis.
     """
     if not check_case_hypothesis(case):
-        raise ValueError(f"case hypothesis fails for {case.describe()}")
+        raise HypothesisError(f"case hypothesis fails for {case.describe()}")
     applicability = applicability_check(config)
     family = knot_family(count)
     unchanged = config.components[1].embedding_tag.describe()

@@ -346,19 +346,21 @@ _K1_CERTIFIED = _PLAN + _K1 + (
     "equivalent Z_3 + Z_2 actions of standard type\n")
 
 
-@pytest.mark.parametrize("flags, k, code, stdout", [
-    ([], 1, EXIT_OK, _K1_CERTIFIED),
-    ([], 3, EXIT_FAIL, _K3),
+@pytest.mark.parametrize("flags, k, code, stdout, m, n", [
+    ([], 1, EXIT_OK, _K1_CERTIFIED, 3, 2),
+    ([], 3, EXIT_FAIL, _K3, 3, 2),
     # at cap 40 the third knot's enumeration caps and its commutator
     # subgroup decides it, so the report is the one at the default cap
-    (["--bounds-cosets", "40"], 1, EXIT_OK, _K1_CERTIFIED),
+    (["--bounds-cosets", "40"], 1, EXIT_OK, _K1_CERTIFIED, 3, 2),
     (["--bounds-cosets", "5"], 1, EXIT_INCONCLUSIVE, (
         "cover-plan\tinconclusive\tcomplement group did not verify as Z_6: Inconclusive; "
         "abelianization matches target Z_6; coset enumeration inconclusive: table cap 5 "
-        "exhausted (5 cosets allocated); bounds exhausted without a decision\n")),
+        "exhausted (5 cosets allocated); bounds exhausted without a decision\n"), 3, 2),
+    # a refused plan is the whole report
+    ([], 1, EXIT_FAIL, "cover-plan\tfail\tgcd(m, n) = gcd(2, 4) = 2 != 1\n", 2, 4),
 ])
-def test_cli_actions_machine_output_pinned(capsys, flags, k, code, stdout):
-    assert main(["--format", "machine", *flags, "actions", "m=3", "n=2", f"k={k}",
+def test_cli_actions_machine_output_pinned(capsys, flags, k, code, stdout, m, n):
+    assert main(["--format", "machine", *flags, "actions", f"m={m}", f"n={n}", f"k={k}",
                  "count=3"]) == code
     assert capsys.readouterr().out == stdout
 

@@ -11,7 +11,7 @@ from dpsurgery.laurent import LaurentPoly
 from dpsurgery.presentations import Presentation
 from dpsurgery.reports import FAIL, PASS
 from dpsurgery.scenarios import rational_configuration, spheres_configuration, tori_configuration
-from dpsurgery.surgery import CaseParams
+from dpsurgery.surgery import CaseParams, HypothesisError
 from dpsurgery.sw import (FormalSW, applicability_check, distinguish, family_report,
                           knot_surgery_transform)
 from dpsurgery.words import Word
@@ -190,5 +190,5 @@ def test_family_report_rational():
 
 
 def test_family_report_requires_hypothesis():
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError, match=r"case hypothesis fails for F3\(m=2, n=3, k=2\)"):
         family_report(tori_configuration(2, 3), 2, CaseParams.f3(2, 3, 2))
