@@ -29,7 +29,7 @@ from .verify import Bounds, DEFAULT_BOUNDS, Status, verify_abelian_isomorphism
 
 def _meridian_order(config: Configuration, role: str) -> int | None:
     p = config.pi1
-    word = p.label_word(role)
+    word = p.label(role)
     vector = [word.exponent_sum(g) for g in range(p.ngens)]
     return element_order_in_cokernel(exponent_matrix(p), p.ngens, vector)
 

@@ -188,7 +188,7 @@ def spheres_presentation(m: int, n: int) -> Presentation:
         relators.append(free_reduce(mu[0] * mu[i].inverse()))
     for j in range(1, n):
         relators.append(free_reduce(nu[0] * nu[j].inverse()))
-    return Presentation(names, tuple(relators), (("mu1", 0), ("mu2", m)))
+    return Presentation(names, tuple(relators), (("mu1", mu[0]), ("mu2", nu[0])))
 
 
 def tori_presentation(m: int, n: int) -> Presentation:
@@ -240,4 +240,4 @@ def tori_presentation(m: int, n: int) -> Presentation:
     # fiber sums kill the four section curves
     for w in (a1, a2, a3, a4):
         relators.append(w)
-    return Presentation(names, tuple(relators), (("mu1", 4), ("mu2", 4 + m)))
+    return Presentation(names, tuple(relators), (("mu1", nu[0]), ("mu2", mu[0])))

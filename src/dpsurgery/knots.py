@@ -2,7 +2,9 @@
 
 Braid words use signed 1-based generator indices, so `B3: 1 -2 1 -2` is the
 word s1 s2^-1 s1 s2^-1 on three strands.  Only braids whose closure is a
-knot (single-cycle permutation) are accepted as knot input.
+knot (single-cycle permutation) are accepted as knot input.  A knot group
+carries one label, `muK`, its meridian generator: the surgery relators read
+the meridian and nothing else of the knot's peripheral data.
 """
 
 from __future__ import annotations
@@ -143,10 +145,10 @@ def braid_to_diagram(b: BraidWord) -> KnotDiagram:
 
 @dataclass(frozen=True)
 class KnotGroupData:
-    """Knot group presentation with distinguished meridian and longitude.
+    """Knot group presentation with a distinguished meridian.
 
-    The presentation labels carry role "muK" (a generator) and "lambdaK"
-    (a word of exponent sum zero).
+    The presentation labels role "muK" with a one-letter word: the meridian
+    generator.
     """
 
     presentation: Presentation
@@ -154,12 +156,6 @@ class KnotGroupData:
     def __post_init__(self):
         if self.presentation.label("muK") is None:
             raise ValueError("knot group data needs a muK label")
-        if self.presentation.label("lambdaK") is None:
-            raise ValueError("knot group data needs a lambdaK label")
-        lam = self.presentation.label_word("lambdaK")
-        total = sum(lam.exponent_sum(g) for g in range(self.presentation.ngens))
-        if total != 0:
-            raise ValueError("longitude must have exponent sum zero")
         # the meridian must generate the (infinite cyclic) abelianization:
         # killing it abelianly must kill everything
         p = self.presentation
@@ -171,32 +167,22 @@ class KnotGroupData:
 
     @property
     def meridian(self) -> int:
-        target = self.presentation.label("muK")
-        if not isinstance(target, int):
+        letters = self.presentation.label("muK").letters
+        if len(letters) != 1 or letters[0] & 1:
             raise ValueError("meridian label must be a generator")
-        return target
-
-    @property
-    def longitude(self) -> Word:
-        return self.presentation.label_word("lambdaK")
+        return letters[0] >> 1
 
     def simplified(self) -> "KnotGroupData":
         """Tietze-reduced copy; the meridian generator is never eliminated."""
         from .presentations import simplify_presentation
 
-        reduced = simplify_presentation(self.presentation, keep={self.meridian})
-        target = reduced.label("muK")
-        if not isinstance(target, int):
-            raise AssertionError("meridian survived elimination but lost generator status")
-        return KnotGroupData(reduced)
+        return KnotGroupData(simplify_presentation(self.presentation, keep={self.meridian}))
 
 
 def wirtinger_presentation(d: KnotDiagram) -> KnotGroupData:
     """One generator per arc, one conjugation relator per crossing.
 
-    The meridian is the generator of arc 0; the longitude is the product of
-    over-arc letters read along the knot, corrected by a meridian power to
-    exponent sum zero.
+    The meridian is the generator of arc 0.
     """
     names = tuple(f"x{i}" for i in range(d.arcs))
     relators = []
@@ -204,28 +190,7 @@ def wirtinger_presentation(d: KnotDiagram) -> KnotGroupData:
         over = Word.gen(c.over, c.sign)
         rel = over * Word.gen(c.under_in) * over.inverse() * Word.gen(c.under_out, -1)
         relators.append(free_reduce(rel))
-
-    longitude = Word.identity()
-    if d.crossings:
-        by_under_in = {c.under_in: c for c in d.crossings}
-        factors = []
-        arc = 0
-        while True:
-            c = by_under_in[arc]
-            factors.append(Word.gen(c.over, c.sign))
-            arc = c.under_out
-            if arc == 0:
-                break
-        # composing x_out = w x_in w^-1 around the knot conjugates the
-        # meridian by the reversed product, which is the framed longitude
-        for f in reversed(factors):
-            longitude = longitude * f
-        writhe = sum(c.sign for c in d.crossings)
-        longitude = free_reduce(longitude * Word.gen(0, -writhe))
-
-    pres = Presentation(names, tuple(relators),
-                        (("lambdaK", longitude), ("muK", 0)))
-    return KnotGroupData(pres)
+    return KnotGroupData(Presentation(names, tuple(relators), (("muK", Word.gen(0)),)))
 
 
 def knot_group_from_braid(b: BraidWord) -> KnotGroupData:

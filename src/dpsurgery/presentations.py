@@ -8,8 +8,9 @@ The text form of a presentation is
   generator name, the UPPERCASED name of a single-letter lowercase generator
   (meaning its inverse), `name^k` for a power (k may be negative), or the
   commutator shorthand `[x,y]` where x and y are single tokens;
-* relators are comma-separated, the `labels:` section is optional and maps
-  role names to either a generator or a word in the same token syntax.
+* relators are comma-separated, the `labels:` section is optional and binds
+  role names such as `mu1`, `mu2` to words in the same token syntax, with
+  '.' joining the tokens of one word; a generator is a one-letter word.
 """
 
 from __future__ import annotations
@@ -125,18 +126,12 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 class Presentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...] = ()
-    labels: tuple[tuple[str, int | Word], ...] = ()
+    labels: tuple[tuple[str, Word], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators", tuple(self.relators))
-        canonical = []
-        for role, target in self.labels:
-            if isinstance(target, Word) and len(target.letters) == 1 \
-                    and not target.letters[0] & 1:
-                target = target.letters[0] >> 1
-            canonical.append((role, target))
-        object.__setattr__(self, "labels", tuple(canonical))
+        object.__setattr__(self, "labels", tuple(self.labels))
         seen = set()
         for name in self.generators:
             if not _NAME_RE.match(name):
@@ -153,31 +148,22 @@ class Presentation:
             if role in roles:
                 raise ValueError(f"duplicate label role {role!r}")
             roles.add(role)
-            if isinstance(target, Word):
-                if target.max_index() >= n:
-                    raise ValueError(f"label {role!r} references unknown generator")
-            elif not (0 <= target < n):
-                raise ValueError(f"label {role!r} index out of range")
+            if not isinstance(target, Word):
+                raise TypeError(f"label {role!r} must be a Word, got {target!r}")
+            if target.max_index() >= n:
+                raise ValueError(f"label {role!r} references unknown generator")
 
     @property
     def ngens(self) -> int:
         return len(self.generators)
 
-    def label(self, role: str) -> int | Word | None:
+    def label(self, role: str) -> Word | None:
         for name, target in self.labels:
             if name == role:
                 return target
         return None
 
-    def label_word(self, role: str) -> Word | None:
-        target = self.label(role)
-        if target is None:
-            return None
-        if isinstance(target, Word):
-            return target
-        return Word.gen(target)
-
-    def with_labels(self, labels: dict[str, int | Word]) -> "Presentation":
+    def with_labels(self, labels: dict[str, Word]) -> "Presentation":
         merged = dict(self.labels)
         merged.update(labels)
         return Presentation(self.generators, self.relators,
@@ -189,14 +175,9 @@ class Presentation:
         words = " , ".join(format_word(r, self.generators) for r in self.relators)
         out = f"gens: {' '.join(self.generators)} ; rels: {words} ;"
         if self.labels:
-            items = []
-            for role, target in self.labels:
-                if isinstance(target, Word):
-                    # label words join their tokens with '.' to stay one item
-                    body = ".".join(format_word(target, self.generators).split())
-                    items.append(f"{role}={body}")
-                else:
-                    items.append(f"{role}={self.generators[target]}")
+            # label words join their tokens with '.' to stay one item
+            items = (f"{role}={'.'.join(format_word(target, self.generators).split())}"
+                     for role, target in self.labels)
             out += f" labels: {' '.join(items)} ;"
         return out
 
@@ -296,15 +277,12 @@ def parse_presentation(text: str) -> Presentation:
             rel_text = rel_text.strip()
             if rel_text:
                 relators.append(parse_word(rel_text, names))
-    labels: list[tuple[str, int | Word]] = []
+    labels: list[tuple[str, Word]] = []
     for item in sections.get("labels", "").split():
         role, _, value = item.partition("=")
         if not value:
             raise ValueError(f"bad label item {item!r}")
-        if value in names:
-            labels.append((role, names.index(value)))
-        else:
-            labels.append((role, parse_word(value.replace(".", " "), names)))
+        labels.append((role, parse_word(value.replace(".", " "), names)))
     return Presentation(names, tuple(relators), tuple(labels))
 
 
@@ -377,8 +355,7 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
     keep_names = {p.generators[i] for i in keep}
     kept = [name in keep_names for name in p.generators]
     relators: list[tuple[int, ...] | None] = [free_reduce(r).letters for r in p.relators]
-    labels = {role: target.letters if isinstance(target, Word) else (2 * target,)
-              for role, target in p.labels}
+    labels = {role: target.letters for role, target in p.labels}
     relators_of: dict[int, set[int]] = defaultdict(set)
     for rid, letters in enumerate(relators):
         for x in letters:
@@ -444,7 +421,6 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
     reduced = any(eliminated)
     words = {role: reindex(free_reduce(Word(letters)).letters if reduced else letters)
              for role, letters in labels.items()}
-    # Presentation turns single-generator label words back into indices
     return Presentation(tuple(generators),
                         tuple(reindex(letters) for letters in relators if letters),
                         tuple(sorted(words.items())))

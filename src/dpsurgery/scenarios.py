@@ -61,7 +61,7 @@ def nodal_configuration(d1: int, d2: int) -> Configuration:
     # abelian by the nodal-curve theorem; the one relation is d1*mu1 + d2*mu2 = 0
     pi1 = Presentation(("mu1", "mu2"),
                        (mu1 ** d1 * mu2 ** d2, commutator(mu1, mu2)),
-                       (("mu1", 0), ("mu2", 1)))
+                       (("mu1", mu1), ("mu2", mu2)))
     return Configuration(ambient, comps, points, pi1, symplectic_positive=True)
 
 
@@ -76,7 +76,7 @@ def rational_configuration(p: int, q: int) -> Configuration:
     # p*mu1 + mu2 = 0
     pi1 = Presentation(("mu1", "mu2"),
                        (mu1 ** q, mu1 ** p * mu2, commutator(mu1, mu2)),
-                       (("mu1", 0), ("mu2", 1)))
+                       (("mu1", mu1), ("mu2", mu2)))
     return Configuration(ambient, comps, points, pi1, symplectic_positive=True)
 
 

@@ -9,11 +9,11 @@ row operations to ``U`` and its column operations to ``V`` only when the
 caller passes them:
 
 * ``smith_normal_form`` keeps both, for the ``snf`` command's ``(D, U, V)``;
-* ``element_order_in_cokernel`` and ``cokernel_map`` keep ``V`` only, to
-  carry vectors into the coordinates where the relation lattice is spanned
-  by ``d_i * e_i``; ``cokernel_map`` gives the whole quotient map, free
-  coordinates included, which `verify` reads for the commutator-subgroup
-  route and for the infinite cyclic check;
+* ``cokernel_map`` keeps ``V`` only, to carry vectors into the coordinates
+  where the relation lattice is spanned by ``d_i * e_i``; it gives the whole
+  quotient map, free coordinates included, which `verify` reads for the
+  commutator-subgroup route and for the infinite cyclic check, and
+  ``element_order_in_cokernel`` reads a vector's class off it;
 * ``cokernel_invariants`` (and through it ``abelianization``,
   ``complement_h1`` and ``AbelianGroup.of_orders``) keeps neither.
 
@@ -190,31 +190,24 @@ def determinant(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _diagonal_and_v(m: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """The Smith diagonal of m's relation rows and the column transform V."""
-    a = _relation_rows(m, ncols)
-    v = _identity(ncols)
-    return diagonal(_eliminate(a, ncols, v=v)), v
-
-
 def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int]) -> int | None:
     """Order of the class of `vector` in Z^ncols / rowspace(m); None if infinite.
 
-    With relations as row vectors, x maps to x*V in the coordinates where the
-    relation lattice is spanned by d_i * e_i.
+    The class is sum_j vector[j] * images[j] in the coordinates of
+    `cokernel_map`: infinite when a free coordinate is nonzero, else the lcm
+    over the factors f of f / gcd(f, coordinate).
     """
     if len(vector) != ncols:
         raise ValueError("vector length must equal ncols")
-    diag, v = _diagonal_and_v(m, ncols)
-    y = [sum(vector[j] * v[j][i] for j in range(ncols)) for i in range(ncols)]
+    factors, images = cokernel_map(m, ncols)
     order = 1
-    for i in range(ncols):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if y[i] != 0:
+    for i, f in enumerate(factors):
+        y = sum(x * image[i] for x, image in zip(vector, images))
+        if f == 0:
+            if y:
                 return None
-        elif di > 1:
-            k = di // gcd(di, y[i])
+        else:
+            k = f // gcd(f, y)
             order = order * k // gcd(order, k)
     return order
 
@@ -228,7 +221,9 @@ def cokernel_map(m: list[list[int]], ncols: int) -> tuple[tuple[int, ...], list[
     as an integer in a free one).  The cokernel is finite exactly when no
     factor is 0.
     """
-    diag, v = _diagonal_and_v(m, ncols)
+    a = _relation_rows(m, ncols)
+    v = _identity(ncols)
+    diag = diagonal(_eliminate(a, ncols, v=v))
     diag += [0] * (ncols - len(diag))
     keep = [i for i, d in enumerate(diag) if d != 1]
     return (tuple(diag[i] for i in keep),

@@ -5,9 +5,13 @@ point and glues in a knot exterior times a circle.  Two independent paths
 to the fundamental group of the new complement are provided:
 
 * `surgered_presentation` builds the full amalgam over the linking torus,
-  keeping the base presentation intact;
+  keeping the base presentation intact and labelling the new meridians
+  `mu1`, `mu2`, which the surgered `Configuration` needs;
 * `case_presentation` emits the collapsed presentation available when the
-  base group is abelian of one of three recognized shapes.
+  base group is abelian of one of three recognized shapes; it carries no
+  labels, since only the group is checked.
+
+Both read the knot group through its meridian `muK` alone.
 
 The two paths are cross-validated against each other by the test suite, on
 the Wirtinger knot group and on its meridian-kept simplification.  The
@@ -88,7 +92,7 @@ class CaseParams:
             relators = (mu1 ** self.q, free_reduce(mu1 ** self.p * mu2))
         else:
             relators = (mu1 ** self.m, mu2 ** self.n, commutator(mu1, mu2))
-        return Presentation(("mu1", "mu2"), relators, (("mu1", 0), ("mu2", 1)))
+        return Presentation(("mu1", "mu2"), relators, (("mu1", mu1), ("mu2", mu2)))
 
 
 def check_case_hypothesis(c: CaseParams) -> bool:
@@ -121,8 +125,8 @@ def surgered_presentation(base: Presentation, knot: KnotGroupData, k: int) -> Pr
     one central generator s; the torus identifications are mu1 = muK and
     mu2 = muK^k * s.
     """
-    mu1 = base.label_word("mu1")
-    mu2 = base.label_word("mu2")
+    mu1 = base.label("mu1")
+    mu2 = base.label("mu2")
     if mu1 is None or mu2 is None:
         raise ValueError("base presentation must label mu1 and mu2")
 
@@ -142,18 +146,12 @@ def surgered_presentation(base: Presentation, knot: KnotGroupData, k: int) -> Pr
     for i in range(kp.ngens):
         relators.append(commutator(Word.gen(offset + i), s))
     mu_k = Word.gen(offset + knot.meridian)
+    mu2_k = free_reduce(mu_k ** k * s)
     relators.append(free_reduce(mu1 * mu_k.inverse()))
-    relators.append(free_reduce(mu2 * (mu_k ** k * s).inverse()))
+    relators.append(free_reduce(mu2 * mu2_k.inverse()))
 
-    labels: dict[str, int | Word] = {
-        "mu1": mu_k,
-        "mu2": free_reduce(mu_k ** k * s),
-        "muK": offset + knot.meridian,
-        "s1": s_index,
-        "lambdaK": knot.longitude.reindex(shift),
-    }
     return Presentation(generators, tuple(free_reduce(r) for r in relators),
-                        tuple(sorted(labels.items())))
+                        (("mu1", mu_k), ("mu2", mu2_k)))
 
 
 def case_presentation(c: CaseParams, knot: KnotGroupData) -> Presentation:
@@ -183,15 +181,7 @@ def case_presentation(c: CaseParams, knot: KnotGroupData) -> Presentation:
         relators.append(mu ** c.m)
         relators.append(free_reduce((mu ** c.k * s) ** c.n))
 
-    labels: dict[str, int | Word] = {
-        "mu1": mu,
-        "mu2": free_reduce(mu ** c.k * s),
-        "muK": knot.meridian,
-        "s1": s_index,
-        "lambdaK": knot.longitude,
-    }
-    return Presentation(generators, tuple(free_reduce(r) for r in relators),
-                        tuple(sorted(labels.items())))
+    return Presentation(generators, tuple(free_reduce(r) for r in relators))
 
 
 def on_unsimplified(build, raw: KnotGroupData | None):

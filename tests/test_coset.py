@@ -180,8 +180,8 @@ def test_counts_pinned_at_parent():
     ]
     tori = tori_presentation(10, 11)
     # subgroup runs go through the HLT fill before the Felsch pass
-    cases.append((tori, (tori.label_word("mu1"),), 100_000, (True, 11, 45, 666)))
-    cases.append((tori, (tori.label_word("mu2"),), 100_000, (True, 10, 41, 638)))
+    cases.append((tori, (tori.label("mu1"),), 100_000, (True, 11, 45, 666)))
+    cases.append((tori, (tori.label("mu2"),), 100_000, (True, 10, 41, 638)))
     # long relators: the F3(5,4,1) case and surgered presentations on T(2,17)
     raw = knot_group_from_braid(torus_knot(8))
     knot = raw.simplified()

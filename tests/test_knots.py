@@ -1,15 +1,12 @@
-"""Braid words, diagrams, Wirtinger presentations and peripheral data."""
-
-import random
+"""Braid words, diagrams, Wirtinger presentations and the meridian."""
 
 import pytest
 
-from dpsurgery.coset import coset_enumerate
-from dpsurgery.knots import (BraidWord, FIGURE_EIGHT, TREFOIL, UNKNOT,
+from dpsurgery.knots import (BraidWord, FIGURE_EIGHT, KnotGroupData, TREFOIL, UNKNOT,
                              braid_to_diagram, knot_group_from_braid, torus_knot,
                              wirtinger_presentation)
-from dpsurgery.presentations import AbelianGroup, Presentation, abelianization
-from dpsurgery.words import Word, commutator
+from dpsurgery.presentations import AbelianGroup, abelianization
+from dpsurgery.words import Word
 
 
 def test_braid_parse_format():
@@ -60,7 +57,6 @@ def test_wirtinger_unknot():
     data = wirtinger_presentation(braid_to_diagram(UNKNOT))
     assert data.presentation.generators == ("x0",)
     assert data.presentation.relators == ()
-    assert data.longitude == Word(())
 
 
 def test_wirtinger_abelianizations():
@@ -69,53 +65,20 @@ def test_wirtinger_abelianizations():
         assert abelianization(data.presentation) == AbelianGroup.free(1)
 
 
-def test_longitude_exponent_sum_zero():
-    rng = random.Random(2024)
-    count = 0
-    while count < 30:
-        strands = rng.randint(1, 3)
-        letters = tuple(rng.choice((1, -1)) * rng.randint(1, max(1, strands - 1))
-                        for _ in range(rng.randint(0, 8))) if strands > 1 else ()
-        try:
-            braid = BraidWord(strands, letters)
-        except ValueError:
-            continue
-        if not braid.is_knot_closure():
-            continue
-        data = knot_group_from_braid(braid)
-        total = sum(data.longitude.exponent_sum(g)
-                    for g in range(data.presentation.ngens))
-        assert total == 0
-        count += 1
-
-
-def test_longitude_commutes_with_meridian_in_finite_quotients():
-    # [lambda, mu] = 1 in the knot group, hence in every quotient; check it
-    # in the finite quotients by mu^q where enumeration completes
-    cases = [(TREFOIL, (2, 3, 4, 5)), (FIGURE_EIGHT, (2,)), (torus_knot(2), (2, 3))]
-    for braid, exponents in cases:
-        data = knot_group_from_braid(braid)
-        p = data.presentation
-        comm = commutator(data.longitude, Word.gen(data.meridian))
-        for q in exponents:
-            quotient = Presentation(p.generators,
-                                    p.relators + (Word.gen(data.meridian, q),))
-            total = coset_enumerate(quotient, (), 100_000)
-            found = coset_enumerate(quotient, (comm,), 100_000)
-            assert total.completed and found.completed
-            assert total.index == found.index  # the commutator is trivial
-
-
 def test_simplified_keeps_meridian_and_group():
     for braid in (TREFOIL, FIGURE_EIGHT, torus_knot(4)):
         data = knot_group_from_braid(braid)
         small = data.simplified()
         assert small.presentation.ngens <= data.presentation.ngens
         assert abelianization(small.presentation) == AbelianGroup.free(1)
-        assert isinstance(small.presentation.label("muK"), int)
-        # nontrivial knots keep a nontrivial longitude word
-        if braid.letters:
-            assert small.longitude.letters
+        assert small.presentation.label("muK") == Word.gen(small.meridian)
+
+
+def test_meridian_label_must_be_one_generator():
+    p = knot_group_from_braid(TREFOIL).presentation
+    for word in (Word.gen(0, -1), Word.gen(0, 2)):
+        with pytest.raises(ValueError, match="meridian"):
+            KnotGroupData(p.with_labels({"muK": word}))
 
 
 def test_torus_knot_constructor():

@@ -80,7 +80,7 @@ def test_parse_and_format_roundtrip():
     again = parse_presentation(p.format())
     assert again == p
     labeled = parse_presentation("gens: a b s ; rels: [a,s] , a^3 ; labels: mu1=a mu2=b s1=s ;")
-    assert labeled.label("mu1") == 0
+    assert labeled.label("mu1") == Word.gen(0)
     assert parse_presentation(labeled.format()) == labeled
 
 
@@ -105,7 +105,9 @@ def test_validation():
     with pytest.raises(ValueError):
         Presentation(("a", "a"), ())
     with pytest.raises(ValueError):
-        Presentation(("a",), (), (("mu1", 3),))
+        Presentation(("a",), (), (("mu1", Word.gen(3)),))
+    with pytest.raises(TypeError, match="mu1"):
+        Presentation(("a",), (), (("mu1", 0),))  # a label is a Word, not an index
 
 
 def test_abelianization_examples():
@@ -182,9 +184,9 @@ def test_simplify_preserves_group_order():
 
 def test_label_word():
     p = parse_presentation("gens: a b ; rels: ; labels: mu1=a mu2=a.B ;")
-    assert p.label_word("mu1") == Word.gen(0)
-    assert p.label_word("mu2") == Word.gen(0) * Word.gen(1, -1)
-    assert p.label_word("nope") is None
+    assert p.label("mu1") == Word.gen(0)
+    assert p.label("mu2") == Word.gen(0) * Word.gen(1, -1)
+    assert p.label("nope") is None
 
 
 # -- Tietze cross-check --------------------------------------------------------
@@ -208,9 +210,7 @@ def _reference_substitute(w, images):
 def _reference_simplify(p, keep=frozenset()):
     generators = list(p.generators)
     relators = [free_reduce(r) for r in p.relators]
-    labels = {}
-    for role, target in p.labels:
-        labels[role] = target if isinstance(target, Word) else Word.gen(target)
+    labels = dict(p.labels)
     keep_names = {p.generators[i] for i in keep}
 
     while True:
@@ -252,7 +252,7 @@ def _random_letters(rng, ngens, length):
 
 
 def _random_tietze_case(rng):
-    """1-7 generators, unreduced relators (some reducing to empty), index
+    """1-7 generators, unreduced relators (some reducing to empty), one-letter
     labels, word labels with a cancelling pair, and a random keep set."""
     ngens = rng.randint(1, 7)
     relators = []
@@ -265,7 +265,7 @@ def _random_tietze_case(rng):
     labels = []
     for i in range(rng.randint(0, 3)):
         if rng.random() < 0.4:
-            labels.append((f"role{i}", rng.randrange(ngens)))
+            labels.append((f"role{i}", Word.gen(rng.randrange(ngens))))
             continue
         letters = list(_random_letters(rng, ngens, rng.randint(0, 5)))
         if rng.random() < 0.5:

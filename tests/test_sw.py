@@ -22,7 +22,7 @@ def trivial_complement_configuration() -> Configuration:
     ambient = AmbientManifold("S2xS2", True, ((0, 1), (1, 0)), ("A", "B"))
     comps = (SurfaceComponent("S1", 0, (1, 0)), SurfaceComponent("S2", 0, (0, 1)))
     pi1 = Presentation(("mu1", "mu2"), (Word.gen(0), Word.gen(1)),
-                       (("mu1", 0), ("mu2", 1)))
+                       (("mu1", Word.gen(0)), ("mu2", Word.gen(1))))
     return Configuration(ambient, comps, ((0, 1, 1),), pi1, symplectic_positive=False)
 
 
