@@ -17,7 +17,7 @@ The two paths are cross-validated against each other by the test suite, on
 the Wirtinger knot group and on its meridian-kept simplification.  The
 ``surgery`` report's `group-preserved` and both `cross-validation` paths
 decide by `verify.decide_group`: on the simplification, on the raw knot
-group only after a cap, then the commutator route or Knuth-Bendix.
+group only after a cap, then one Reidemeister-Schreier step on the first.
 """
 
 from __future__ import annotations

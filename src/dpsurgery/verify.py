@@ -5,9 +5,10 @@ evidence lists the facts actually established.  Inconclusive is a first-class
 outcome: no bounded run is ever silently converted into a yes or a no.
 
 `decide_group` alone turns presentations of one group into an order or an
-index, in one order: the simplified presentation, the raw one only after a
-cap, then on the first the commutator route (finite targets) or
-Knuth-Bendix and the exponent-quotient witness (infinite targets).
+index, in one order: the index test on the simplified presentation, on the
+raw one only after a cap, then on the first one Reidemeister-Schreier step
+(the commutator subgroup or, for infinite targets, the kernel check), and
+Knuth-Bendix last, for an infinite target both left open.
 Surgery's `group-preserved` and `cross-validation` both call it.
 """
 
@@ -66,24 +67,18 @@ def certify_abelian(p: Presentation, max_rules: int = 500) -> Verdict:
     is a consequence of the relators).  A confluent system together with an
     irreducible commutator refutes it.  Anything else is inconclusive.
     """
-    work = p
+    work = simplify_presentation(p) if p.ngens > 1 else p
     notes = []
-    if p.ngens > 1:
-        work = simplify_presentation(p)
-        if work.ngens < p.ngens:
-            notes.append(f"eliminated {p.ngens - work.ngens} redundant generators "
-                         f"before rewriting ({work.ngens} remain)")
+    if work.ngens < p.ngens:
+        notes.append(f"eliminated {p.ngens - work.ngens} redundant generators "
+                     f"before rewriting ({work.ngens} remain)")
     if work.ngens <= 1:
         return Verdict(Status.ISOMORPHIC,
                        tuple(notes) + ("at most one generator remains: abelian by inspection",))
 
     system = knuth_bendix(work, max_rules)
-    pending = []
-    for i in range(work.ngens):
-        for j in range(i + 1, work.ngens):
-            comm = commutator(Word.gen(i), Word.gen(j)).letters
-            if system.reduce(comm) != ():
-                pending.append((i, j))
+    pending = [(i, j) for i in range(work.ngens) for j in range(i + 1, work.ngens)
+               if system.reduce(commutator(Word.gen(i), Word.gen(j)).letters) != ()]
     total = work.ngens * (work.ngens - 1) // 2
     if not pending:
         notes.append(f"all {total} generator commutators reduce to the identity "
@@ -99,26 +94,6 @@ def certify_abelian(p: Presentation, max_rules: int = 500) -> Verdict:
     return Verdict(Status.INCONCLUSIVE, tuple(notes))
 
 
-def nonabelian_quotient_witness(p: Presentation, max_cosets: int) -> str | None:
-    """Search small exponent quotients for a finite nonabelian image.
-
-    Adding g^e for every generator g gives a quotient of the group; if the
-    quotient is finite of order N while its abelianization has order M < N,
-    the group surjects onto a nonabelian group and cannot be abelian.
-    """
-    for exponent in (2, 3, 4, 5):
-        extra = tuple(Word.gen(i, exponent) for i in range(p.ngens))
-        q = Presentation(p.generators, p.relators + extra)
-        result = coset_enumerate(q, (), max_cosets)
-        if not result.completed:
-            continue
-        ab_order = abelianization(q).order()
-        if ab_order is not None and result.index != ab_order:
-            return (f"exponent-{exponent} quotient has order {result.index} but "
-                    f"abelianization of order {ab_order}: nonabelian finite quotient")
-    return None
-
-
 @dataclass(frozen=True)
 class DerivedOrder:
     """What the commutator-subgroup route established about a group G.
@@ -132,38 +107,30 @@ class DerivedOrder:
     evidence: tuple[str, ...]
 
 
-def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
-    """|G| = |G^ab| * |G'| from a presentation of the commutator subgroup G'.
+def _schreier_kernel(p: Presentation, factors: tuple[int, ...], images: list[tuple[int, ...]],
+                     max_cosets: int) -> tuple[int, Presentation] | None:
+    """N = ker(G -> Q = Z_f1 + ... + Z_fm), `images` the generators' coordinates.
 
-    Needs a finite abelianization A.  The quotient map G -> A is read off the
-    Smith column transform of the exponent matrix, and the cosets of
-    G' = ker(G -> A) are the elements of A, so the coset table of G' is
-    A's regular action: no enumeration.  A breadth-first Schreier
-    transversal over it and Reidemeister-Schreier rewriting of every
-    conjugate t r t^-1 (t a transversal word, r a relator) present G' on
-    |A|(n-1)+1 Schreier generators (Magnus-Karrass-Solitar 1966, 2.3;
-    Holt-Eick-O'Brien 2005, 2.5), which Tietze moves then simplify.  No
-    generator left means G' = 1.  Otherwise G' is enumerated at the cap; a
-    nonzero abelianization of G' shows G' != 1 even when that enumeration
-    caps or is skipped (an infinite G'^ab).  The transversal's |A| rows and
-    the Schreier generators count against `max_cosets`: past it the route
-    does not run.
+    The cosets of N are the elements of Q, so Q's regular action is N's coset
+    table: no enumeration.  Over a breadth-first Schreier transversal,
+    rewriting every conjugate t r t^-1 (r a relator) presents N on |Q|(n-1)+1
+    Schreier generators (Magnus-Karrass-Solitar 1966, 2.3; Holt-Eick-O'Brien
+    2005, 2.5).  Returns their count and the Tietze-simplified presentation,
+    or None when they and the |Q| transversal rows exceed `max_cosets`.
     """
-    torsion, images = cokernel_map(exponent_matrix(p), p.ngens)
-    index, n = prod(torsion), p.ngens
-    if 0 in torsion or index * n + 1 > max_cosets:
-        return DerivedOrder(None, False, ())
-
+    index, n = prod(factors), p.ngens
+    if index * n + 1 > max_cosets:
+        return None
     # breadth-first transversal: act[c][x] is coset c times letter x, and a
     # tree entry (c, x) is the one that first reached its coset
-    moves = [tuple(-y % q if x & 1 else y for y, q in zip(images[x >> 1], torsion))
+    moves = [tuple(-y % q if x & 1 else y for y, q in zip(images[x >> 1], factors))
              for x in range(2 * n)]
-    zero = (0,) * len(torsion)
+    zero = (0,) * len(factors)
     coset_of, elements, act, tree = {zero: 0}, [zero], [], set()
     for c, element in enumerate(elements):
         row = []
         for x, move in enumerate(moves):
-            step = tuple((e + y) % q for e, y, q in zip(element, move, torsion))
+            step = tuple((e + y) % q for e, y, q in zip(element, move, factors))
             d = coset_of.get(step)
             if d is None:
                 d = coset_of[step] = len(elements)
@@ -171,35 +138,44 @@ def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
                 tree.add((c, x))
             row.append(d)
         act.append(row)
-
     # Schreier generator s(c, g) = t_c g t_cg^-1; it is freely 1 on a tree edge
-    schreier = [[None] * n for _ in range(index)]
-    names = []
-    for c in range(index):
+    schreier = {}
+    for c, row in enumerate(act):
         for g in range(n):
-            if (c, 2 * g) not in tree and (act[c][2 * g], 2 * g + 1) not in tree:
-                schreier[c][g] = len(names)
-                names.append(f"s{c}_{g}")
+            if (c, 2 * g) not in tree and (row[2 * g], 2 * g + 1) not in tree:
+                schreier[c, g] = len(schreier)
     # t_c r t_c^-1 read as a path from c: g^-1 at coset c steps back along s(cg^-1, g)
     relators = []
     for r in p.relators:
         for start in range(index):
             c, letters = start, []
             for x in r.letters:
-                if x & 1:
-                    c = act[c][x]
-                    s = schreier[c][x >> 1]
-                    if s is not None:
-                        letters.append(2 * s + 1)
-                else:
-                    s = schreier[c][x >> 1]
-                    if s is not None:
-                        letters.append(2 * s)
-                    c = act[c][x]
+                d = act[c][x]
+                s = schreier.get((d if x & 1 else c, x >> 1))
+                if s is not None:
+                    letters.append(2 * s + (x & 1))
+                c = d
             relators.append(Word(tuple(letters)))
-    derived = simplify_presentation(Presentation(tuple(names), tuple(relators)))
+    names = tuple(f"s{c}_{g}" for c, g in schreier)
+    return len(names), simplify_presentation(Presentation(names, tuple(relators)))
+
+
+def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
+    """|G| = |G^ab| * |G'| from a presentation of the commutator subgroup G'.
+
+    Needs a finite abelianization A, with G -> A read off the Smith column
+    transform; G' = ker(G -> A) comes from `_schreier_kernel`, and past its
+    guard the route does not run.  No generator left means G' = 1.
+    Otherwise G' is enumerated at the cap; a nonzero abelianization of G'
+    shows G' != 1 even when that enumeration caps or is skipped.
+    """
+    torsion, images = cokernel_map(exponent_matrix(p), p.ngens)
+    kernel = None if 0 in torsion else _schreier_kernel(p, torsion, images, max_cosets)
+    if kernel is None:
+        return DerivedOrder(None, False, ())
+    index, (count, derived) = prod(torsion), kernel
     evidence = [f"commutator subgroup by Reidemeister-Schreier over the {index} elements "
-                f"of the abelianization: {len(names)} Schreier generators, "
+                f"of the abelianization: {count} Schreier generators, "
                 f"{derived.ngens} after Tietze"]
     if not derived.ngens:
         evidence.append("commutator subgroup is trivial")
@@ -220,13 +196,35 @@ def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
     return DerivedOrder(index * result.index, result.index > 1, tuple(evidence))
 
 
-def _generator_word(images: list[int]) -> Word:
-    """A word whose image is 1 in Z, from the generators' images, whose gcd is 1.
+def nonabelian_quotient_witness(p: Presentation, max_cosets: int) -> str | None:
+    """Refute abelianness by the abelianization of a finite-index kernel.
 
-    The first generator mapping to +-1 when there is one; otherwise the
-    product of x_j^(u_j) with sum(u_j * c_j) = 1, by extended Euclid folded
-    over the images.
+    Let G^ab = Z^r + T.  For k = 2..5, N = ker(G -> Z_k^r + T), the free
+    coordinates read modulo k, comes from `_schreier_kernel`: no coset
+    enumeration.  An abelian G is G^ab, whose kernel is (kZ)^r = Z^r, so any
+    other abelianization of N shows G nonabelian.  Stops at the first kernel
+    past the guard.
     """
+    factors, images = cokernel_map(exponent_matrix(p), p.ngens)
+    expected = AbelianGroup.free(factors.count(0))
+    for k in (2, 3, 4, 5):
+        quotient = tuple(q or k for q in factors)
+        kernel = _schreier_kernel(p, quotient, images, max_cosets)
+        if kernel is None:
+            break
+        count, presentation = kernel
+        ab = abelianization(presentation)
+        if ab != expected:
+            return (f"kernel of the map onto {AbelianGroup.of_orders(*quotient)} by Reidemeister-"
+                    f"Schreier ({count} Schreier generators, {presentation.ngens} after Tietze) "
+                    f"has abelianization {ab}; an abelian group would give {expected}")
+    return None
+
+
+def _generator_word(images: list[int]) -> Word:
+    """A word of image 1 in Z, from the generators' images (gcd 1): a generator
+    of image +-1 if any, else prod x_j^(u_j) with sum(u_j * c_j) = 1, by
+    extended Euclid folded over the images."""
     for j, c in enumerate(images):
         if abs(c) == 1:
             return Word.gen(j)
@@ -241,43 +239,49 @@ def _generator_word(images: list[int]) -> Word:
     return Word(tuple(x for j, u in enumerate(coefficients) for x in Word.gen(j, g * u).letters))
 
 
-def cyclic_subgroup_verdict(p: Presentation, max_cosets: int) -> Verdict:
-    """Decide whether a group with abelianization Z is Z, by one coset enumeration.
-
-    Let g be a word whose image generates G^ab = Z (read off the Smith
-    column transform, `snf.cokernel_map`).  If [G : <g>] = 1, G is cyclic,
-    so abelian and equal to G^ab.  If G is Z, the map G -> G^ab is an
-    isomorphism, so g generates G.  Hence G is Z exactly when the index is
-    1, and an index N > 1 refutes it.  The enumeration is over the subgroup
-    <g> (Holt-Eick-O'Brien 2005, ch. 5); past the cap the verdict is
-    inconclusive.
-    """
-    factors, images = cokernel_map(exponent_matrix(p), p.ngens)
-    if factors != (0,):
-        raise ValueError("the abelianization is not Z")
-    g = _generator_word([image[0] for image in images])
-    name = format_word(g, p.generators)
-    result = coset_enumerate(p, (g,), max_cosets)
-    if not result.completed:
-        return Verdict(Status.INCONCLUSIVE, (
-            f"index of the subgroup generated by {name} inconclusive: table cap "
-            f"{max_cosets} exhausted ({result.allocated} cosets allocated)",))
-    fact = (f"{name} maps to a generator of the abelianization Z; the subgroup it "
-            f"generates has index {result.index} ({result.allocated} cosets allocated, "
-            f"cap {max_cosets})")
-    if result.index == 1:
-        return Verdict(Status.ISOMORPHIC, (fact, "group is cyclic, hence isomorphic to Z"))
-    return Verdict(Status.NOT_ISOMORPHIC, (
-        fact, f"a group isomorphic to Z would be generated by {name}: index {result.index} "
-              f"refutes it"))
-
-
 @dataclass(frozen=True)
 class GroupDecision:
-    """`decide_group`'s verdict, the group order it found, and whether G' gave it."""
+    """A verdict, the group order found (finite abelianization), and whether G' gave it."""
     verdict: Verdict
     order: int | None
     derived: bool
+
+
+def subgroup_index_test(p: Presentation, ab: AbelianGroup, max_cosets: int) -> GroupDecision:
+    """Decide whether G is its abelianization `ab` = Z^r + T, r <= 1, by one coset enumeration.
+
+    H is 1 when r = 0, else <g> with g onto a generator of Z = ab/T (read off
+    `snf.cokernel_map`).  H meets G' = ker(G -> ab) trivially, so
+    [G : H] = |T| * |G'|: G is ab exactly when the index is |T|, which for
+    r = 0 is the order, returned as such.  Enumeration over H:
+    Holt-Eick-O'Brien 2005, ch. 5; past the cap it is inconclusive.
+    """
+    if ab.free_rank > 1:
+        raise ValueError("the abelianization has free rank above 1")
+    torsion, g = ab.torsion, None
+    if ab.free_rank:
+        g = _generator_word([image[-1] for image in cokernel_map(exponent_matrix(p), p.ngens)[1]])
+    result = coset_enumerate(p, () if g is None else (g,), max_cosets)
+    index, expected = result.index, prod(torsion)
+    status = (Status.INCONCLUSIVE if index is None else
+              Status.ISOMORPHIC if index == expected else Status.NOT_ISOMORPHIC)
+    if g is None:
+        return GroupDecision(Verdict(status, tuple(result.evidence())), index, False)
+    name = format_word(g, p.generators)
+    if index is None:
+        return GroupDecision(Verdict(status, (
+            f"index of the subgroup generated by {name} inconclusive: table cap "
+            f"{max_cosets} exhausted ({result.allocated} cosets allocated)",)), None, False)
+    if status is Status.ISOMORPHIC:
+        conclusion = (f"index {index} = |{AbelianGroup(0, torsion)}|: group is abelian, hence "
+                      f"isomorphic to {ab}" if torsion else "group is cyclic, hence isomorphic to Z")
+    else:
+        claim = f"give index {expected}" if torsion else f"be generated by {name}"
+        conclusion = f"a group isomorphic to {ab} would {claim}: index {index} refutes it"
+    onto = f"{ab} modulo its torsion" if torsion else "the abelianization Z"
+    return GroupDecision(Verdict(status, (
+        f"{name} maps to a generator of {onto}; the subgroup it generates has index {index} "
+        f"({result.allocated} cosets allocated, cap {max_cosets})", conclusion)), None, False)
 
 
 _NONABELIAN = "nonabelian group cannot be isomorphic to an abelian target"
@@ -289,12 +293,12 @@ def decide_group(p: Presentation, target: AbelianGroup, bounds: Bounds = DEFAULT
 
     `p` presents the group; `fallbacks` lazily yields (name, presentation)
     pairs of it, each enumerated only after the one before capped, its facts
-    prefixed `on <name>: `.  A finite target is settled by the order (equal
-    to the abelianization's, the group is abelian), Z by the index of one
-    cyclic subgroup (`cyclic_subgroup_verdict`).  When all cap, the
-    commutator subgroup (`commutator_subgroup_order`), or Knuth-Bendix and
-    the quotient witness, run once, on `p`.  The verdict assumes the
-    abelianization check of `verify_abelian_isomorphism`; the order does not.
+    prefixed `on <name>: `.  A target Z^r + T, r <= 1, is settled by
+    `subgroup_index_test`.  When all cap, or r >= 2, one Reidemeister-Schreier
+    step runs once, on `p`: `commutator_subgroup_order` (finite targets) or
+    the kernel check `nonabelian_quotient_witness`, then Knuth-Bendix.  The
+    verdict assumes the abelianization check of `verify_abelian_isomorphism`;
+    the order does not.
     """
     evidence: list[str] = []
     attempts = chain([("", p)], ((f"on {name}: ", q) for name, q in fallbacks))
@@ -303,15 +307,17 @@ def decide_group(p: Presentation, target: AbelianGroup, bounds: Bounds = DEFAULT
     def decision(status: Status, *facts: str) -> GroupDecision:
         return GroupDecision(Verdict(status, tuple(evidence) + facts), order, derived)
 
+    for prefix, q in attempts if target.free_rank <= 1 else ():
+        test = subgroup_index_test(q, target, bounds.max_cosets)
+        evidence.extend(prefix + fact for fact in test.verdict.evidence)
+        if test.verdict.status is not Status.INCONCLUSIVE:
+            if target.free_rank:
+                return decision(test.verdict.status)
+            order = test.order
+            break
     target_order = target.order()
     if target_order is not None:
-        for prefix, q in attempts:
-            result = coset_enumerate(q, (), bounds.max_cosets)
-            evidence.extend(prefix + fact for fact in result.evidence())
-            if result.completed:
-                order = result.index
-                break
-        else:
+        if order is None:
             route = commutator_subgroup_order(p, bounds.max_cosets)
             evidence.extend(route.evidence)
             order, nonabelian, derived = route.order, route.nonabelian, route.order is not None
@@ -324,12 +330,9 @@ def decide_group(p: Presentation, target: AbelianGroup, bounds: Bounds = DEFAULT
         if nonabelian:
             return decision(Status.NOT_ISOMORPHIC, _NONABELIAN)
     else:
-        if target == AbelianGroup.free(1):
-            for prefix, q in attempts:
-                cyclic = cyclic_subgroup_verdict(q, bounds.max_cosets)
-                evidence.extend(prefix + fact for fact in cyclic.evidence)
-                if cyclic.status is not Status.INCONCLUSIVE:
-                    return decision(cyclic.status)
+        witness = nonabelian_quotient_witness(p, bounds.max_cosets)
+        if witness is not None:
+            return decision(Status.NOT_ISOMORPHIC, witness, _NONABELIAN)
         cert = certify_abelian(p, bounds.max_rules)
         evidence.extend(cert.evidence)
         if cert.status is Status.ISOMORPHIC:
@@ -337,9 +340,6 @@ def decide_group(p: Presentation, target: AbelianGroup, bounds: Bounds = DEFAULT
                             f"abelian group with abelianization {target}: isomorphic")
         if cert.status is Status.NOT_ISOMORPHIC:
             return decision(Status.NOT_ISOMORPHIC, _NONABELIAN)
-        witness = nonabelian_quotient_witness(p, min(bounds.max_cosets, 20_000))
-        if witness is not None:
-            return decision(Status.NOT_ISOMORPHIC, witness, _NONABELIAN)
     return decision(Status.INCONCLUSIVE, "bounds exhausted without a decision")
 
 
@@ -349,7 +349,7 @@ def verify_abelian_isomorphism(p: Presentation, target: AbelianGroup,
     """Decide whether the presented group is isomorphic to the abelian target:
     the abelianization must equal it, then `decide_group` decides on `p`
     (typically simplified), on `fallbacks` (the raw one) only after a cap,
-    and after all cap by the commutator route or Knuth-Bendix on `p`."""
+    and after all cap by one Reidemeister-Schreier step on `p`."""
     ab = abelianization(p)
     if ab != target:
         return Verdict(Status.NOT_ISOMORPHIC, (f"abelianization is {ab}, target is {target}",))

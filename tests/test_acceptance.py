@@ -22,8 +22,7 @@ from dpsurgery.knots import (FIGURE_EIGHT, TREFOIL, UNKNOT,
 from dpsurgery.laurent import LaurentPoly
 from dpsurgery.presentations import AbelianGroup, abelianization, parse_presentation
 from dpsurgery.scenarios import (nodal_configuration, rational_configuration,
-                                 run_builtin, spheres_configuration,
-                                 tori_configuration)
+                                 run_builtin, spheres_configuration)
 from dpsurgery.snf import mat_mul, smith_normal_form
 from dpsurgery.surgery import (CaseParams, HypothesisError, case_presentation,
                                surgered_presentation, verify_group_preserved)

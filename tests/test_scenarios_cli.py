@@ -461,9 +461,11 @@ def _enumerated_abelian(order, allocated):
 @pytest.mark.parametrize("argv, stdout", [
     (["spheres", "m=6", "n=7"], _configuration_lines("Z_42", _enumerated_abelian(42, 42))),
     (["tori", "m=6", "n=7"], _configuration_lines("Z_42", _enumerated_abelian(42, 79))),
+    # Z + Z_2: mu2 maps onto the free summand, and <mu2> has index |Z_2|
     (["nodal", "d1=2", "d2=4"], _configuration_lines(
-        "Z + Z_2", "all 1 generator commutators reduce to the identity (12 rules, "
-        "confluent=True); abelian group with abelianization Z + Z_2: isomorphic")),
+        "Z + Z_2", "mu2 maps to a generator of Z + Z_2 modulo its torsion; the subgroup it "
+        "generates has index 2 (2 cosets allocated, cap 100000); index 2 = |Z_2|: group is "
+        "abelian, hence isomorphic to Z + Z_2")),
     (["rational", "p=2", "q=5"], _configuration_lines("Z_5", _enumerated_abelian(5, 5))),
     ([os.path.join(SCENARIO_DIR, "custom_spheres.json")], (
         "checks[0] homology\tpass\tcomplement H1 = Z_6, expected Z_6\n"
@@ -566,24 +568,27 @@ def test_cli_bounds_flags(capsys):
     assert code in (EXIT_OK, 3)  # tiny bounds may leave it inconclusive
 
 
-@pytest.mark.parametrize("flags, tori, nodal", [
+@pytest.mark.parametrize("flags, tori, free", [
     ([], "cap 3 exhausted", "rewrite-rule cap 1 exhausted"),
     (["--bounds-cosets", "100"], "(19 cosets allocated, cap 100)",
      "rewrite-rule cap 1 exhausted"),
-    (["--bounds-rules", "100"], "cap 3 exhausted", "(12 rules, confluent=True)"),
+    (["--bounds-rules", "100"], "cap 3 exhausted", "(8 rules, confluent=True)"),
     (["--bounds-cosets", "100", "--bounds-rules", "100"], "(19 cosets allocated, cap 100)",
-     "(12 rules, confluent=True)"),
+     "(8 rules, confluent=True)"),
 ])
 def test_cli_bounds_flag_overrides_only_its_own_scenario_bound(tmp_path, capsys, flags,
-                                                              tori, nodal):
+                                                              tori, free):
+    """A Z^2 target has no index test, so Knuth-Bendix shows the rule bound."""
     path = tmp_path / "bounds.json"
+    free_abelian = {"ambient": {"form": [[0, 1], [1, 0]]}, "components": [],
+                    "pi1": "gens: a b ; rels: [a,b] ;"}
     path.write_text(json.dumps({"bounds": {"cosets": 3, "rules": 1}, "checks": [
         {"builtin": "tori", "params": {"m": 2, "n": 3}},
-        {"builtin": "nodal", "params": {"d1": 2, "d2": 4}}]}))
+        {"configuration": free_abelian, "verify": {"group": "Z^2"}}]}))
     main(["--format", "machine", *flags, "verify", str(path)])
     lines = _machine_lines(capsys.readouterr().out)
     assert tori in lines["tori m=2 n=3 :: group"][1]
-    assert nodal in lines["nodal d1=2 d2=4 :: group"][1]
+    assert free in lines["checks[1] group"][1]
 
 
 def test_cli_rejects_nonpositive_bounds(capsys):

@@ -12,9 +12,9 @@ from dpsurgery.presentations import (AbelianGroup, Presentation, abelianization,
 from dpsurgery.surgery import CaseParams, case_presentation, surgered_presentation, \
     verify_group_preserved
 from dpsurgery.verify import (Bounds, Status, Verdict, certify_abelian, commutator_subgroup_order,
-                              cyclic_subgroup_verdict, nonabelian_quotient_witness,
+                              nonabelian_quotient_witness, subgroup_index_test,
                               verify_abelian_isomorphism)
-from dpsurgery.words import Word
+from dpsurgery.words import Word, commutator
 
 
 def test_cyclic_five():
@@ -24,15 +24,18 @@ def test_cyclic_five():
     assert any("order 5" in fact for fact in verdict.evidence)
 
 
+_TREFOIL_KERNEL = ("kernel of the map onto Z_2 by Reidemeister-Schreier (3 Schreier generators, "
+                   "2 after Tietze) has abelianization Z + Z_3; an abelian group would give Z")
+
+
 def test_trefoil_vs_z_is_refuted():
     verdict = verify_abelian_isomorphism(
         parse_presentation("gens: a b ; rels: a b a B A B ;"),
         AbelianGroup.free(1), Bounds(2000, 150))
     # abelianization matches, so the refutation must come from an actual
     # nonabelianness witness, never from the abelianization alone
-    assert verdict.status in (Status.NOT_ISOMORPHIC, Status.INCONCLUSIVE)
-    if verdict.status is Status.NOT_ISOMORPHIC:
-        assert any("nonabelian" in fact for fact in verdict.evidence)
+    assert verdict.status is Status.NOT_ISOMORPHIC
+    assert verdict.evidence[-2:] == (_TREFOIL_KERNEL, verify._NONABELIAN)
 
 
 def test_free_group_never_isomorphic_to_z2():
@@ -62,10 +65,27 @@ def test_finite_target_isomorphic():
     assert verdict.status is Status.ISOMORPHIC
 
 
-def test_nonabelian_quotient_witness():
+def test_nonabelian_quotient_witness(monkeypatch):
+    """The kernel check: an abelian G = Z^r + T has ker(G -> Z_k^r + T) = Z^r."""
+    # the Klein bottle group has abelianization Z + Z_2, and <a> infinite index
+    klein = parse_presentation("gens: a b ; rels: a b A b ;")
+    klein_kernel = ("kernel of the map onto Z_2 + Z_2 by Reidemeister-Schreier (5 Schreier "
+                    "generators, 2 after Tietze) has abelianization Z^2; an abelian group "
+                    "would give Z")
+    verdict = verify_abelian_isomorphism(klein, AbelianGroup(1, (2,)), Bounds(500, 5))
+    assert verdict.status is Status.NOT_ISOMORPHIC
+    assert verdict.evidence[1:3] == ("index of the subgroup generated by a inconclusive: table "
+                                     "cap 500 exhausted (500 cosets allocated)", klein_kernel)
+
+    def refuse(*args):
+        raise AssertionError("the kernel check enumerated cosets")
+
+    monkeypatch.setattr(verify, "coset_enumerate", refuse)
     trefoil = parse_presentation("gens: a b ; rels: a b a B A B ;")
-    witness = nonabelian_quotient_witness(trefoil, 5000)
-    assert witness is not None and "order 6" in witness
+    assert nonabelian_quotient_witness(trefoil, 5000) == _TREFOIL_KERNEL
+    assert nonabelian_quotient_witness(klein, 5000) == klein_kernel
+    # the kernel at k = 2 needs 2 * 2 transversal rows and 2 * 2 + 1 Schreier generators
+    assert nonabelian_quotient_witness(klein, 8) is None
     abelian = parse_presentation("gens: a b ; rels: [a,b] ;")
     assert nonabelian_quotient_witness(abelian, 5000) is None
 
@@ -76,11 +96,17 @@ def test_verdict_requires_evidence():
 
 
 def test_inconclusive_cites_bounds():
-    # tiny bounds starve both engines; the verdict must say what ran out
-    trefoil = parse_presentation("gens: a b ; rels: a b a B A B ;")
-    verdict = verify_abelian_isomorphism(trefoil, AbelianGroup.free(1), Bounds(5, 5))
-    if verdict.status is Status.INCONCLUSIVE:
-        assert any("cap" in fact or "exhausted" in fact for fact in verdict.evidence)
+    # tiny bounds starve every engine: the index test caps, the kernel check
+    # needs 9 rows, and Knuth-Bendix needs more than 5 rules; the verdict
+    # must say what ran out
+    klein = parse_presentation("gens: a b ; rels: a b A b ;")
+    verdict = verify_abelian_isomorphism(klein, AbelianGroup(1, (2,)), Bounds(5, 5))
+    assert verdict.status is Status.INCONCLUSIVE
+    assert verdict.evidence[1:] == (
+        "index of the subgroup generated by a inconclusive: table cap 5 exhausted "
+        "(5 cosets allocated)",
+        "rewrite-rule cap 5 exhausted with 1 of 1 commutators unresolved",
+        "bounds exhausted without a decision")
 
 
 def test_bounds_validation():
@@ -213,7 +239,7 @@ def test_capped_finite_target_never_runs_the_witness(monkeypatch):
     assert len(calls) == 1
 
 
-# -- infinite cyclic targets: the index of one cyclic subgroup ------------------
+# -- targets of free rank <= 1: the index of one cyclic subgroup ---------------
 
 def test_cyclic_subgroup_index_refutes_z():
     """Z_3 x| Z: the abelianization is Z, generated by x, and <x> has index 3."""
@@ -223,6 +249,17 @@ def test_cyclic_subgroup_index_refutes_z():
     assert verdict.evidence[1] == ("x maps to a generator of the abelianization Z; the subgroup "
                                    "it generates has index 3 (3 cosets allocated, cap 100000)")
     assert not any("coset enumeration completed: index" in fact for fact in verdict.evidence)
+
+
+def test_cyclic_subgroup_index_refutes_z_times_s3():
+    """Z x S_3 has abelianization Z + Z_2, and <t> has index 6, not 2."""
+    p = parse_presentation("gens: t a b ; rels: a^3 , b^2 , a b a b , [t,a] , [t,b] ;")
+    verdict = verify_abelian_isomorphism(p, AbelianGroup(1, (2,)))
+    assert verdict.status is Status.NOT_ISOMORPHIC
+    assert verdict.evidence[1:] == (
+        "t maps to a generator of Z + Z_2 modulo its torsion; the subgroup it generates has "
+        "index 6 (6 cosets allocated, cap 100000)",
+        "a group isomorphic to Z + Z_2 would give index 2: index 6 refutes it")
 
 
 def test_cyclic_subgroup_word_is_a_bezout_product():
@@ -239,20 +276,32 @@ def test_cyclic_subgroup_word_is_a_bezout_product():
     assert verdict.evidence[-1] == "group is cyclic, hence isomorphic to Z"
 
 
-def test_cyclic_subgroup_verdict_needs_abelianization_z():
+def test_cyclic_subgroup_index_needs_free_rank_at_most_one():
     with pytest.raises(ValueError):
-        cyclic_subgroup_verdict(parse_presentation("gens: a b ; rels: [a,b] ;"), 100)
+        subgroup_index_test(parse_presentation("gens: a b ; rels: [a,b] ;"),
+                            AbelianGroup.free(2), 100)
+    # a finite abelianization: the trivial subgroup, whose index is the order
+    s3 = subgroup_index_test(parse_presentation("gens: a b ; rels: a^3 , b^2 , a b a b ;"),
+                             AbelianGroup.cyclic(2), 100)
+    assert (s3.verdict.status, s3.order) == (Status.NOT_ISOMORPHIC, 6)
+    assert s3.verdict.evidence == ("coset enumeration completed: index 6 (6 cosets allocated, "
+                                   "cap 100)",)
 
 
-def test_cyclic_subgroup_cap_falls_through_to_rewriting():
+def test_cyclic_subgroup_cap_falls_through_to_the_kernel_check(monkeypatch):
     """<a> has infinite index in the trefoil group: the cap is recorded, and
-    Knuth-Bendix and the quotient search decide as before."""
+    the kernel check refutes it before Knuth-Bendix would run."""
+    def refuse(p, max_rules):
+        raise AssertionError("Knuth-Bendix ran after the kernel check refuted")
+
+    monkeypatch.setattr(verify, "certify_abelian", refuse)
     trefoil = parse_presentation("gens: a b ; rels: a b a B A B ;")
     verdict = verify_abelian_isomorphism(trefoil, AbelianGroup.free(1), Bounds(300, 150))
-    assert verdict.evidence[1] == ("index of the subgroup generated by a inconclusive: table "
-                                   "cap 300 exhausted (300 cosets allocated)")
     assert verdict.status is Status.NOT_ISOMORPHIC
-    assert verdict.evidence[-1] == "nonabelian group cannot be isomorphic to an abelian target"
+    assert verdict.evidence[1:] == (
+        "index of the subgroup generated by a inconclusive: table cap 300 exhausted "
+        "(300 cosets allocated)", _TREFOIL_KERNEL,
+        "nonabelian group cannot be isomorphic to an abelian target")
 
 
 @st.composite
@@ -261,9 +310,12 @@ def z_presentations(draw):
     relators with zero exponent sums.  The first relators are either a^p b^q
     with p, q coprime (its letters shuffled), or b^m and a b A b^e with m and
     e + 1 coprime (among them Z_m x| Z, where <a> has index m); a third
-    generator is set equal to a random word in a and b."""
+    generator is set equal to a random word in a and b.  Half of them get a
+    further generator t with t^k, k = 2..4, commuting with a, with b, or with
+    neither: their abelianization is Z + Z_k."""
     n = draw(st.integers(2, 3))
-    letters = st.integers(0, 2 * n - 1)
+    torsion = draw(st.sampled_from([0, 0, 0, 2, 3, 4]))
+    letters = st.integers(0, 2 * (n + bool(torsion)) - 1)
     if draw(st.booleans()):
         p, q = draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (3, 2), (2, -3), (1, -2), (5, 3)]))
         first = list(Word.gen(0, p).letters + Word.gen(1, q).letters)
@@ -274,23 +326,32 @@ def z_presentations(draw):
     if n == 3:
         w = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
         relators.append(Word((5,) + tuple(w)))
+    if torsion:
+        t = Word.gen(n)
+        relators.append(Word.gen(n, torsion))
+        relators += [commutator(Word.gen(g), t) for g in draw(st.sampled_from([(0,), (1,), ()]))]
     for _ in range(draw(st.integers(0, 2))):
         w = draw(st.lists(letters, min_size=1, max_size=5))
         shuffled = draw(st.permutations(w))
         relators.append(Word(tuple(w)) * Word(tuple(shuffled)).inverse())
-    return Presentation(tuple("abc"[:n]), tuple(relators))
+    return Presentation(tuple("abc"[:n]) + (("t",) if torsion else ()), tuple(relators))
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(z_presentations())
 def test_cyclic_subgroup_agrees_with_rewriting(p):
-    """Wherever the index test and the abelianness certificate both decide, they agree."""
-    assert abelianization(p) == AbelianGroup.free(1)
-    cyclic = cyclic_subgroup_verdict(p, 2_000)
+    """Wherever the index test, the kernel check and the abelianness
+    certificate decide, they agree; the kernel check only refutes."""
+    ab = abelianization(p)
+    assert ab.free_rank == 1 and len(ab.torsion) <= 1
+    index = subgroup_index_test(p, ab, 2_000).verdict
+    kernel = nonabelian_quotient_witness(p, 2_000)
     cert = certify_abelian(p, 100)
-    if Status.INCONCLUSIVE not in (cyclic.status, cert.status):
-        assert cyclic.status is cert.status, (p.format(), cyclic.evidence, cert.evidence)
+    decided = {v.status for v in (index, cert)} - {Status.INCONCLUSIVE}
+    if kernel is not None:
+        decided.add(Status.NOT_ISOMORPHIC)
+    assert len(decided) <= 1, (p.format(), index.evidence, kernel, cert.evidence)
 
 
 # F1 surgeries of surgery-sweep seed 1001 at the workload's caps, each decided
@@ -324,7 +385,8 @@ def test_f1_regressions_at_the_sweep_caps(d, knot, status):
 
 def test_f1_capped_on_both_knot_groups_names_both_caps():
     """Below the 26 cosets the raw group needs, both index enumerations cap,
-    and Knuth-Bendix on the simplified group stops at its rule cap."""
+    the kernel check finds no refutation (the group is Z), and Knuth-Bendix
+    on the simplified group stops at its rule cap."""
     raw = knot_group_from_braid(BraidWord.parse("B3: -1 -1 1 -2 1 1 1 -2 1 1 2 -1"))
     verdict = verify_group_preserved(CaseParams.f1(5, 0), raw.simplified(), Bounds(25, 200), raw)
     assert verdict.status is Status.INCONCLUSIVE, verdict.evidence
