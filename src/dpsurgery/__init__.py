@@ -14,14 +14,12 @@ from .knots import BraidWord, KnotDiagram, KnotGroupData, braid_to_diagram, \
 from .laurent import LaurentPoly
 from .alexander import alexander_polynomial, alexander_of_braid, \
     coefficient_multiset, knot_family
-from .configurations import AmbientManifold, Configuration, EmbeddingTag, \
-    SurfaceComponent, algebraic_intersection, complement_h1, spheres_presentation, \
-    tori_presentation
+from .configurations import AmbientManifold, Configuration, SurfaceComponent, \
+    algebraic_intersection, complement_h1, spheres_presentation, tori_presentation
 from .surgery import CaseParams, SurgerySpec, apply_surgery, case_presentation, \
     check_case_hypothesis, surgered_presentation, verify_group_preserved, \
     HypothesisError
-from .sw import FormalSW, applicability_check, distinguish, \
-    family_report, knot_surgery_transform
+from .sw import applicability_check, distinguish, family_report, knot_surgery_transform
 from .actions import build_cover_plan, exotic_action_certificate
 from .scenarios import ParamError, ScenarioError, run_builtin, run_scenario, \
     run_scenario_text, nodal_configuration, rational_configuration, \

@@ -117,12 +117,9 @@ def alexander_polynomial(d: KnotDiagram) -> LaurentPoly:
 def wirtinger_alexander(data: KnotGroupData) -> LaurentPoly:
     """Normalized Alexander polynomial of a Wirtinger presentation."""
     p = data.presentation
-    meridian = data.meridian
     relators = p.relators[:-1] if p.relators else ()
-    matrix = []
-    for r in relators:
-        row = fox_derivative_row(r, p.ngens)
-        matrix.append([cell for g, cell in enumerate(row) if g != meridian])
+    # without the column of the meridian, generator 0
+    matrix = [fox_derivative_row(r, p.ngens)[1:] for r in relators]
     return normalize_alexander(laurent_determinant(matrix))
 
 

@@ -9,7 +9,8 @@ fundamental group whose labels mu1, mu2, ... name the component meridians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .knots import BraidWord
 from .presentations import AbelianGroup, Presentation
@@ -17,28 +18,12 @@ from .snf import cokernel_invariants
 from .words import Word, commutator, free_reduce
 
 
-@dataclass(frozen=True)
-class EmbeddingTag:
-    kind: str  # "standard" | "twist-spun"
-    knot: BraidWord | None = None
-    twist: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "twist-spun"):
-            raise ValueError(f"unknown embedding tag kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "standard":
-            return "Standard"
-        return f"ConnectSumTwistSpun({self.knot.format()}, {self.twist})"
+# an embedding tag is the text a report prints for it
+STANDARD = "Standard"
 
 
-def tag_standard() -> EmbeddingTag:
-    return EmbeddingTag("standard")
-
-
-def tag_twist_spun(knot: BraidWord, twist: int) -> EmbeddingTag:
-    return EmbeddingTag("twist-spun", knot, twist)
+def twist_spun_tag(knot: BraidWord, twist: int) -> str:
+    return f"ConnectSumTwistSpun({knot.format()}, {twist})"
 
 
 @dataclass(frozen=True)
@@ -76,16 +61,13 @@ class SurfaceComponent:
     label: str
     genus: int
     homology_class: tuple[int, ...]
-    embedding_tag: EmbeddingTag = tag_standard()
+    embedding_tag: str = STANDARD
 
     def __post_init__(self):
         object.__setattr__(self, "homology_class",
                            tuple(int(x) for x in self.homology_class))
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
-
-    def with_tag(self, tag: EmbeddingTag) -> "SurfaceComponent":
-        return dc_replace(self, embedding_tag=tag)
 
 
 @dataclass(frozen=True)
@@ -142,15 +124,19 @@ def complement_h1(config: Configuration) -> AbelianGroup:
     """
     if not config.ambient.simply_connected:
         raise ValueError("complement homology needs a simply connected ambient manifold")
-    rank = config.ambient.rank
     k = len(config.components)
-    rows = []
-    for i in range(rank):
-        basis_vector = [1 if t == i else 0 for t in range(rank)]
-        rows.append([config.ambient.pairing(basis_vector, comp.homology_class)
-                     for comp in config.components])
-    free_rank, torsion = cokernel_invariants(rows, k)
+    free_rank, torsion = cokernel_invariants(meridian_relations(config, range(k)), k)
     return AbelianGroup(free_rank, torsion)
+
+
+def meridian_relations(config: Configuration, components: Sequence[int]) -> list[list[int]]:
+    """The meridian relation rows of `complement_h1`, one per basis class A,
+    with column j the coefficient A . Sigma_c of the j-th listed component c."""
+    rank = config.ambient.rank
+    return [[config.ambient.pairing([1 if t == i else 0 for t in range(rank)],
+                                    config.components[c].homology_class)
+             for c in components]
+            for i in range(rank)]
 
 
 def _descending_product(words: list[Word]) -> Word:

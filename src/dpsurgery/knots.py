@@ -2,9 +2,9 @@
 
 Braid words use signed 1-based generator indices, so `B3: 1 -2 1 -2` is the
 word s1 s2^-1 s1 s2^-1 on three strands.  Only braids whose closure is a
-knot (single-cycle permutation) are accepted as knot input.  A knot group
-carries one label, `muK`, its meridian generator: the surgery relators read
-the meridian and nothing else of the knot's peripheral data.
+knot (single-cycle permutation) are accepted as knot input.  Generator 0 of
+a knot group is its meridian muK: the surgery relators read the meridian and
+nothing else of the knot's peripheral data.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix
-from .snf import cokernel_invariants
+from .presentations import Presentation, exponent_matrix, simplify_presentation
+from .snf import cokernel_map
 from .words import Word, free_reduce
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -145,38 +145,23 @@ def braid_to_diagram(b: BraidWord) -> KnotDiagram:
 
 @dataclass(frozen=True)
 class KnotGroupData:
-    """Knot group presentation with a distinguished meridian.
-
-    The presentation labels role "muK" with a one-letter word: the meridian
-    generator.
-    """
+    """Knot group presentation whose generator 0 is the meridian."""
 
     presentation: Presentation
 
     def __post_init__(self):
-        if self.presentation.label("muK") is None:
-            raise ValueError("knot group data needs a muK label")
-        # the meridian must generate the (infinite cyclic) abelianization:
-        # killing it abelianly must kill everything
+        # the meridian must generate the (infinite cyclic) abelianization
         p = self.presentation
-        if abelianization(p) != AbelianGroup.free(1):
+        factors, images = cokernel_map(exponent_matrix(p), p.ngens)
+        if factors != (0,):
             raise ValueError("a knot group abelianizes to the infinite cyclic group")
-        mu_row = [1 if g == self.meridian else 0 for g in range(p.ngens)]
-        if cokernel_invariants(exponent_matrix(p) + [mu_row], p.ngens) != (0, ()):
+        if images[0] not in ((1,), (-1,)):
             raise ValueError("meridian does not generate the abelianization")
 
-    @property
-    def meridian(self) -> int:
-        letters = self.presentation.label("muK").letters
-        if len(letters) != 1 or letters[0] & 1:
-            raise ValueError("meridian label must be a generator")
-        return letters[0] >> 1
-
     def simplified(self) -> "KnotGroupData":
-        """Tietze-reduced copy; the meridian generator is never eliminated."""
-        from .presentations import simplify_presentation
-
-        return KnotGroupData(simplify_presentation(self.presentation, keep={self.meridian}))
+        """Tietze-reduced copy; the meridian generator 0 is never eliminated
+        and, generators keeping their order, stays generator 0."""
+        return KnotGroupData(simplify_presentation(self.presentation, keep={0}))
 
 
 def wirtinger_presentation(d: KnotDiagram) -> KnotGroupData:
@@ -190,7 +175,7 @@ def wirtinger_presentation(d: KnotDiagram) -> KnotGroupData:
         over = Word.gen(c.over, c.sign)
         rel = over * Word.gen(c.under_in) * over.inverse() * Word.gen(c.under_out, -1)
         relators.append(free_reduce(rel))
-    return KnotGroupData(Presentation(names, tuple(relators), (("muK", Word.gen(0)),)))
+    return KnotGroupData(Presentation(names, tuple(relators)))
 
 
 def knot_group_from_braid(b: BraidWord) -> KnotGroupData:

@@ -329,8 +329,9 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
 
     A generator g not in `keep` is eliminable at a position of a relator
     where it is the only occurrence of g; the relator then solves for g and
-    the solution is substituted everywhere, including label words.  The
-    group is unchanged up to isomorphism.
+    the solution is substituted in every other relator.  The group is
+    unchanged up to isomorphism.  The surviving generators keep their
+    order, and the result carries no labels.
 
     Each round eliminates via the shortest relator that has an eliminable
     position, the earliest of those in relator order, at its first
@@ -340,22 +341,18 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
     changes: relators keep their input index as a stable id and generators
     keep their input index until one reindex at the end; an index maps
     each generator to the relators it occurs in, and only those relators
-    and the labels holding the generator are rewritten.  Every relator
-    caches its first eligible position, recomputed only when the relator
-    changes, and a heap keyed by (length, id) over the relators with such
-    a position yields each round's pick.  Removing a relator keeps the
-    others in order, so (length, id) orders the relators as their current
-    positions would.  Once anything has been eliminated every label word
-    is freely reduced; with no elimination the labels are returned as
-    given.  A `keep` index outside 0..ngens-1 raises ValueError.
+    are rewritten.  Every relator caches its first eligible position,
+    recomputed only when the relator changes, and a heap keyed by
+    (length, id) over the relators with such a position yields each
+    round's pick.  Removing a relator keeps the others in order, so
+    (length, id) orders the relators as their current positions would.
+    A `keep` index outside 0..ngens-1 raises ValueError.
     """
     outside = [i for i in keep if not 0 <= i < p.ngens]
     if outside:
         raise ValueError(f"keep index {min(outside)} out of range for {p.ngens} generators")
-    keep_names = {p.generators[i] for i in keep}
-    kept = [name in keep_names for name in p.generators]
+    kept = [g in keep for g in range(p.ngens)]
     relators: list[tuple[int, ...] | None] = [free_reduce(r).letters for r in p.relators]
-    labels = {role: target.letters for role, target in p.labels}
     relators_of: dict[int, set[int]] = defaultdict(set)
     for rid, letters in enumerate(relators):
         for x in letters:
@@ -403,9 +400,6 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
             for h in new_gens - old_gens:
                 relators_of[h].add(other)
             refresh(other)
-        for role, old in list(labels.items()):
-            if 2 * g in old or 2 * g + 1 in old:
-                labels[role] = _substitute(old, g, image, image_inverse)
         eliminated[g] = True
 
     generators = []
@@ -418,9 +412,5 @@ def simplify_presentation(p: Presentation, keep: frozenset[int] | set[int] = fro
     def reindex(letters: tuple[int, ...]) -> Word:
         return Word(tuple(2 * new_index[x >> 1] + (x & 1) for x in letters))
 
-    reduced = any(eliminated)
-    words = {role: reindex(free_reduce(Word(letters)).letters if reduced else letters)
-             for role, letters in labels.items()}
     return Presentation(tuple(generators),
-                        tuple(reindex(letters) for letters in relators if letters),
-                        tuple(sorted(words.items())))
+                        tuple(reindex(letters) for letters in relators if letters))

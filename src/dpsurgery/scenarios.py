@@ -30,10 +30,12 @@ from math import gcd
 
 from .actions import build_cover_plan, exotic_action_certificate
 from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
-                             complement_h1, spheres_presentation, tori_presentation)
+                             complement_h1, meridian_relations, spheres_presentation,
+                             tori_presentation)
 from .knots import BraidWord, knot_group_from_braid, parse_int
-from .presentations import AbelianGroup, Presentation, abelianization
+from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
+from .snf import element_order_in_cokernel
 from .surgery import CaseParams, SurgerySpec, case_presentation, check_case_hypothesis, \
     on_unsimplified, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import family_report
@@ -225,7 +227,7 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
     the preserved group and both paths' cross-validation; then, unless the
     hypothesis failed, the embedding tags."""
     tags = CheckLine("embedding-tags", PASS, tuple(
-        f"component {i + 1}: {c.embedding_tag.describe()}"
+        f"component {i + 1}: {c.embedding_tag}"
         for i, c in enumerate(surgered_components(spec))))
     if case is None:
         return [tags]
@@ -479,6 +481,13 @@ def _complement_h1(config: Configuration, what: str) -> AbelianGroup:
     return complement_h1(config)
 
 
+def _same_lattice(rows1: list[list[int]], rows2: list[list[int]]) -> bool:
+    """Whether two relation matrices on the same two meridians span the same
+    lattice: every row of each lies in the row space of the other."""
+    return all(element_order_in_cokernel(span, 2, row) == 1
+               for span, rows in ((rows1, rows2), (rows2, rows1)) for row in rows)
+
+
 def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[CheckLine]:
     where = f"checks[{index}]"
     config = _configuration_from_json(entry["configuration"], where)
@@ -513,7 +522,12 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
         except ValueError as err:
             raise ScenarioError(f"{where}: {err}") from None
         if case is not None:
-            # the case's group claim holds only for its own twist and base H1
+            # the case's group claim holds only for its own twist and for
+            # its base relations on the meridians of the point's components
+            if len(config.components) != 2:
+                raise ScenarioError(f"{where}: surgery case {case.describe()} needs a "
+                                    f"two-component configuration, not "
+                                    f"{len(config.components)} components")
             if case.k != twist:
                 raise ScenarioError(f"{where}: surgery case k={case.k} differs from "
                                     f"twist {twist}")
@@ -521,6 +535,11 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
             if case.target() != homology:
                 raise ScenarioError(f"{where}: surgery case {case.describe()} needs "
                                     f"complement H1 {case.target()}, not {homology}")
+            a, b, _ = config.double_points[point]
+            if not _same_lattice(exponent_matrix(case.base_presentation()),
+                                 meridian_relations(config, (a, b))):
+                raise ScenarioError(f"{where}: surgery case {case.describe()} does not "
+                                    f"match the meridian relations at double point {point}")
         # outside the try: a ValueError of the engine is not an input error
         lines.extend(CheckLine(f"{where} {line.name}", line.verdict, line.evidence)
                      for line in _surgery_lines(spec, case, bounds))

@@ -11,7 +11,7 @@ to the fundamental group of the new complement are provided:
   base group is abelian of one of three recognized shapes; it carries no
   labels, since only the group is checked.
 
-Both read the knot group through its meridian `muK` alone.
+Both read the knot group through its meridian muK, generator 0, alone.
 
 The two paths are cross-validated against each other by the test suite, on
 the Wirtinger knot group and on its meridian-kept simplification.  The
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
-from .configurations import Configuration, SurfaceComponent, tag_standard, tag_twist_spun
+from .configurations import STANDARD, Configuration, SurfaceComponent, twist_spun_tag
 from .knots import BraidWord, KnotGroupData, knot_group_from_braid
 from .presentations import AbelianGroup, Presentation
 from .verify import Bounds, DEFAULT_BOUNDS, Verdict, verify_abelian_isomorphism
@@ -145,7 +145,7 @@ def surgered_presentation(base: Presentation, knot: KnotGroupData, k: int) -> Pr
     s = Word.gen(s_index)
     for i in range(kp.ngens):
         relators.append(commutator(Word.gen(offset + i), s))
-    mu_k = Word.gen(offset + knot.meridian)
+    mu_k = Word.gen(offset)
     mu2_k = free_reduce(mu_k ** k * s)
     relators.append(free_reduce(mu1 * mu_k.inverse()))
     relators.append(free_reduce(mu2 * mu2_k.inverse()))
@@ -167,7 +167,7 @@ def case_presentation(c: CaseParams, knot: KnotGroupData) -> Presentation:
     generators = kp.generators + (s_name,)
     s_index = len(generators) - 1
     s = Word.gen(s_index)
-    mu = Word.gen(knot.meridian)
+    mu = Word.gen(0)
 
     relators = list(kp.relators)
     for i in range(kp.ngens):
@@ -239,11 +239,11 @@ def surgered_components(spec: SurgerySpec) -> tuple[SurfaceComponent, ...]:
     config, k = spec.configuration, spec.twist
     comp_a = config.double_points[spec.point][0]
     if k in (1, -1) or (k == 0 and _is_line_in_projective_plane(config, comp_a)):
-        tag = tag_standard()
+        tag = STANDARD
     else:
-        tag = tag_twist_spun(spec.knot, k)
+        tag = twist_spun_tag(spec.knot, k)
     components = list(config.components)
-    components[comp_a] = components[comp_a].with_tag(tag)
+    components[comp_a] = replace(components[comp_a], embedding_tag=tag)
     return tuple(components)
 
 

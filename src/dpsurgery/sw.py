@@ -1,11 +1,11 @@
 """Formal gauge-theoretic bookkeeping and the smooth-inequivalence test.
 
 No gauge theory is computed here.  A relative invariant is carried as an
-integer Laurent polynomial in the rim-torus variable r together with a
-nonvanishing flag; for a positively-intersecting symplectic configuration
-the flag is justified externally and the canonical unit polynomial is used.
-Surgery by a knot multiplies the invariant by its Alexander polynomial in
-r^2 (Fintushel-Stern), so two surgered configurations can only be
+integer Laurent polynomial in the rim-torus variable r; for a
+positively-intersecting symplectic configuration it is nonvanishing by an
+external result, and the canonical unit polynomial 1 is used.  Surgery by a
+knot multiplies the invariant by its Alexander polynomial in r^2
+(Fintushel-Stern), so two surgered configurations can only be
 diffeomorphic when the two transformed invariants' coefficient multisets
 agree; unequal multisets certify smooth inequivalence once the hypotheses
 are in place.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
-from .configurations import Configuration, algebraic_intersection
+from .configurations import STANDARD, Configuration, algebraic_intersection
 from .knots import BraidWord
 from .laurent import LaurentPoly
 from .reports import FAIL, PASS, CheckLine, line_from_verdict
@@ -29,30 +29,16 @@ from .surgery import CaseParams, HypothesisError, SurgerySpec, check_case_hypoth
 from .verify import Bounds, DEFAULT_BOUNDS
 
 
-@dataclass(frozen=True)
-class FormalSW:
-    value: LaurentPoly
-    nonvanishing: bool
-
-    def __post_init__(self):
-        if self.nonvanishing and self.value.is_zero():
-            raise ValueError("a nonvanishing invariant cannot be the zero polynomial")
-
-    @staticmethod
-    def canonical() -> "FormalSW":
-        return FormalSW(LaurentPoly.one(), True)
-
-
-def knot_surgery_transform(sw: FormalSW, delta: LaurentPoly) -> FormalSW:
-    """Multiply the invariant by delta(r^2); nonvanishing survives delta != 0."""
-    return FormalSW(sw.value * delta.substitute_square(),
-                    sw.nonvanishing and not delta.is_zero())
+def knot_surgery_transform(invariant: LaurentPoly, delta: LaurentPoly) -> LaurentPoly:
+    """The invariant after surgery by a knot with Alexander polynomial
+    delta: the invariant times delta(r^2)."""
+    return invariant * delta.substitute_square()
 
 
 def _surgered_multiset(delta: LaurentPoly) -> tuple[int, ...]:
     """Coefficient multiset of the canonical invariant after surgery by a
     knot with Alexander polynomial delta: what a pair verdict compares."""
-    return coefficient_multiset(knot_surgery_transform(FormalSW.canonical(), delta).value)
+    return coefficient_multiset(knot_surgery_transform(LaurentPoly.one(), delta))
 
 
 def applicability_check(config: Configuration) -> CheckLine:
@@ -135,16 +121,16 @@ def family_report(config: Configuration, count: int, case: CaseParams,
         raise HypothesisError(f"case hypothesis fails for {case.describe()}")
     applicability = applicability_check(config)
     family = knot_family(count)
-    unchanged = config.components[1].embedding_tag.describe()
+    unchanged = config.components[1].embedding_tag
     knots = []
     for i, (braid, knot, _) in enumerate(family, start=1):
         prefix = f"r={i} {braid.format()}"
-        tag1, tag2 = (c.embedding_tag.describe() for c in
+        tag1, tag2 = (c.embedding_tag for c in
                       surgered_components(SurgerySpec(config, 0, braid, case.k)))
         knots.append((
             line_from_verdict(f"group-preserved {prefix}",
                               verify_group_preserved(case, knot.simplified(), bounds, knot)),
-            CheckLine(f"component-1-standard {prefix}", PASS if tag1 == "Standard" else FAIL,
+            CheckLine(f"component-1-standard {prefix}", PASS if tag1 == STANDARD else FAIL,
                       (f"component 1 embedding tag: {tag1}",)),
             CheckLine(f"component-2-unchanged {prefix}", PASS if tag2 == unchanged else FAIL,
                       (f"component 2 embedding tag: {tag2}",))))

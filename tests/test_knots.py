@@ -5,8 +5,7 @@ import pytest
 from dpsurgery.knots import (BraidWord, FIGURE_EIGHT, KnotGroupData, TREFOIL, UNKNOT,
                              braid_to_diagram, knot_group_from_braid, torus_knot,
                              wirtinger_presentation)
-from dpsurgery.presentations import AbelianGroup, abelianization
-from dpsurgery.words import Word
+from dpsurgery.presentations import AbelianGroup, abelianization, parse_presentation
 
 
 def test_braid_parse_format():
@@ -71,14 +70,17 @@ def test_simplified_keeps_meridian_and_group():
         small = data.simplified()
         assert small.presentation.ngens <= data.presentation.ngens
         assert abelianization(small.presentation) == AbelianGroup.free(1)
-        assert small.presentation.label("muK") == Word.gen(small.meridian)
+        assert small.presentation.generators[0] == "x0"
 
 
-def test_meridian_label_must_be_one_generator():
-    p = knot_group_from_braid(TREFOIL).presentation
-    for word in (Word.gen(0, -1), Word.gen(0, 2)):
-        with pytest.raises(ValueError, match="meridian"):
-            KnotGroupData(p.with_labels({"muK": word}))
+def test_generator_0_must_generate_the_abelianization():
+    # a = b^2 in the abelianization Z, generated by b alone
+    with pytest.raises(ValueError, match="meridian"):
+        KnotGroupData(parse_presentation("gens: a b ; rels: a b^-2 ;"))
+    with pytest.raises(ValueError, match="infinite cyclic"):
+        KnotGroupData(parse_presentation("gens: a b ;"))
+    # b = a^2 abelianly, so a generates Z
+    KnotGroupData(parse_presentation("gens: a b ; rels: b A A ;"))
 
 
 def test_torus_knot_constructor():

@@ -210,7 +210,6 @@ def _reference_substitute(w, images):
 def _reference_simplify(p, keep=frozenset()):
     generators = list(p.generators)
     relators = [free_reduce(r) for r in p.relators]
-    labels = dict(p.labels)
     keep_names = {p.generators[i] for i in keep}
 
     while True:
@@ -237,14 +236,12 @@ def _reference_simplify(p, keep=frozenset()):
         images = {g: solved}
         relators = [free_reduce(_reference_substitute(r, images))
                     for i, r in enumerate(relators) if i != ri]
-        labels = {role: _reference_substitute(w, images) for role, w in labels.items()}
         mapping = {old: (old if old < g else old - 1) for old in range(len(generators)) if old != g}
         generators.pop(g)
         relators = [r.reindex(mapping) for r in relators]
-        labels = {role: w.reindex(mapping) for role, w in labels.items()}
 
     relators = [r for r in relators if r.letters]
-    return Presentation(tuple(generators), tuple(relators), tuple(sorted(labels.items())))
+    return Presentation(tuple(generators), tuple(relators))
 
 
 def _random_letters(rng, ngens, length):
@@ -292,16 +289,16 @@ def _random_knot_braids(count, seed):
     return found
 
 
+# T(2,3) ... T(2,31) and 200 random knot braids
+KNOT_GROUPS = [knot_group_from_braid(braid) for braid in
+               [torus_knot(r) for r in range(1, 16)] + _random_knot_braids(200, seed=1618)]
+
+
 def _tietze_cases():
     rng = random.Random(2718)
     cases = [_random_tietze_case(rng) for _ in range(2000)]
-    for r in range(1, 16):
-        knot = knot_group_from_braid(torus_knot(r))
-        cases.append((knot.presentation, {knot.meridian}))
-    for braid in _random_knot_braids(200, seed=1618):
-        knot = knot_group_from_braid(braid)
-        cases.append((knot.presentation, {knot.meridian}))
-    return cases
+    # the meridian of a knot group is generator 0
+    return cases + [(knot.presentation, {0}) for knot in KNOT_GROUPS]
 
 
 TIETZE_CASES = _tietze_cases()
@@ -315,6 +312,14 @@ def test_simplify_matches_the_quadratic_reference():
         eliminated += reduced.ngens < p.ngens
     # the cases exercise the elimination rounds, not only the early exit
     assert eliminated > len(TIETZE_CASES) // 2
+
+
+def test_simplified_knot_groups_keep_the_meridian_at_generator_0():
+    # KnotGroupData validates each result: generator 0 still generates the
+    # infinite cyclic abelianization
+    for knot in KNOT_GROUPS:
+        small = knot.simplified()
+        assert small.presentation.generators[0] == "x0", knot.presentation.format()
 
 
 def test_simplify_is_idempotent():

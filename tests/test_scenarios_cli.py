@@ -7,7 +7,7 @@ import pytest
 
 from dpsurgery import scenarios
 from dpsurgery.cli import main
-from dpsurgery.reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE
+from dpsurgery.reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, FAIL
 from dpsurgery.scenarios import (ParamError, ScenarioError, run_builtin,
                                  run_scenario, run_scenario_text)
 
@@ -95,6 +95,18 @@ def test_scenario_surgery_block_runs_the_surgery_checks():
         [(f"checks[0] {line.name}", line.verdict, line.evidence)
          for line in builtin.lines if line.name in names]
     assert len(report.lines) == 6
+
+
+def test_scenario_case_describing_its_surgery_runs_its_hypothesis():
+    """F3(3,2) at twist 3 describes the custom_spheres surgery, so it is not
+    refused as input; its hypothesis fails: gcd(3, 3 * 2) = 3."""
+    with open(os.path.join(SCENARIO_DIR, "custom_spheres.json"), encoding="utf-8") as f:
+        scenario = json.load(f)
+    scenario["checks"][0]["surgery"].update(twist=3, case={"tag": "F3", "m": 3, "n": 2, "k": 3})
+    report = run_scenario_text(json.dumps(scenario))
+    assert report.exit_code() == EXIT_FAIL
+    assert [(line.name, line.verdict) for line in report.lines[2:]] == [
+        ("checks[0] hypothesis", FAIL), ("checks[0] group-preserved", FAIL)]
 
 
 def test_scenario_parse_errors():
@@ -742,6 +754,12 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
         block[path[-1] + "x"] = block.pop(path[-1])
         return scenario
 
+    three_components = custom_spheres()
+    configuration = three_components["checks"][0]["configuration"]
+    configuration["components"].append({"label": "S_0", "genus": 0, "class": [0, 0]})
+    configuration["pi1"] = ("gens: a b c ; rels: a^3 , b^2 , [a,b] , c ; "
+                            "labels: mu1=a mu2=b mu3=c ;")
+
     cases = [
         ({"checks": [{"builtin": "tori", "params": [1, 2]}]},
          "error: checks[0]: 'params' must be an object\n"),
@@ -754,6 +772,13 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
         (custom_spheres(case={"tag": "F3", "m": 5, "n": 7, "k": 1}),
          "error: checks[0]: surgery case F3(m=5, n=7, k=1) needs complement H1 Z_35, "
          "not Z_6\n"),
+        # F3(2,3) has the H1 Z_6 too, but its mu1 has order 2 and the point's
+        # first component S_m has a meridian of order 3
+        (custom_spheres(twist=3, case={"tag": "F3", "m": 2, "n": 3, "k": 3}),
+         "error: checks[0]: surgery case F3(m=2, n=3, k=3) does not match the meridian "
+         "relations at double point 0\n"),
+        (three_components, "error: checks[0]: surgery case F3(m=3, n=2, k=1) needs a "
+                           "two-component configuration, not 3 components\n"),
         # an unknown key is refused in every block, never silently dropped
         (misspelt("checks"), "error: PATH: top level has unknown field 'checksx'\n"),
         ({"bounds": {"coset": 50}, "checks": []},

@@ -179,22 +179,20 @@ def test_zeeman_untwisting_for_plus_minus_one():
     config = tori_configuration(3, 2)
     for k in (1, -1):
         surgered = apply_surgery(SurgerySpec(config, 0, TREFOIL, k))
-        assert surgered.components[0].embedding_tag.kind == "standard"
+        assert surgered.components[0].embedding_tag == "Standard"
         assert surgered.components[1] == config.components[1]
 
 
 def test_gluck_untwisting_for_zero_twist_on_a_line():
     config = nodal_configuration(1, 2)
     surgered = apply_surgery(SurgerySpec(config, 0, TREFOIL, 0))
-    assert surgered.components[0].embedding_tag.kind == "standard"
+    assert surgered.components[0].embedding_tag == "Standard"
 
 
 def test_zero_twist_generic_component_keeps_tag():
     config = tori_configuration(3, 2)
     surgered = apply_surgery(SurgerySpec(config, 0, TREFOIL, 0))
-    tag = surgered.components[0].embedding_tag
-    assert tag.kind == "twist-spun"
-    assert tag.knot == TREFOIL and tag.twist == 0
+    assert surgered.components[0].embedding_tag == "ConnectSumTwistSpun(B2: 1 1 1, 0)"
 
 
 def test_surgery_preserves_homology_and_points():

@@ -12,8 +12,7 @@ from dpsurgery.presentations import Presentation
 from dpsurgery.reports import FAIL, PASS
 from dpsurgery.scenarios import rational_configuration, spheres_configuration, tori_configuration
 from dpsurgery.surgery import CaseParams, HypothesisError
-from dpsurgery.sw import (FormalSW, applicability_check, distinguish, family_report,
-                          knot_surgery_transform)
+from dpsurgery.sw import applicability_check, distinguish, family_report, knot_surgery_transform
 from dpsurgery.words import Word
 
 
@@ -26,30 +25,19 @@ def trivial_complement_configuration() -> Configuration:
     return Configuration(ambient, comps, ((0, 1, 1),), pi1, symplectic_positive=False)
 
 
-def test_formal_sw_validation():
-    with pytest.raises(ValueError):
-        FormalSW(LaurentPoly.zero(), True)
-    canonical = FormalSW.canonical()
-    assert canonical.value == LaurentPoly.one()
-    assert canonical.nonvanishing
-
-
 def test_transform_unknot_is_identity():
-    sw = FormalSW.canonical()
-    out = knot_surgery_transform(sw, LaurentPoly.one())
-    assert out.value == sw.value and out.nonvanishing
+    assert knot_surgery_transform(LaurentPoly.one(), LaurentPoly.one()) == LaurentPoly.one()
 
 
 def test_transform_trefoil():
-    out = knot_surgery_transform(FormalSW.canonical(), LaurentPoly.parse("t^-1 - 1 + t"))
-    assert out.value == LaurentPoly.parse("t^-2 - 1 + t^2")
+    out = knot_surgery_transform(LaurentPoly.one(), LaurentPoly.parse("t^-1 - 1 + t"))
+    assert out == LaurentPoly.parse("t^-2 - 1 + t^2")
 
 
 def test_transform_expands_products_exactly():
-    sw = FormalSW(LaurentPoly.parse("t^-1 + t"), True)
-    out = knot_surgery_transform(sw, LaurentPoly.parse("t^-1 - 1 + t"))
+    out = knot_surgery_transform(LaurentPoly.parse("t^-1 + t"), LaurentPoly.parse("t^-1 - 1 + t"))
     # (r + r^-1)(r^2 - 1 + r^-2) = r^3 + r^-3
-    assert out.value == LaurentPoly.parse("t^-3 + t^3")
+    assert out == LaurentPoly.parse("t^-3 + t^3")
 
 
 def test_transform_multiplicative():
@@ -62,16 +50,9 @@ def test_transform_multiplicative():
 
     for _ in range(100):
         d1, d2 = random_poly(), random_poly()
-        sw = FormalSW.canonical()
-        chained = knot_surgery_transform(knot_surgery_transform(sw, d1), d2)
-        combined = knot_surgery_transform(sw, d1 * d2)
-        assert chained.value == combined.value
-
-
-def test_transform_kills_nonvanishing_only_for_zero():
-    sw = FormalSW.canonical()
-    assert not knot_surgery_transform(sw, LaurentPoly.zero()).nonvanishing
-    assert knot_surgery_transform(sw, LaurentPoly.parse("t")).nonvanishing
+        one = LaurentPoly.one()
+        chained = knot_surgery_transform(knot_surgery_transform(one, d1), d2)
+        assert chained == knot_surgery_transform(one, d1 * d2)
 
 
 def failed_conditions(line) -> list[str]:
@@ -135,7 +116,8 @@ def test_distinguish_never_positive_without_applicability():
 def test_pair_verdicts_rest_on_the_transform(monkeypatch):
     # with surgery leaving the invariant unchanged, every surgered invariant
     # is the canonical unit and no pair may be told apart
-    monkeypatch.setattr("dpsurgery.sw.knot_surgery_transform", lambda sw, delta: sw)
+    monkeypatch.setattr("dpsurgery.sw.knot_surgery_transform",
+                        lambda invariant, delta: invariant)
     line = distinguish(TREFOIL, UNKNOT, tori_configuration(3, 2))
     assert line.verdict == FAIL
     assert line.evidence[-2:] == (
