@@ -84,27 +84,22 @@ def _cmd_surgery(args, bounds: Bounds) -> Report:
 
 
 def _cmd_alexander(args, bounds: Bounds) -> Report:
-    lines = []
-    if args.braids and args.braids[0] == "family":
-        count = take_params(_parse_kv(args.braids[1:]),
-                            {"count": (int, 10, lambda v: v >= 1, "count >= 1")})["count"]
-        for index, (braid, _, delta) in enumerate(knot_family(count), start=1):
-            multiset = coefficient_multiset(delta)
-            lines.append(CheckLine(
-                f"alexander K_{index} {braid.format()}", PASS,
-                (f"polynomial {delta.format()}",
-                 f"coefficient multiset {list(multiset)}")))
-        return Report(f"alexander family count={count}", tuple(lines))
     if not args.braids:
         raise ParamError("alexander needs at least one braid word or 'family count=N'")
-    for text in args.braids:
-        braid = parse_knot(text)
-        delta = alexander_of_braid(braid)
-        lines.append(CheckLine(
-            f"alexander {braid.format()}", PASS,
-            (f"polynomial {delta.format()}",
-             f"coefficient multiset {list(coefficient_multiset(delta))}")))
-    return Report("alexander", tuple(lines))
+    if args.braids[0] == "family":
+        count = take_params(_parse_kv(args.braids[1:]),
+                            {"count": (int, 10, lambda v: v >= 1, "count >= 1")})["count"]
+        title = f"alexander family count={count}"
+        knots = [(f"alexander K_{index} {braid.format()}", delta)
+                 for index, (braid, _, delta) in enumerate(knot_family(count), start=1)]
+    else:
+        title = "alexander"
+        knots = [(f"alexander {braid.format()}", alexander_of_braid(braid))
+                 for braid in map(parse_knot, args.braids)]
+    return Report(title, tuple(
+        CheckLine(name, PASS, (f"polynomial {delta.format()}",
+                               f"coefficient multiset {list(coefficient_multiset(delta))}"))
+        for name, delta in knots))
 
 
 def _cmd_distinguish(args, bounds: Bounds) -> Report:

@@ -180,8 +180,8 @@ def _relator_rotations(relators: tuple[Word, ...], ncols: int) -> list[list[_Spa
     return edp
 
 
-def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...] = (),
-                    max_cosets: int = 100_000) -> CosetResult:
+def coset_enumerate(p: Presentation, subgroup: list[Word] | tuple[Word, ...],
+                    max_cosets: int) -> CosetResult:
     """Index of the subgroup generated by `subgroup` words, if it completes.
 
     For the empty subgroup this is the group order.  Within the row cap the

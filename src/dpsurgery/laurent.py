@@ -1,6 +1,6 @@
 """Integer Laurent polynomials in one variable, exact and immutable.
 
-The canonical text form lists terms in ascending degree, e.g.
+`LaurentPoly.format` lists the terms in ascending degree, e.g.
 `t^-1 - 1 + t`; the zero polynomial prints as `0`.
 
 Dense arithmetic lives in one kernel on plain coefficient lists, lowest
@@ -12,7 +12,6 @@ determinant in `alexander` both run on it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import gcd
 
@@ -89,9 +88,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.min_degree, tuple(-c for c in self.coeffs)) if self.coeffs else self
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         # a product of trimmed polynomials over Z is trimmed
         return LaurentPoly(self.min_degree + other.min_degree,
@@ -102,12 +98,6 @@ class LaurentPoly:
         if not self.coeffs:
             return self
         return LaurentPoly(self.min_degree + k, self.coeffs)
-
-    def reverse(self) -> "LaurentPoly":
-        """Substitute t -> t^-1."""
-        if not self.coeffs:
-            return self
-        return LaurentPoly(-self.max_degree, tuple(reversed(self.coeffs)))
 
     def evaluate_unit(self, u: int) -> int:
         """Exact value at t = 1 or t = -1."""
@@ -151,36 +141,6 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.format()
-
-    @staticmethod
-    def parse(text: str) -> "LaurentPoly":
-        text = text.strip()
-        if text == "0":
-            return LaurentPoly.zero()
-        protected = text.replace("^-", "^~")  # keep exponent signs out of term splitting
-        result = LaurentPoly.zero()
-        term_re = re.compile(r"^(\d+)?\s*(t(?:\^(-?\d+))?)?$")
-        for raw in re.findall(r"[+-]?[^+-]+", protected):
-            term = raw.strip()
-            sign = 1
-            if term.startswith("+"):
-                term = term[1:].strip()
-            elif term.startswith("-"):
-                sign = -1
-                term = term[1:].strip()
-            term = term.replace("^~", "^-")
-            m = term_re.match(term)
-            if not m or not term or (m.group(1) is None and m.group(2) is None):
-                raise ValueError(f"cannot parse polynomial term {raw.strip()!r}")
-            coeff = int(m.group(1)) if m.group(1) else 1
-            degree = 0
-            if m.group(2):
-                degree = int(m.group(3)) if m.group(3) else 1
-            result = result + LaurentPoly.term(sign * coeff, degree)
-        return result
 
 
 def mul_add(out: list[int], s: int, a, b) -> list[int]:

@@ -1,6 +1,6 @@
-"""Finitely presented groups: presentations, abelianization, serialization.
+"""Finitely presented groups: presentations, abelianization, Tietze moves.
 
-The text form of a presentation is
+The text form of a presentation, which `parse_presentation` reads, is
 
     gens: a b s ; rels: a b a B A B , [a,s] ; labels: mu1=a mu2=b ;
 
@@ -11,6 +11,9 @@ The text form of a presentation is
 * relators are comma-separated, the `labels:` section is optional and binds
   role names such as `mu1`, `mu2` to words in the same token syntax, with
   '.' joining the tokens of one word; a generator is a one-letter word.
+
+A configuration's complement labels `mu1 … muk`, the meridians of its
+components.  `format_word` prints a single word for report evidence.
 """
 
 from __future__ import annotations
@@ -162,28 +165,6 @@ class Presentation:
             if name == role:
                 return target
         return None
-
-    def with_labels(self, labels: dict[str, Word]) -> "Presentation":
-        merged = dict(self.labels)
-        merged.update(labels)
-        return Presentation(self.generators, self.relators,
-                            tuple(sorted(merged.items())))
-
-    # -- text form ---------------------------------------------------------
-
-    def format(self) -> str:
-        words = " , ".join(format_word(r, self.generators) for r in self.relators)
-        out = f"gens: {' '.join(self.generators)} ; rels: {words} ;"
-        if self.labels:
-            # label words join their tokens with '.' to stay one item
-            items = (f"{role}={'.'.join(format_word(target, self.generators).split())}"
-                     for role, target in self.labels)
-            out += f" labels: {' '.join(items)} ;"
-        return out
-
-    @staticmethod
-    def parse(text: str) -> "Presentation":
-        return parse_presentation(text)
 
 
 def format_word(w: Word, names: tuple[str, ...]) -> str:

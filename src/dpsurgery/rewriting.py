@@ -81,7 +81,7 @@ class RewriteSystem:
         return tuple(out)
 
 
-def knuth_bendix(p: Presentation, max_rules: int = 500) -> RewriteSystem:
+def knuth_bendix(p: Presentation, max_rules: int) -> RewriteSystem:
     """Complete the presentation's rule set, stopping at the rule cap.
 
     `max_rules` caps the total number of oriented rules ever admitted; the

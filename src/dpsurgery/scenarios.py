@@ -33,7 +33,8 @@ from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
                              complement_h1, meridian_relations, spheres_presentation,
                              tori_presentation)
 from .knots import BraidWord, knot_group_from_braid, parse_int
-from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix
+from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix, \
+    parse_presentation
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
 from .snf import element_order_in_cokernel
 from .surgery import CaseParams, SurgerySpec, case_presentation, check_case_hypothesis, \
@@ -436,7 +437,7 @@ def _configuration_from_json(data, where: str) -> Configuration:
                                                f"{where}: 'double_points'"))
         pi1 = None
         if "pi1" in data:
-            pi1 = Presentation.parse(str(data["pi1"]))
+            pi1 = parse_presentation(str(data["pi1"]))
         return Configuration(ambient, tuple(comps), points, pi1,
                              _json_bool(data.get("symplectic_positive", False),
                                         f"{where}: 'symplectic_positive'"))

