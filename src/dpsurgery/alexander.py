@@ -13,7 +13,11 @@ of `laurent`: each update a_ij <- (a_ij a_kk - a_ik a_kj) / a_{k-1,k-1} is
 one multiply-accumulate and one exact division.  Fox matrices are sparse,
 so the update is skipped when a_ij = 0 and a_ik = 0 or a_kj = 0: its
 numerator is then the zero polynomial, and zero divided by the nonzero
-previous pivot is exactly zero, so the skip changes no entry.
+previous pivot is exactly zero, so the skip changes no entry.  Each pivot
+row is chosen by sparsity (the row half of Markowitz's rule): of the rows
+with a nonzero entry in the pivot column, the one with the fewest nonzero
+entries.  Pivoting on the diagonal lets the three-entry rows of a Fox
+matrix fill in; a sparse pivot row leaves more updates to skip.
 """
 
 from __future__ import annotations
@@ -44,9 +48,13 @@ def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
 
     Each row is first shifted to plain polynomials; the accumulated shift is
     restored at the end.  Elimination is fraction-free (Bareiss), with exact
-    polynomial division at every step.  A zero pivot is replaced by the
-    first row below it with a nonzero entry in that column, flipping the
-    sign; with no such row the determinant is zero.
+    polynomial division at every step.  At step k the pivot row is, of the
+    rows k..n-1 with a nonzero entry in column k, the one with the fewest
+    nonzero entries in columns k..n-1 (then the shortest entry in column k,
+    then the lowest index); it swaps into position k, flipping the sign.
+    Permuting rows not yet eliminated keeps every entry a minor of the
+    permuted matrix, so every division stays exact.  With no such row the
+    determinant is zero.
     """
     n = len(matrix)
     if n == 0:
@@ -64,11 +72,12 @@ def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     sign = 1
     prev: list[int] = [1]
     for k in range(n - 1):
-        if not rows[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if pivot_row is None:
-                return LaurentPoly.zero()
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        candidates = [i for i in range(k, n) if rows[i][k]]
+        if not candidates:
+            return LaurentPoly.zero()
+        r = min(candidates, key=lambda i: (sum(map(bool, rows[i][k:])), len(rows[i][k])))
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
             sign = -sign
         pivot = rows[k]
         a_kk = pivot[k]

@@ -61,13 +61,14 @@ def coloring_determinant(diagram):
     return abs(rational_det(minor))
 
 
-def random_knot_braids(count, max_letters=8, max_strands=3, seed=1234):
+def random_knot_braids(count, max_letters=8, max_strands=3, seed=1234,
+                       min_letters=1, min_strands=2):
     rng = random.Random(seed)
     found = []
     while len(found) < count:
-        strands = rng.randint(2, max_strands)
+        strands = rng.randint(min_strands, max_strands)
         letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                        for _ in range(rng.randint(1, max_letters)))
+                        for _ in range(rng.randint(min_letters, max_letters)))
         braid = BraidWord(strands, letters)
         if braid.is_knot_closure():
             found.append(braid)
@@ -164,11 +165,29 @@ def test_laurent_determinant_of_empty_matrix_is_one():
 
 
 def test_laurent_determinant_zero_pivot_swaps_rows_and_flips_sign():
-    # rows[0][0] is zero, so Bareiss swaps in row 1: det [[0, t], [1, 0]] = -t
+    # column 0 is nonzero only in row 1, so row 1 swaps in: det [[0, t], [1, 0]] = -t
     assert laurent_determinant([[ZERO, T], [ONE, ZERO]]) == LaurentPoly.term(-1, 1)
-    # a swap at the second step of a 3x3: det = -(1 * t * t^-1) = -1
+    # a swap at the second step of a 3x3, where only row 2 is nonzero in
+    # column 1: det = -(1 * t * t^-1) = -1
     matrix = [[ONE, ONE, ZERO], [ONE, ONE, T], [ZERO, LaurentPoly.term(1, -1), ZERO]]
     assert laurent_determinant(matrix) == LaurentPoly.term(-1, 0)
+    # a nonzero a_00 still gives way to a sparser row: det [[t, 1], [1, 0]] = -1
+    assert laurent_determinant([[T, ONE], [ONE, ZERO]]) == LaurentPoly.term(-1, 0)
+    # row 1 is the sparser of the two nonzero in column 0: det = t^2 * (0 - t)
+    matrix = [[ZERO, ONE, ZERO], [T, ONE, ZERO], [ONE, T, T * T]]
+    assert laurent_determinant(matrix) == LaurentPoly.term(-1, 3)
+    # a permuted diagonal: det = sign(sigma) * p_0 p_1 p_2 p_3, sigma odd
+    diagonal = [T, ONE + T, LaurentPoly.term(-2, -1), T * T + ONE]
+    product = diagonal[0] * diagonal[1] * diagonal[2] * diagonal[3]
+    sigma = (2, 0, 3, 1)
+    matrix = [[diagonal[i] if j == sigma[i] else ZERO for j in range(4)] for i in range(4)]
+    assert laurent_determinant(matrix) == -product
+    # lower triangular: row k is the sparsest at step k, so no row swaps;
+    # with columns 0 and 1 swapped, row 0 leaves column 0 and row 1 swaps in
+    lower = [[diagonal[i] if j == i else (ONE + (-T) if j < i else ZERO) for j in range(4)]
+             for i in range(4)]
+    assert laurent_determinant(lower) == product
+    assert laurent_determinant([[row[1], row[0]] + row[2:] for row in lower]) == -product
 
 
 def test_laurent_determinant_of_singular_matrix_is_zero():
@@ -276,7 +295,11 @@ def up_to_units(poly):
 
 
 def test_fox_alexander_matches_burau_minor_on_random_knot_braids():
-    for braid in random_knot_braids(300, max_letters=14, max_strands=6, seed=2010):
+    # the second batch has alexander-batch's sizes: 3-6 strands, 20-40 letters
+    braids = (random_knot_braids(300, max_letters=14, max_strands=6, seed=2010)
+              + random_knot_braids(20, max_letters=40, max_strands=6, seed=2011,
+                                   min_letters=20, min_strands=3))
+    for braid in braids:
         burau = burau_matrix(braid)
         minor = [[(ONE if i == j else ZERO) + (-burau[i][j]) for j in range(1, braid.strands)]
                  for i in range(1, braid.strands)]
