@@ -101,7 +101,7 @@ def exotic_action_certificate(config: Configuration, m: int, n: int, k: int, cou
           + ("" if check_b else " != 1: the cover need not untwist"))
 
     if check_a:
-        family = family_report(config, count, CaseParams.f3(m, n, k), bounds)
+        family = family_report(config, count, CaseParams("F3", k, m=m, n=n), bounds)
         groups = [lines[0].verdict for lines in family.knots]
         undecided = groups.count(INCONCLUSIVE)
         checks.append(CheckLine(

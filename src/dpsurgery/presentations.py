@@ -46,24 +46,6 @@ class AbelianGroup:
                 raise ValueError("torsion factors must form a divisibility chain")
 
     @staticmethod
-    def trivial() -> "AbelianGroup":
-        return AbelianGroup(0, ())
-
-    @staticmethod
-    def free(rank: int) -> "AbelianGroup":
-        return AbelianGroup(rank, ())
-
-    @staticmethod
-    def cyclic(q: int) -> "AbelianGroup":
-        if q < 0:
-            raise ValueError("cyclic order must be >= 0")
-        if q == 0:
-            return AbelianGroup(1, ())
-        if q == 1:
-            return AbelianGroup(0, ())
-        return AbelianGroup(0, (q,))
-
-    @staticmethod
     def of_orders(*orders: int) -> "AbelianGroup":
         """Canonical form of Z_{orders[0]} + Z_{orders[1]} + ... (0 means Z)."""
         if any(q < 0 for q in orders):
@@ -99,7 +81,7 @@ class AbelianGroup:
         """
         text = text.strip()
         if text in ("0", "1"):
-            return AbelianGroup.trivial()
+            return AbelianGroup()
         if not text:
             raise ValueError("empty abelian group text")
         rank = 0

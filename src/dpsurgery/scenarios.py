@@ -253,9 +253,9 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
     paths = {name: build(knot_data) for name, build in builds.items()}
     ab1, ab2 = map(abelianization, paths.values())
     facts = [f"amalgam abelianization {ab1}, collapsed abelianization {ab2}"]
-    agree, capped = ab1 == ab2, False
-    if case.target().order() is not None:
-        decisions = {name: decide_group(paths[name], case.target(), bounds,
+    agree, capped, target = ab1 == ab2, False, case.target()
+    if target.order() is not None:
+        decisions = {name: decide_group(paths[name], target, bounds,
                                         on_unsimplified(build, raw_knot))
                      for name, build in builds.items()}
         orders = [d.order for d in decisions.values()]
@@ -279,7 +279,7 @@ def _expected_homology(name: str, p: dict) -> AbelianGroup:
     if name == "nodal":
         return AbelianGroup.of_orders(0, gcd(p["d1"], p["d2"]))
     if name == "rational":
-        return AbelianGroup.cyclic(p["q"])
+        return AbelianGroup.of_orders(p["q"])
     return AbelianGroup.of_orders(p["m"], p["n"])
 
 
@@ -311,9 +311,9 @@ def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
 
 # theorem-1-1 case -> surgery case tag, default twist, builtin parameters read
 _THEOREM11_CASES = {
-    "i": ("F1", 0, {"d2": (int, 2, lambda v: v >= 2, "d2 >= 2 (need at least two points)")}),
+    "i": ("F1", 0, {"d2": (int, 2, lambda v: v >= 1, "d2 >= 1")}),
     "ii": ("F2", 1, {"p": (int, 1, lambda v: v >= 1, "p >= 1"),
-                     "q": (int, 3, lambda v: v >= 2, "q >= 2")}),
+                     "q": (int, 3, lambda v: v >= 1, "q >= 1")}),
     "iii": ("F3", 1, {"m": (int, 3, lambda v: v >= 1, "m >= 1"),
                       "n": (int, 2, lambda v: v >= 1, "n >= 1")}),
 }
@@ -334,6 +334,9 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     if not check_case_hypothesis(case):
         raise ParamError(f"hypothesis of {case.describe()} fails; no claim is made")
     config = BUILTIN_CONFIGURATIONS[builtin](**builtin_params)
+    if len(config.double_points) < 2:
+        raise ParamError(f"{case.describe()} gives {len(config.double_points)} double "
+                         f"point; a family needs at least two")
     ordered = [(key, p[key]) for key in ("case", *spec, "k", "count")]
     lines = list(family_report(config, p["count"], case, bounds).lines())
     lines.append(CheckLine("topological-equivalence", CITED,
@@ -469,9 +472,11 @@ def _case_from_json(data, where: str) -> CaseParams:
         raise ScenarioError(f"{where}: case: {err}") from None
 
 
-def _expected_group(text, where: str) -> AbelianGroup:
+def _expected_group(wanted: dict, field: str, where: str) -> AbelianGroup:
+    if not isinstance(wanted[field], str):
+        raise ScenarioError(f"{where}: {field!r} must be a string")
     try:
-        return AbelianGroup.parse(str(text))
+        return AbelianGroup.parse(wanted[field])
     except ValueError as err:
         raise ScenarioError(f"{where}: {err}") from None
 
@@ -496,14 +501,14 @@ def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[Ch
     wanted = _json_object(entry.get("verify", {}), f"{where}: 'verify'", ("homology", "group"))
     if "homology" in wanted:
         computed = _complement_h1(config, f"{where}: 'homology'")
-        expected = _expected_group(wanted["homology"], where)
+        expected = _expected_group(wanted, "homology", where)
         lines.append(CheckLine(f"{where} homology",
                                PASS if computed == expected else FAIL,
                                (f"complement H1 = {computed}, expected {expected}",)))
     if "group" in wanted:
         if config.pi1 is None:
             raise ScenarioError(f"{where}: group check needs a pi1 presentation")
-        expected = _expected_group(wanted["group"], where)
+        expected = _expected_group(wanted, "group", where)
         verdict = verify_abelian_isomorphism(config.pi1, expected, bounds)
         lines.append(line_from_verdict(f"{where} group", verdict))
     if "surgery" in entry:

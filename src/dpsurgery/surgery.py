@@ -12,7 +12,8 @@ to the fundamental group of the new complement are provided:
   base group is abelian of one of three recognized shapes; it carries no
   labels, since only the group is checked.
 
-Both read the knot group through its meridian muK, generator 0, alone.
+Both read the knot group through its meridian muK, generator 0, alone.  A
+case's target group is the abelianization of its `base_presentation`.
 
 The two paths are cross-validated against each other by the test suite, on
 the Wirtinger knot group and on its meridian-kept simplification.  The
@@ -28,14 +29,19 @@ from math import gcd
 
 from .configurations import STANDARD, Configuration, SurfaceComponent, twist_spun_tag
 from .knots import BraidWord, KnotGroupData, knot_group_from_braid
-from .presentations import AbelianGroup, Presentation
+from .presentations import AbelianGroup, Presentation, abelianization
 from .verify import Bounds, DEFAULT_BOUNDS, Verdict, verify_abelian_isomorphism
 from .words import Word, commutator, free_reduce
 
 
+# case tag -> its parameters, in the order `describe` prints them
+CASE_FIELDS = {"F1": ("d",), "F2": ("p", "q"), "F3": ("m", "n")}
+
+
 @dataclass(frozen=True)
 class CaseParams:
-    """Parameters of one of the three recognized abelian base groups.
+    """One of the three recognized abelian base groups, stated once by
+    `base_presentation`; the target group is its abelianization.
 
     F1: infinite cyclic base with relation mu1 * mu2^d = 1 (requires k = 0).
     F2: cyclic base of order q with relation mu1^p * mu2 = 1 ((p+k, q) = 1).
@@ -51,38 +57,19 @@ class CaseParams:
     n: int = 0
 
     def __post_init__(self):
-        if self.tag not in ("F1", "F2", "F3"):
+        if self.tag not in CASE_FIELDS:
             raise ValueError(f"unknown case tag {self.tag!r}")
         if self.tag == "F2" and self.q < 1:
             raise ValueError("F2 needs q >= 1")
         if self.tag == "F3" and (self.m < 1 or self.n < 1):
             raise ValueError("F3 needs m, n >= 1")
 
-    @staticmethod
-    def f1(d: int, k: int) -> "CaseParams":
-        return CaseParams("F1", k, d=d)
-
-    @staticmethod
-    def f2(p: int, q: int, k: int) -> "CaseParams":
-        return CaseParams("F2", k, p=p, q=q)
-
-    @staticmethod
-    def f3(m: int, n: int, k: int) -> "CaseParams":
-        return CaseParams("F3", k, m=m, n=n)
-
     def target(self) -> AbelianGroup:
-        if self.tag == "F1":
-            return AbelianGroup.free(1)
-        if self.tag == "F2":
-            return AbelianGroup.cyclic(self.q)
-        return AbelianGroup.of_orders(self.m, self.n)
+        return abelianization(self.base_presentation())
 
     def describe(self) -> str:
-        if self.tag == "F1":
-            return f"F1(d={self.d}, k={self.k})"
-        if self.tag == "F2":
-            return f"F2(p={self.p}, q={self.q}, k={self.k})"
-        return f"F3(m={self.m}, n={self.n}, k={self.k})"
+        fields = (f"{name}={getattr(self, name)}" for name in CASE_FIELDS[self.tag])
+        return f"{self.tag}({', '.join(fields)}, k={self.k})"
 
     def base_presentation(self) -> Presentation:
         """The matching two-meridian presentation of the base group."""

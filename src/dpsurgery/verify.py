@@ -181,7 +181,7 @@ def commutator_subgroup_order(p: Presentation, max_cosets: int) -> DerivedOrder:
         evidence.append("commutator subgroup is trivial")
         return DerivedOrder(index, False, tuple(evidence))
     ab = abelianization(derived)
-    nontrivial = ab != AbelianGroup.trivial()
+    nontrivial = ab != AbelianGroup()
     if nontrivial:
         evidence.append(f"commutator subgroup has abelianization {ab}: group is nonabelian")
         if ab.order() is None:
@@ -206,7 +206,7 @@ def nonabelian_quotient_witness(p: Presentation, max_cosets: int) -> str | None:
     past the guard.
     """
     factors, images = cokernel_map(exponent_matrix(p), p.ngens)
-    expected = AbelianGroup.free(factors.count(0))
+    expected = AbelianGroup(factors.count(0))
     for k in (2, 3, 4, 5):
         quotient = tuple(q or k for q in factors)
         kernel = _schreier_kernel(p, quotient, images, max_cosets)

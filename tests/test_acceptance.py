@@ -41,11 +41,11 @@ def _report(name, detail=""):
 def test_criterion_1_homology_reproduction():
     """Complement homology of all builtin families, exact, under a second."""
     start = time.monotonic()
-    assert complement_h1(nodal_configuration(2, 3)) == AbelianGroup.free(1)
+    assert complement_h1(nodal_configuration(2, 3)) == AbelianGroup(1)
     assert complement_h1(nodal_configuration(2, 4)) == AbelianGroup(1, (2,))
     for p in range(1, 4):
         for q in range(1, 5):
-            assert complement_h1(rational_configuration(p, q)) == AbelianGroup.cyclic(q)
+            assert complement_h1(rational_configuration(p, q)) == AbelianGroup.of_orders(q)
     for m in range(1, 5):
         for n in range(1, 5):
             assert complement_h1(spheres_configuration(m, n)) == \
@@ -83,21 +83,21 @@ def test_criterion_3_case_verification_matrix():
     inconclusive = 0
     for name, knot in KNOTS.items():
         for d in (1, 2):
-            verdict = verify_group_preserved(CaseParams.f1(d, 0), knot)
+            verdict = verify_group_preserved(CaseParams("F1", 0, d=d), knot)
             assert verdict.status is Status.ISOMORPHIC, (name, d, verdict.evidence)
             assert any("the subgroup it generates has index 1" in fact
                        for fact in verdict.evidence)
         for q in (3, 5):
-            verdict = verify_group_preserved(CaseParams.f2(1, q, 1), knot)
+            verdict = verify_group_preserved(CaseParams("F2", 1, p=1, q=q), knot)
             assert verdict.status is Status.ISOMORPHIC, (name, q, verdict.evidence)
             assert any(f"index {q}" in fact for fact in verdict.evidence)
         for m, n in ((3, 2), (5, 2), (2, 3)):
-            verdict = verify_group_preserved(CaseParams.f3(m, n, 1), knot)
+            verdict = verify_group_preserved(CaseParams("F3", 1, m=m, n=n), knot)
             assert verdict.status is Status.ISOMORPHIC, (name, m, n, verdict.evidence)
             inconclusive += verdict.status is Status.INCONCLUSIVE
     assert inconclusive == 0
     # negative control: the failed-hypothesis cell must never certify Z_4
-    case = CaseParams.f2(1, 4, 1)
+    case = CaseParams("F2", 1, p=1, q=4)
     verdict = verify_abelian_isomorphism(case_presentation(case, KNOTS["trefoil"]), case.target())
     assert verdict.status is not Status.ISOMORPHIC
     _report("criterion-3 case verification matrix",
@@ -124,7 +124,7 @@ def test_criterion_3_f2_q2_cell_as_stated():
     construction paths enumerate to 2 det(K), with det(K) from the coloring
     matrix, which does not use the coset engine.
     """
-    case = CaseParams.f2(1, 2, 1)
+    case = CaseParams("F2", 1, p=1, q=2)
     orders = []
     for name, braid in (("trefoil", TREFOIL), ("fig8", FIGURE_EIGHT)):
         knot = KNOTS[name]
@@ -147,9 +147,10 @@ def test_criterion_3_f2_q2_cell_as_stated():
 
 def test_criterion_4_cross_validation():
     """Both construction paths agree on every attainable matrix cell."""
-    cases = [CaseParams.f1(1, 0), CaseParams.f1(2, 0),
-             CaseParams.f2(1, 3, 1), CaseParams.f2(1, 5, 1),
-             CaseParams.f3(3, 2, 1), CaseParams.f3(5, 2, 1), CaseParams.f3(2, 3, 1)]
+    cases = [CaseParams("F1", 0, d=1), CaseParams("F1", 0, d=2),
+             CaseParams("F2", 1, p=1, q=3), CaseParams("F2", 1, p=1, q=5),
+             CaseParams("F3", 1, m=3, n=2), CaseParams("F3", 1, m=5, n=2),
+             CaseParams("F3", 1, m=2, n=3)]
     cells = 0
     for knot in KNOTS.values():
         for case in cases:

@@ -42,14 +42,14 @@ def test_double_point_validation():
 
 
 def test_complement_h1_nodal():
-    assert complement_h1(nodal_configuration(2, 3)) == AbelianGroup.free(1)
+    assert complement_h1(nodal_configuration(2, 3)) == AbelianGroup(1)
     assert complement_h1(nodal_configuration(2, 4)) == AbelianGroup(1, (2,))
 
 
 def test_complement_h1_rational():
     for p in range(1, 4):
         for q in range(1, 5):
-            assert complement_h1(rational_configuration(p, q)) == AbelianGroup.cyclic(q)
+            assert complement_h1(rational_configuration(p, q)) == AbelianGroup.of_orders(q)
 
 
 def test_complement_h1_spheres():
@@ -116,7 +116,7 @@ def test_tori_presentation_3_2():
 
 
 def test_tori_presentation_2_3_abelianization():
-    assert abelianization(tori_presentation(2, 3)) == AbelianGroup.cyclic(6)
+    assert abelianization(tori_presentation(2, 3)) == AbelianGroup.of_orders(6)
 
 
 def test_presentation_labels_name_component_meridians():

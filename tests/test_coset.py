@@ -185,7 +185,7 @@ def test_counts_pinned_at_parent():
     # long relators: the F3(5,4,1) case and surgered presentations on T(2,17)
     raw = knot_group_from_braid(torus_knot(8))
     knot = raw.simplified()
-    case = CaseParams.f3(5, 4, 1)
+    case = CaseParams("F3", 1, m=5, n=4)
     cases.append((case_presentation(case, knot), (), 100_000, (True, 20, 681, 1288)))
     cases.append((surgered_presentation(case.base_presentation(), knot, 1), (), 100_000,
                   (True, 20, 464, 1921)))
@@ -215,7 +215,7 @@ def _f3_233_presentations():
     from dpsurgery.surgery import CaseParams, case_presentation, surgered_presentation
 
     knot = knot_group_from_braid(parse_knot("B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2")).simplified()
-    case = CaseParams.f3(2, 3, 3)
+    case = CaseParams("F3", 3, m=2, n=3)
     return (case_presentation(case, knot),
             surgered_presentation(case.base_presentation(), knot, case.k))
 

@@ -15,19 +15,19 @@ TREFOIL_TEXT = "gens: a b ; rels: a b a B A B ;"
 
 
 def test_abelian_group_canonical_forms():
-    assert AbelianGroup.cyclic(1) == AbelianGroup.trivial()
-    assert AbelianGroup.cyclic(0) == AbelianGroup.free(1)
-    assert AbelianGroup.of_orders(3, 2) == AbelianGroup.cyclic(6)
+    assert AbelianGroup.of_orders(1) == AbelianGroup()
+    assert AbelianGroup.of_orders(0) == AbelianGroup(1)
+    assert AbelianGroup.of_orders(3, 2) == AbelianGroup.of_orders(6)
     assert AbelianGroup.of_orders(2, 2) == AbelianGroup(0, (2, 2))
     assert AbelianGroup.of_orders(4, 2) == AbelianGroup(0, (2, 4))
     assert AbelianGroup.of_orders(0, 2) == AbelianGroup(1, (2,))
     assert str(AbelianGroup.of_orders(3, 2)) == "Z_6"
-    assert str(AbelianGroup.trivial()) == "0"
+    assert str(AbelianGroup()) == "0"
     assert AbelianGroup.parse("Z + Z_2") == AbelianGroup(1, (2,))
-    assert AbelianGroup.parse("Z^2") == AbelianGroup.free(2)
-    assert AbelianGroup.parse("0") == AbelianGroup.trivial()
+    assert AbelianGroup.parse("Z^2") == AbelianGroup(2)
+    assert AbelianGroup.parse("0") == AbelianGroup()
     assert AbelianGroup.of_orders(3, 2).order() == 6
-    assert AbelianGroup.free(1).order() is None
+    assert AbelianGroup(1).order() is None
     with pytest.raises(ValueError):
         AbelianGroup(0, (3, 2))  # violates divisibility
     with pytest.raises(ValueError):
@@ -54,8 +54,8 @@ def test_abelian_group_parse_rejects_malformed_text(text, message):
 def test_abelian_group_parse_inverts_str():
     rng = random.Random(9001)
     assert AbelianGroup.parse("Z^3 + Z_4 + Z_6 + Z_1 + Z_0") == AbelianGroup(4, (2, 12))
-    assert AbelianGroup.parse("Z^0") == AbelianGroup.trivial()
-    assert AbelianGroup.parse("1") == AbelianGroup.trivial()
+    assert AbelianGroup.parse("Z^0") == AbelianGroup()
+    assert AbelianGroup.parse("1") == AbelianGroup()
     for _ in range(200):
         group = AbelianGroup.of_orders(*(rng.choice([0, 0, 2, 3, 4, 5, 6, 8, 9, 12, 30])
                                          for _ in range(rng.randint(0, 6))))
@@ -112,9 +112,9 @@ def test_validation():
 
 
 def test_abelianization_examples():
-    assert abelianization(parse_presentation("gens: a ; rels: a^5 ;")) == AbelianGroup.cyclic(5)
-    assert abelianization(parse_presentation(TREFOIL_TEXT)) == AbelianGroup.free(1)
-    assert abelianization(parse_presentation("gens: a b ; rels: ;")) == AbelianGroup.free(2)
+    assert abelianization(parse_presentation("gens: a ; rels: a^5 ;")) == AbelianGroup.of_orders(5)
+    assert abelianization(parse_presentation(TREFOIL_TEXT)) == AbelianGroup(1)
+    assert abelianization(parse_presentation("gens: a b ; rels: ;")) == AbelianGroup(2)
 
 
 def test_abelianization_invariance():

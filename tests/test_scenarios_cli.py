@@ -232,6 +232,15 @@ def test_cli_usage_errors(capsys):
         (["verify", "theorem-1-1", "case=i", "p=99"], "error: unknown parameter 'p'\n"),
         (["verify", "theorem-1-1", "case=ii", "p=1", "q=4", "k=1"],
          "error: hypothesis of F2(p=1, q=4, k=1) fails; no claim is made\n"),
+        # a family needs at least two double points, in every case
+        (["verify", "theorem-1-1", "case=i", "d2=1"],
+         "error: F1(d=1, k=0) gives 1 double point; a family needs at least two\n"),
+        (["verify", "theorem-1-1", "case=ii", "q=1"],
+         "error: F2(p=1, q=1, k=1) gives 1 double point; a family needs at least two\n"),
+        (["verify", "theorem-1-1", "case=iii", "m=1", "n=1", "count=2"],
+         "error: F3(m=1, n=1, k=1) gives 1 double point; a family needs at least two\n"),
+        (["verify", "theorem-1-1", "case=i", "d2=0"],
+         "error: d2=0 out of range: d2 >= 1\n"),
         # an integer is an optional '-' and ASCII digits: no '_', no other digits
         (["verify", "tori", "m=1_0", "n=2"], "error: m must be an integer\n"),
         (["verify", "tori", "m=\u0663", "n=2"], "error: m must be an integer\n"),
@@ -829,15 +838,20 @@ def test_cli_scenario_rejects_malformed_group_text(tmp_path, capsys):
 
     "Z^-1 + Z_2" used to parse as Z_2, so the check below passed with exit 0.
     """
-    def verify(text):
-        return {"checks": [{"configuration": _sphere_configuration_entry(),
-                            "verify": {"homology": text}}]}
+    def verify(text, field="homology"):
+        pi1 = "gens: a b ; rels: a , b ; labels: mu1=a mu2=b ;"
+        entry = dict(_sphere_configuration_entry(), pi1=pi1)
+        return {"checks": [{"configuration": entry, "verify": {field: text}}]}
 
     cases = [
         (verify("Z^-1 + Z_2"), "error: checks[0]: cannot parse abelian group term 'Z^-1'\n"),
         (verify("Z^-1"), "error: checks[0]: cannot parse abelian group term 'Z^-1'\n"),
         (verify(""), "error: checks[0]: empty abelian group text\n"),
         (verify("Z^x"), "error: checks[0]: cannot parse abelian group term 'Z^x'\n"),
+        (verify("Z^x", "group"), "error: checks[0]: cannot parse abelian group term 'Z^x'\n"),
+        # a group is a JSON string: the number 0 is not read as the trivial group
+        (verify(0), "error: checks[0]: 'homology' must be a string\n"),
+        (verify(1, "group"), "error: checks[0]: 'group' must be a string\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
 

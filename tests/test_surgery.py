@@ -27,31 +27,48 @@ UNKNOT_DATA = knot_group_from_braid(UNKNOT)
 # -- hypotheses ----------------------------------------------------------------
 
 def test_case_hypotheses():
-    assert check_case_hypothesis(CaseParams.f1(5, 0))
-    assert not check_case_hypothesis(CaseParams.f1(5, 2))
-    assert not check_case_hypothesis(CaseParams.f2(1, 4, 1))
-    assert check_case_hypothesis(CaseParams.f2(1, 3, 1))
-    assert check_case_hypothesis(CaseParams.f3(3, 2, 1))
-    assert not check_case_hypothesis(CaseParams.f3(2, 3, 2))
+    assert check_case_hypothesis(CaseParams("F1", 0, d=5))
+    assert not check_case_hypothesis(CaseParams("F1", 2, d=5))
+    assert not check_case_hypothesis(CaseParams("F2", 1, p=1, q=4))
+    assert check_case_hypothesis(CaseParams("F2", 1, p=1, q=3))
+    assert check_case_hypothesis(CaseParams("F3", 1, m=3, n=2))
+    assert not check_case_hypothesis(CaseParams("F3", 2, m=2, n=3))
     # gcd(0, n) = n convention: k=0 makes F3 need gcd(m, 0) = m = 1
-    assert check_case_hypothesis(CaseParams.f3(1, 5, 0))
-    assert not check_case_hypothesis(CaseParams.f3(3, 5, 0))
+    assert check_case_hypothesis(CaseParams("F3", 0, m=1, n=5))
+    assert not check_case_hypothesis(CaseParams("F3", 0, m=3, n=5))
 
 
 def test_case_params_validation():
     with pytest.raises(ValueError):
-        CaseParams.f2(1, 0, 1)
+        CaseParams("F2", 1, p=1, q=0)
     with pytest.raises(ValueError):
-        CaseParams.f3(0, 2, 1)
+        CaseParams("F3", 1, m=0, n=2)
     with pytest.raises(ValueError):
         CaseParams("F9", 0)
 
 
 def test_case_targets():
-    assert CaseParams.f1(3, 0).target() == AbelianGroup.free(1)
-    assert CaseParams.f2(1, 5, 1).target() == AbelianGroup.cyclic(5)
-    assert CaseParams.f3(3, 2, 1).target() == AbelianGroup.cyclic(6)
-    assert CaseParams.f3(2, 2, 1).target() == AbelianGroup(0, (2, 2))
+    """The target is the base presentation's abelianization; the closed forms
+    Z, Z_q and Z_m + Z_n are the oracle, so a mistyped base relator fails."""
+    assert CaseParams("F1", 0, d=3).target() == AbelianGroup(1)
+    assert CaseParams("F2", 1, p=1, q=5).target() == AbelianGroup.of_orders(5)
+    assert CaseParams("F3", 1, m=3, n=2).target() == AbelianGroup.of_orders(6)
+    assert CaseParams("F3", 1, m=2, n=2).target() == AbelianGroup(0, (2, 2))
+    for d in range(1, 7):
+        assert CaseParams("F1", 0, d=d).target() == AbelianGroup(1), d
+    for p in range(1, 5):
+        for q in range(1, 9):
+            assert CaseParams("F2", 1, p=p, q=q).target() == AbelianGroup.of_orders(q), (p, q)
+    for m in range(1, 7):
+        for n in range(1, 7):
+            assert CaseParams("F3", 1, m=m, n=n).target() == AbelianGroup.of_orders(m, n), (m, n)
+
+
+def test_case_describe():
+    assert CaseParams("F1", 0, d=5).describe() == "F1(d=5, k=0)"
+    assert CaseParams("F2", 1, p=1, q=3).describe() == "F2(p=1, q=3, k=1)"
+    assert CaseParams("F3", 1, m=3, n=2).describe() == "F3(m=3, n=2, k=1)"
+    assert CaseParams("F3", -2, m=3, n=4).describe() == "F3(m=3, n=4, k=-2)"
 
 
 # -- the two construction paths -------------------------------------------------
@@ -59,15 +76,15 @@ def test_case_targets():
 def test_surgered_trivial_base_unknot_trivializes():
     base = trivial_complement_configuration().pi1
     p = surgered_presentation(base, UNKNOT_DATA, 0)
-    assert abelianization(p) == AbelianGroup.trivial()
+    assert abelianization(p) == AbelianGroup()
     result = coset_enumerate(p, (), 1000)
     assert result.completed and result.index == 1
 
 
 def test_surgered_rational_base_gives_zq():
-    base = CaseParams.f2(1, 3, 1).base_presentation()
+    base = CaseParams("F2", 1, p=1, q=3).base_presentation()
     p = surgered_presentation(base, TREFOIL_DATA, 1)
-    verdict = verify_abelian_isomorphism(p, AbelianGroup.cyclic(3))
+    verdict = verify_abelian_isomorphism(p, AbelianGroup.of_orders(3))
     assert verdict.status is Status.ISOMORPHIC
 
 
@@ -77,8 +94,8 @@ def test_surgered_missing_labels_rejected():
 
 
 def test_case_f1_unknot():
-    p = case_presentation(CaseParams.f1(1, 0), UNKNOT_DATA)
-    assert abelianization(p) == AbelianGroup.free(1)
+    p = case_presentation(CaseParams("F1", 0, d=1), UNKNOT_DATA)
+    assert abelianization(p) == AbelianGroup(1)
     verdict = certify_abelian(p, 100)
     assert verdict.status is Status.ISOMORPHIC
 
@@ -86,22 +103,22 @@ def test_case_f1_unknot():
 def test_case_f3_unknot_abelianization():
     # cokernel of [[m, 0], [k*n, n]]
     for m, n, k in [(3, 2, 1), (4, 2, 1), (6, 4, 1)]:
-        p = case_presentation(CaseParams.f3(m, n, k), UNKNOT_DATA)
+        p = case_presentation(CaseParams("F3", k, m=m, n=n), UNKNOT_DATA)
         assert abelianization(p) == AbelianGroup.of_orders(m, n)
-    p = case_presentation(CaseParams.f3(3, 2, 1), UNKNOT_DATA)
-    assert abelianization(p) == AbelianGroup.cyclic(6)
+    p = case_presentation(CaseParams("F3", 1, m=3, n=2), UNKNOT_DATA)
+    assert abelianization(p) == AbelianGroup.of_orders(6)
 
 
 def test_case_f2_trefoil_order_three():
-    p = case_presentation(CaseParams.f2(1, 3, 1), TREFOIL_DATA)
+    p = case_presentation(CaseParams("F2", 1, p=1, q=3), TREFOIL_DATA)
     result = coset_enumerate(p, (), 100_000)
     assert result.completed and result.index == 3
 
 
-CROSS_VALIDATION_CASES = [CaseParams.f1(1, 0), CaseParams.f1(2, 0),
-                          CaseParams.f2(1, 3, 1), CaseParams.f2(1, 5, 1),
-                          CaseParams.f3(3, 2, 1), CaseParams.f3(5, 2, 1),
-                          CaseParams.f3(2, 3, 1)]
+CROSS_VALIDATION_CASES = [CaseParams("F1", 0, d=1), CaseParams("F1", 0, d=2),
+                          CaseParams("F2", 1, p=1, q=3), CaseParams("F2", 1, p=1, q=5),
+                          CaseParams("F3", 1, m=3, n=2), CaseParams("F3", 1, m=5, n=2),
+                          CaseParams("F3", 1, m=2, n=3)]
 
 
 @pytest.mark.parametrize("case", CROSS_VALIDATION_CASES,
@@ -127,25 +144,25 @@ def test_paths_cross_validate(case, knot_data):
 # -- verify_group_preserved ------------------------------------------------------
 
 def test_verified_cells():
-    assert verify_group_preserved(CaseParams.f2(1, 3, 1), TREFOIL_DATA).status \
+    assert verify_group_preserved(CaseParams("F2", 1, p=1, q=3), TREFOIL_DATA).status \
         is Status.ISOMORPHIC
-    assert verify_group_preserved(CaseParams.f3(3, 2, 1), TREFOIL_DATA).status \
+    assert verify_group_preserved(CaseParams("F3", 1, m=3, n=2), TREFOIL_DATA).status \
         is Status.ISOMORPHIC
-    assert verify_group_preserved(CaseParams.f1(2, 0), TREFOIL_DATA).status \
+    assert verify_group_preserved(CaseParams("F1", 0, d=2), TREFOIL_DATA).status \
         is Status.ISOMORPHIC
     # exact engine counts on the meridian-kept path for T(2,21)
     knot = knot_group_from_braid(torus_knot(10)).simplified()
-    result = coset_enumerate(case_presentation(CaseParams.f3(5, 3, 1), knot), (), 100_000)
+    result = coset_enumerate(case_presentation(CaseParams("F3", 1, m=5, n=3), knot), (), 100_000)
     assert (result.completed, result.index, result.allocated) == (True, 15, 588)
 
 
 def test_refuses_outside_hypothesis():
     with pytest.raises(HypothesisError):
-        verify_group_preserved(CaseParams.f2(1, 4, 1), TREFOIL_DATA)
+        verify_group_preserved(CaseParams("F2", 1, p=1, q=4), TREFOIL_DATA)
 
 
 def test_negative_control_never_certifies_z4():
-    case = CaseParams.f2(1, 4, 1)
+    case = CaseParams("F2", 1, p=1, q=4)
     verdict = verify_abelian_isomorphism(case_presentation(case, TREFOIL_DATA), case.target())
     assert verdict.status in (Status.NOT_ISOMORPHIC, Status.INCONCLUSIVE)
     # the enumerated order is 12, an honest refutation
@@ -206,7 +223,7 @@ def test_surgery_preserves_homology_and_points():
         assert before.genus == after.genus
     assert surgered.components[1] == config.components[1]
     # the new complement presentation is the full amalgam
-    verdict = verify_abelian_isomorphism(surgered.pi1, AbelianGroup.cyclic(3))
+    verdict = verify_abelian_isomorphism(surgered.pi1, AbelianGroup.of_orders(3))
     assert verdict.status is Status.ISOMORPHIC
 
 

@@ -123,7 +123,7 @@ def test_pair_verdicts_rest_on_the_transform(monkeypatch):
     assert line.evidence[-2:] == (
         "coefficient multisets agree: the invariant does not separate them",
         "verdict NotDistinguished")
-    report = family_report(tori_configuration(3, 2), 3, CaseParams.f3(3, 2, 1))
+    report = family_report(tori_configuration(3, 2), 3, CaseParams("F3", 1, m=3, n=2))
     assert report.applicability.verdict == PASS
     assert len(report.pairs) == 3
     assert all(pair.verdict == FAIL for pair in report.pairs)
@@ -148,7 +148,7 @@ def test_substitute_square_preserves_multisets():
 
 
 def test_family_report_tori():
-    report = family_report(tori_configuration(3, 2), 3, CaseParams.f3(3, 2, 1))
+    report = family_report(tori_configuration(3, 2), 3, CaseParams("F3", 1, m=3, n=2))
     assert report.applicability.verdict == PASS
     assert len(report.knots) == 3
     assert len(report.pairs) == 3
@@ -158,13 +158,13 @@ def test_family_report_tori():
 
 
 def test_family_report_single_knot_has_no_pairs():
-    report = family_report(tori_configuration(3, 2), 1, CaseParams.f3(3, 2, 1))
+    report = family_report(tori_configuration(3, 2), 1, CaseParams("F3", 1, m=3, n=2))
     assert len(report.knots) == 1
     assert report.pairs == ()
 
 
 def test_family_report_rational():
-    report = family_report(rational_configuration(1, 3), 2, CaseParams.f2(1, 3, 1))
+    report = family_report(rational_configuration(1, 3), 2, CaseParams("F2", 1, p=1, q=3))
     assert len(report.knots) == 2 and len(report.pairs) == 1
     assert all(group.verdict == PASS for group, _, _ in report.knots)
     assert report.applicability.verdict == PASS
@@ -173,4 +173,4 @@ def test_family_report_rational():
 
 def test_family_report_requires_hypothesis():
     with pytest.raises(HypothesisError, match=r"case hypothesis fails for F3\(m=2, n=3, k=2\)"):
-        family_report(tori_configuration(2, 3), 2, CaseParams.f3(2, 3, 2))
+        family_report(tori_configuration(2, 3), 2, CaseParams("F3", 2, m=2, n=3))

@@ -19,7 +19,7 @@ from dpsurgery.words import Word, commutator
 
 def test_cyclic_five():
     verdict = verify_abelian_isomorphism(
-        parse_presentation("gens: a ; rels: a^5 ;"), AbelianGroup.cyclic(5))
+        parse_presentation("gens: a ; rels: a^5 ;"), AbelianGroup.of_orders(5))
     assert verdict.status is Status.ISOMORPHIC
     assert any("order 5" in fact for fact in verdict.evidence)
 
@@ -31,7 +31,7 @@ _TREFOIL_KERNEL = ("kernel of the map onto Z_2 by Reidemeister-Schreier (3 Schre
 def test_trefoil_vs_z_is_refuted():
     verdict = verify_abelian_isomorphism(
         parse_presentation("gens: a b ; rels: a b a B A B ;"),
-        AbelianGroup.free(1), Bounds(2000, 150))
+        AbelianGroup(1), Bounds(2000, 150))
     # abelianization matches, so the refutation must come from an actual
     # nonabelianness witness, never from the abelianization alone
     assert verdict.status is Status.NOT_ISOMORPHIC
@@ -40,21 +40,21 @@ def test_trefoil_vs_z_is_refuted():
 
 def test_free_group_never_isomorphic_to_z2():
     verdict = verify_abelian_isomorphism(
-        parse_presentation("gens: a b ; rels: ;"), AbelianGroup.free(2),
+        parse_presentation("gens: a b ; rels: ;"), AbelianGroup(2),
         Bounds(1000, 50))
     assert verdict.status is not Status.ISOMORPHIC
 
 
 def test_wrong_abelianization_is_not_isomorphic():
     verdict = verify_abelian_isomorphism(
-        parse_presentation("gens: a ; rels: a^5 ;"), AbelianGroup.cyclic(7))
+        parse_presentation("gens: a ; rels: a^5 ;"), AbelianGroup.of_orders(7))
     assert verdict.status is Status.NOT_ISOMORPHIC
 
 
 def test_never_isomorphic_when_order_differs():
     # S3 has abelianization Z_2; comparing against Z_2 must fail on the order
     s3 = parse_presentation("gens: a b ; rels: a^3 , b^2 , a b a b ;")
-    verdict = verify_abelian_isomorphism(s3, AbelianGroup.cyclic(2))
+    verdict = verify_abelian_isomorphism(s3, AbelianGroup.of_orders(2))
     assert verdict.status is Status.NOT_ISOMORPHIC
     assert any("6" in fact for fact in verdict.evidence)
 
@@ -176,11 +176,11 @@ def test_route_agrees_with_enumeration(p):
 # 6 669, 13 420, 11 588 and 5 006 cosets for four of them; F3(3, 4, -2) needs
 # over 500 000, so its order is the theorem's target alone.
 _CAPPED_CASES = [
-    (CaseParams.f3(2, 5, 1), "B4: 3 -1 2 -1 -1 2 -1 2 1", 10, True),
-    (CaseParams.f3(5, 4, 2), "B3: -2 -2 1 2 2 2 2 2 -1 2 1 1", 20, True),
-    (CaseParams.f3(3, 4, -2), "B4: -1 -3 2 1 1 -3 -2 -2 -3 1 2", 12, False),
-    (CaseParams.f2(4, 5, 3), "B3: 2 -2 1 1 1 1 1 2 -1 2 2 2", 5, True),
-    (CaseParams.f3(2, 3, 3), "B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2", 6, True),
+    (CaseParams("F3", 1, m=2, n=5), "B4: 3 -1 2 -1 -1 2 -1 2 1", 10, True),
+    (CaseParams("F3", 2, m=5, n=4), "B3: -2 -2 1 2 2 2 2 2 -1 2 1 1", 20, True),
+    (CaseParams("F3", -2, m=3, n=4), "B4: -1 -3 2 1 1 -3 -2 -2 -3 1 2", 12, False),
+    (CaseParams("F2", 3, p=4, q=5), "B3: 2 -2 1 1 1 1 1 2 -1 2 2 2", 5, True),
+    (CaseParams("F3", 3, m=2, n=3), "B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2", 6, True),
 ]
 
 
@@ -203,7 +203,7 @@ def test_route_decides_capped_cases(case, knot, order, enumerable):
 
 def test_route_on_the_criterion_3_q2_cell():
     """G' is Z_3 for the trefoil and Z_5 for the figure eight: orders 6 and 10."""
-    case = CaseParams.f2(1, 2, 1)
+    case = CaseParams("F2", 1, p=1, q=2)
     for braid, quotient, order in ((TREFOIL, "Z_3", 6), (FIGURE_EIGHT, "Z_5", 10)):
         knot = knot_group_from_braid(braid)
         amalgam = surgered_presentation(case.base_presentation(), knot, case.k)
@@ -244,7 +244,7 @@ def test_capped_finite_target_never_runs_the_witness(monkeypatch):
 def test_cyclic_subgroup_index_refutes_z():
     """Z_3 x| Z: the abelianization is Z, generated by x, and <x> has index 3."""
     p = parse_presentation("gens: x t ; rels: t^3 , x t X t ;")
-    verdict = verify_abelian_isomorphism(p, AbelianGroup.free(1))
+    verdict = verify_abelian_isomorphism(p, AbelianGroup(1))
     assert verdict.status is Status.NOT_ISOMORPHIC
     assert verdict.evidence[1] == ("x maps to a generator of the abelianization Z; the subgroup "
                                    "it generates has index 3 (3 cosets allocated, cap 100000)")
@@ -265,7 +265,7 @@ def test_cyclic_subgroup_index_refutes_z_times_s3():
 def test_cyclic_subgroup_word_is_a_bezout_product():
     """a -> 3 and b -> 2: no generator maps to +-1, so g is a^u b^v with 3u + 2v = +-1."""
     p = parse_presentation("gens: a b ; rels: a^2 B^3 , [a,b] ;")
-    verdict = verify_abelian_isomorphism(p, AbelianGroup.free(1))
+    verdict = verify_abelian_isomorphism(p, AbelianGroup(1))
     assert verdict.status is Status.ISOMORPHIC
     fact = verdict.evidence[1]
     name = fact.split(" maps to a generator")[0]
@@ -279,10 +279,10 @@ def test_cyclic_subgroup_word_is_a_bezout_product():
 def test_cyclic_subgroup_index_needs_free_rank_at_most_one():
     with pytest.raises(ValueError):
         subgroup_index_test(parse_presentation("gens: a b ; rels: [a,b] ;"),
-                            AbelianGroup.free(2), 100)
+                            AbelianGroup(2), 100)
     # a finite abelianization: the trivial subgroup, whose index is the order
     s3 = subgroup_index_test(parse_presentation("gens: a b ; rels: a^3 , b^2 , a b a b ;"),
-                             AbelianGroup.cyclic(2), 100)
+                             AbelianGroup.of_orders(2), 100)
     assert (s3.verdict.status, s3.order) == (Status.NOT_ISOMORPHIC, 6)
     assert s3.verdict.evidence == ("coset enumeration completed: index 6 (6 cosets allocated, "
                                    "cap 100)",)
@@ -296,7 +296,7 @@ def test_cyclic_subgroup_cap_falls_through_to_the_kernel_check(monkeypatch):
 
     monkeypatch.setattr(verify, "certify_abelian", refuse)
     trefoil = parse_presentation("gens: a b ; rels: a b a B A B ;")
-    verdict = verify_abelian_isomorphism(trefoil, AbelianGroup.free(1), Bounds(300, 150))
+    verdict = verify_abelian_isomorphism(trefoil, AbelianGroup(1), Bounds(300, 150))
     assert verdict.status is Status.NOT_ISOMORPHIC
     assert verdict.evidence[1:] == (
         "index of the subgroup generated by a inconclusive: table cap 300 exhausted "
@@ -369,7 +369,8 @@ _RAW_DECIDED = (5, 2)
 ])
 def test_f1_regressions_at_the_sweep_caps(d, knot, status):
     raw = knot_group_from_braid(BraidWord.parse(knot))
-    verdict = verify_group_preserved(CaseParams.f1(d, 0), raw.simplified(), Bounds(500, 200), raw)
+    verdict = verify_group_preserved(CaseParams("F1", 0, d=d), raw.simplified(),
+                                     Bounds(500, 200), raw)
     assert verdict.status is status, verdict.evidence
     decided = [fact for fact in verdict.evidence
                if "the subgroup it generates has index 1" in fact]
@@ -388,7 +389,8 @@ def test_f1_capped_on_both_knot_groups_names_both_caps():
     the kernel check finds no refutation (the group is Z), and Knuth-Bendix
     on the simplified group stops at its rule cap."""
     raw = knot_group_from_braid(BraidWord.parse("B3: -1 -1 1 -2 1 1 1 -2 1 1 2 -1"))
-    verdict = verify_group_preserved(CaseParams.f1(5, 0), raw.simplified(), Bounds(25, 200), raw)
+    verdict = verify_group_preserved(CaseParams("F1", 0, d=5), raw.simplified(),
+                                     Bounds(25, 200), raw)
     assert verdict.status is Status.INCONCLUSIVE, verdict.evidence
     cap = "index of the subgroup generated by s inconclusive: table cap 25 exhausted"
     assert verdict.evidence[2].startswith(cap)
