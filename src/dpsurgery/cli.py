@@ -16,7 +16,8 @@ Subcommands:
 The surgery pipeline of nodal, rational and tori runs when ``k=`` or
 ``knot=`` is given; ``surgery case=`` runs the builtin that
 ``scenarios.SURGERY_CASES`` names for the case.  Argv values are checked by
-the same ``take_params`` and ``parse_knot`` as scenario JSON.
+the same ``take_params`` and ``parse_knot`` as scenario JSON, a case's
+fields by the ``scenarios.case_specs`` that scenario ``case`` blocks use.
 
 Common flags: ``--bounds-cosets N``, ``--bounds-rules N``,
 ``--format text|machine``.  Exit codes: 0 all checks pass, 1 a check
@@ -33,10 +34,11 @@ import sys
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
 from .knots import parse_int
 from .reports import EXIT_FAIL, EXIT_USAGE, FAIL, PASS, CheckLine, Report
-from .scenarios import (BUILTIN_NAMES, EXAMPLE_PARAMS, SURGERY_CASES, SURGERY_PARAMS,
-                        ParamError, ScenarioError, parse_knot, run_builtin, run_scenario,
+from .scenarios import (BUILTIN_NAMES, SURGERY_CASES, SURGERY_PARAMS, ParamError,
+                        ScenarioError, case_specs, parse_knot, run_builtin, run_scenario,
                         take_params, tori_configuration)
 from .snf import mat_mul, smith_normal_form
+from .surgery import CASE_FIELDS
 from .sw import distinguish
 from .verify import Bounds, DEFAULT_BOUNDS
 
@@ -74,13 +76,13 @@ def _cmd_surgery(args, bounds: Bounds) -> Report:
     params = _parse_kv(args.params)
     tag = params.pop("case", "").upper()
     if tag not in SURGERY_CASES:
-        raise ParamError("surgery needs case=F1 (with d=), F2 (with p= q=) or F3 (with m= n=)")
-    builtin, fields, fixed = SURGERY_CASES[tag]
-    spec = {field: EXAMPLE_PARAMS[builtin][name] for field, name in fields.items()}
-    p = take_params(params, {**spec, **SURGERY_PARAMS})
-    builtin_params = {name: p[field] for field, name in fields.items()}
-    return run_builtin(builtin, {**fixed, **builtin_params, "k": p["k"], "knot": p["knot"]},
-                       bounds)
+        cases = [f"{name} (with {' '.join(f'{field}=' for field in fields)})"
+                 for name, fields in CASE_FIELDS.items()]
+        raise ParamError(f"surgery needs case={', '.join(cases[:-1])} or {cases[-1]}")
+    p = take_params(params, {**case_specs(tag), **SURGERY_PARAMS})
+    builtin, names, fixed = SURGERY_CASES[tag]
+    values = {name: p[field] for field, name in zip(CASE_FIELDS[tag], names)}
+    return run_builtin(builtin, {**fixed, **values, "k": p["k"], "knot": p["knot"]}, bounds)
 
 
 def _cmd_alexander(args, bounds: Bounds) -> Report:

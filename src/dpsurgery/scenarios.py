@@ -15,8 +15,8 @@ is given (twist 0, trefoil ``B2: 1 1 1`` by default).  ``take_params`` and
 any computation.
 
 ``SURGERY_CASES`` maps a case tag F1/F2/F3 to its builtin, and the
-``surgery`` command, the builtins, theorem-1-1 and scenario ``case`` blocks
-all build their case with ``surgery_case`` and report with ``_surgery_lines``.
+``surgery`` command and scenario ``case`` blocks check a case's fields with
+the ``take_params`` specs that ``case_specs`` reads from that builtin.
 
 A scenario file is a JSON object `{"bounds": {...}, "checks": [entry, ...]}`
 where each entry either names a builtin (`{"builtin": ..., "params": {...}}`)
@@ -37,8 +37,9 @@ from .presentations import AbelianGroup, Presentation, abelianization, exponent_
     parse_presentation
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
 from .snf import element_order_in_cokernel
-from .surgery import CaseParams, SurgerySpec, case_presentation, check_case_hypothesis, \
-    on_unsimplified, surgered_components, surgered_presentation, verify_group_preserved
+from .surgery import CASE_FIELDS, CaseParams, SurgerySpec, case_presentation, \
+    check_case_hypothesis, on_unsimplified, surgered_components, surgered_presentation, \
+    verify_group_preserved
 from .sw import family_report
 from .verify import Bounds, DEFAULT_BOUNDS, decide_group, verify_abelian_isomorphism
 from .words import Word, commutator
@@ -197,21 +198,28 @@ EXAMPLE_PARAMS = {
     "tori": {"m": _M, "n": _N, **SURGERY_PARAMS},
 }
 
-# surgery case tag -> the builtin that runs it, {case field: builtin
-# parameter} and fixed builtin parameters (F1 is nodal with d1=1)
-SURGERY_CASES = {"F1": ("nodal", {"d": "d2"}, {"d1": 1}),
-                 "F2": ("rational", {"p": "p", "q": "q"}, {}),
-                 "F3": ("tori", {"m": "m", "n": "n"}, {})}
+# surgery case tag -> the builtin that runs it, its parameters in the order of
+# the case's `CASE_FIELDS`, and its fixed parameters (F1 is nodal with d1=1)
+SURGERY_CASES = {"F1": ("nodal", ("d2",), {"d1": 1}),
+                 "F2": ("rational", ("p", "q"), {}),
+                 "F3": ("tori", ("m", "n"), {})}
+
+
+def case_specs(tag: str) -> dict[str, tuple]:
+    """The `take_params` specs of a case's fields: its builtin's own, keyed by field."""
+    builtin, names, _ = SURGERY_CASES[tag]
+    return {field: EXAMPLE_PARAMS[builtin][name] for field, name in zip(CASE_FIELDS[tag], names)}
 
 
 def surgery_case(builtin: str, params: dict, k: int) -> CaseParams:
     """The k-twisted case of `builtin` at `params`; ParamError if a fixed one differs."""
     tag = next(tag for tag, (name, _, _) in SURGERY_CASES.items() if name == builtin)
-    _, fields, fixed = SURGERY_CASES[tag]
+    _, names, fixed = SURGERY_CASES[tag]
     for key, value in fixed.items():
         if params[key] != value:
             raise ParamError(f"surgery on the {builtin} configuration needs {key}={value}")
-    return CaseParams(tag, k, **{field: params[name] for field, name in fields.items()})
+    return CaseParams(tag, k, **{field: params[name]
+                                 for field, name in zip(CASE_FIELDS[tag], names)})
 
 
 def _title(name: str, ordered: list[tuple[str, object]]) -> str:
@@ -309,35 +317,30 @@ def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
     return Report(_title(name, ordered), tuple(lines))
 
 
-# theorem-1-1 case -> surgery case tag, default twist, builtin parameters read
-_THEOREM11_CASES = {
-    "i": ("F1", 0, {"d2": (int, 2, lambda v: v >= 1, "d2 >= 1")}),
-    "ii": ("F2", 1, {"p": (int, 1, lambda v: v >= 1, "p >= 1"),
-                     "q": (int, 3, lambda v: v >= 1, "q >= 1")}),
-    "iii": ("F3", 1, {"m": (int, 3, lambda v: v >= 1, "m >= 1"),
-                      "n": (int, 2, lambda v: v >= 1, "n >= 1")}),
-}
+# theorem-1-1 case -> surgery case tag, default twist, default field values
+_THEOREM11_CASES = {"i": ("F1", 0, (2,)), "ii": ("F2", 1, (1, 3)), "iii": ("F3", 1, (3, 2))}
 
 
 def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     # an unknown case reads no parameters; take_params then refuses it
-    tag, twist, spec = _THEOREM11_CASES.get(str(params.get("case")), ("", 0, {}))
+    tag, twist, defaults = _THEOREM11_CASES.get(str(params.get("case")), ("F1", 0, ()))
+    builtin, names, fixed = SURGERY_CASES[tag]
     p = take_params(params, {
         "case": (str, None, lambda v: v in _THEOREM11_CASES, "one of i, ii, iii"),
-        **spec,
+        **{name: (int, default, lambda v: v >= 1, f"{name} >= 1")
+           for name, default in zip(names, defaults)},
         "k": (int, twist, None, ""),
         "count": (int, 10, lambda v: v >= 1, "count >= 1"),
     })
-    builtin, _, fixed = SURGERY_CASES[tag]
-    builtin_params = {**fixed, **{key: p[key] for key in spec}}
-    case = surgery_case(builtin, builtin_params, p["k"])
+    values = [p[name] for name in names]
+    case = CaseParams(tag, p["k"], **dict(zip(CASE_FIELDS[tag], values)))
     if not check_case_hypothesis(case):
         raise ParamError(f"hypothesis of {case.describe()} fails; no claim is made")
-    config = BUILTIN_CONFIGURATIONS[builtin](**builtin_params)
+    config = BUILTIN_CONFIGURATIONS[builtin](**fixed, **dict(zip(names, values)))
     if len(config.double_points) < 2:
         raise ParamError(f"{case.describe()} gives {len(config.double_points)} double "
                          f"point; a family needs at least two")
-    ordered = [(key, p[key]) for key in ("case", *spec, "k", "count")]
+    ordered = [(key, p[key]) for key in ("case", *names, "k", "count")]
     lines = list(family_report(config, p["count"], case, bounds).lines())
     lines.append(CheckLine("topological-equivalence", CITED,
                            ("all family members are topologically equivalent to the "
@@ -453,22 +456,17 @@ def _configuration_from_json(data, where: str) -> Configuration:
 
 
 def _case_from_json(data, where: str) -> CaseParams:
+    """A case block, its fields checked as `surgery case=` checks them on argv."""
     data = _json_object(data, f"{where}: 'case'")
+    if "tag" not in data:
+        raise ScenarioError(f"{where}: case needs field 'tag'")
+    tag = str(data["tag"]).upper()
+    if tag not in SURGERY_CASES:
+        raise ScenarioError(f"{where}: unknown case tag {data['tag']!r}")
+    fields = {key: value for key, value in data.items() if key != "tag"}
     try:
-        tag = str(data["tag"]).upper()
-        if tag not in SURGERY_CASES:
-            raise ScenarioError(f"{where}: unknown case tag {data['tag']!r}")
-        builtin, fields, fixed = SURGERY_CASES[tag]
-        _json_object(data, f"{where}: 'case'", ("tag", "k", *fields))
-        params = {name: _json_int(data[field], f"{where}: case {field!r}")
-                  for field, name in fields.items()}
-        return surgery_case(builtin, {**fixed, **params},
-                            _json_int(data["k"], f"{where}: case 'k'"))
-    except KeyError as err:
-        raise ScenarioError(f"{where}: case needs field {err}") from None
-    except ScenarioError:
-        raise
-    except ValueError as err:
+        return CaseParams(tag, **take_params(fields, {**case_specs(tag), "k": SURGERY_PARAMS["k"]}))
+    except ParamError as err:
         raise ScenarioError(f"{where}: case: {err}") from None
 
 

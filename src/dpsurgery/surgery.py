@@ -59,10 +59,8 @@ class CaseParams:
     def __post_init__(self):
         if self.tag not in CASE_FIELDS:
             raise ValueError(f"unknown case tag {self.tag!r}")
-        if self.tag == "F2" and self.q < 1:
-            raise ValueError("F2 needs q >= 1")
-        if self.tag == "F3" and (self.m < 1 or self.n < 1):
-            raise ValueError("F3 needs m, n >= 1")
+        if any(getattr(self, name) < 1 for name in CASE_FIELDS[self.tag]):
+            raise ValueError(f"{self.tag} needs {', '.join(CASE_FIELDS[self.tag])} >= 1")
 
     def target(self) -> AbelianGroup:
         return abelianization(self.base_presentation())

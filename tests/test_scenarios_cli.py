@@ -10,6 +10,7 @@ from dpsurgery.cli import main
 from dpsurgery.reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, FAIL
 from dpsurgery.scenarios import (ParamError, ScenarioError, run_builtin,
                                  run_scenario, run_scenario_text)
+from dpsurgery.surgery import CASE_FIELDS
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -145,7 +146,8 @@ def test_scenario_surgery_case_needs_fields():
         "configuration": entry,
         "surgery": {"point": 0, "knot": "B2: 1 1 1", "twist": 1,
                     "case": {"tag": "F3", "m": 3}}}]})
-    with pytest.raises(ScenarioError, match="case needs field"):
+    with pytest.raises(ScenarioError,
+                       match=r"^checks\[0\]: case: missing required parameter 'n'$"):
         run_scenario_text(text)
 
 
@@ -285,6 +287,53 @@ def test_cli_surgery_runs_the_case_builtin(capsys, argv, name, params, title):
     assert report.title == title
     assert code == report.exit_code()
     assert out == report.render_machine()
+
+
+def _cp2_case_scenario(case: dict) -> dict:
+    """Lines of class 1 and -1 in CP2, meeting once with sign -1, surgered
+    untwisted with `case`; its complement H1 is Z, the F1 target."""
+    return {"checks": [{
+        "configuration": {"ambient": {"name": "CP2", "form": [[1]]},
+                          "components": [{"class": [1]}, {"class": [-1]}],
+                          "double_points": [[0, 1, -1]]},
+        "surgery": {"point": 0, "knot": "B2: 1 1 1", "twist": 0, "case": case}}]}
+
+
+@pytest.mark.parametrize("tag", sorted(CASE_FIELDS))
+def test_argv_and_case_blocks_read_case_fields_alike(tmp_path, capsys, monkeypatch, tag):
+    """`surgery case=TAG` and a scenario case block build the same case from
+    the same fields and refuse the same fields with the same line.
+
+    The inline F1 d=-1 block used to run its surgery and pass, while
+    `surgery case=F1 d=-1` was refused."""
+    fields = dict(zip(CASE_FIELDS[tag], (3, 2)))
+
+    def argv(values):
+        return ["surgery", f"case={tag}", *(f"{key}={value}" for key, value in values.items())]
+
+    built = []
+    monkeypatch.setattr(scenarios, "_surgery_lines",
+                        lambda spec, case, bounds: built.append(case) or [])
+    assert main(argv({**fields, "k": 2})) == EXIT_OK
+    assert built == [scenarios._case_from_json({"tag": tag, **fields, "k": 2}, "checks[0]")]
+    capsys.readouterr()
+
+    last = CASE_FIELDS[tag][-1]
+    missing = {key: value for key, value in fields.items() if key != last}
+    path = tmp_path / "scenario.json"
+    for values in ({**fields, last: 0}, {**fields, last: -1}, {**fields, last: "x"},
+                   missing, {**fields, "z": 1}):
+        assert main(argv(values)) == EXIT_USAGE, values
+        refused = capsys.readouterr()
+        assert refused.out == "" and refused.err.count("\n") == 1
+        path.write_text(json.dumps(_cp2_case_scenario({"tag": tag, **values, "k": 0})))
+        assert main(["verify", str(path)]) == EXIT_USAGE, values
+        assert capsys.readouterr().err == \
+            refused.err.replace("error: ", "error: checks[0]: case: ", 1)
+
+    assert main(["surgery"]) == EXIT_USAGE
+    assert f"{tag} (with {' '.join(f'{key}=' for key in CASE_FIELDS[tag])})" \
+        in capsys.readouterr().err
 
 
 def test_builtin_params_checked_before_computation(monkeypatch):
@@ -807,7 +856,7 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
          "error: checks[0]: 'surgery' has unknown field 'casex'\n"),
         # the case block takes the fields of its own tag only
         (custom_spheres(case={"tag": "F3", "m": 3, "n": 2, "d": 2, "k": 1}),
-         "error: checks[0]: 'case' has unknown field 'd'\n"),
+         "error: checks[0]: case: unknown parameter 'd'\n"),
         # integer strings are read as on argv; a key given twice is refused
         ({"checks": [{"builtin": "tori", "params": {"m": "1_0", "n": 1}}]},
          "error: checks[0]: m must be an integer\n"),
@@ -888,7 +937,7 @@ def test_cli_scenario_rejects_non_integer_numbers(tmp_path, capsys):
          "error: checks[0]: components[0] 'class' must be a list of integers\n"),
         (surgery(point=0.0), "error: checks[0]: surgery 'point' must be an integer\n"),
         (surgery(twist=True), "error: checks[0]: surgery 'twist' must be an integer\n"),
-        (surgery(case=case), "error: checks[0]: case 'n' must be an integer\n"),
+        (surgery(case=case), "error: checks[0]: case: n must be an integer\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
     # argv values are strings and parse as before

@@ -44,6 +44,10 @@ def test_case_params_validation():
     with pytest.raises(ValueError):
         CaseParams("F3", 1, m=0, n=2)
     with pytest.raises(ValueError):
+        CaseParams("F1", 0, d=0)
+    with pytest.raises(ValueError):
+        CaseParams("F2", 1, p=0, q=3)
+    with pytest.raises(ValueError):
         CaseParams("F9", 0)
 
 
