@@ -14,10 +14,12 @@ one multiply-accumulate and one exact division.  Fox matrices are sparse,
 so the update is skipped when a_ij = 0 and a_ik = 0 or a_kj = 0: its
 numerator is then the zero polynomial, and zero divided by the nonzero
 previous pivot is exactly zero, so the skip changes no entry.  Each pivot
-row is chosen by sparsity (the row half of Markowitz's rule): of the rows
-with a nonzero entry in the pivot column, the one with the fewest nonzero
-entries.  Pivoting on the diagonal lets the three-entry rows of a Fox
-matrix fill in; a sparse pivot row leaves more updates to skip.
+is chosen by sparsity (Markowitz's rule): first the column with the fewest
+nonzero entries among the rows not yet eliminated, then, of its rows with a
+nonzero entry, the one with the fewest nonzero entries.  Each swap, of
+columns or of rows, flips the sign.  Pivoting on the diagonal lets the
+three-entry rows of a Fox matrix fill in; a sparse pivot leaves more
+updates to skip.
 """
 
 from __future__ import annotations
@@ -48,13 +50,16 @@ def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
 
     Each row is first shifted to plain polynomials; the accumulated shift is
     restored at the end.  Elimination is fraction-free (Bareiss), with exact
-    polynomial division at every step.  At step k the pivot row is, of the
-    rows k..n-1 with a nonzero entry in column k, the one with the fewest
-    nonzero entries in columns k..n-1 (then the shortest entry in column k,
-    then the lowest index); it swaps into position k, flipping the sign.
-    Permuting rows not yet eliminated keeps every entry a minor of the
-    permuted matrix, so every division stays exact.  With no such row the
-    determinant is zero.
+    polynomial division at every step.  At step k the pivot column is, of
+    columns k..n-1, the one with the fewest nonzero entries in rows k..n-1
+    (then the lowest index); it swaps into position k in rows k..n-1,
+    flipping the sign.  With no nonzero entry in it the determinant is
+    zero.  The pivot row is then, of the rows k..n-1 with a nonzero entry
+    in column k, the one with the fewest nonzero entries in columns k..n-1
+    (then the shortest entry in column k, then the lowest index); it swaps
+    into position k, flipping the sign again.  Permuting the rows and
+    columns not yet eliminated keeps every entry a minor of the permuted
+    matrix, so every division stays exact.
     """
     n = len(matrix)
     if n == 0:
@@ -72,6 +77,12 @@ def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
     sign = 1
     prev: list[int] = [1]
     for k in range(n - 1):
+        active = rows[k:]
+        c = min(range(k, n), key=lambda j: sum(1 for row in active if row[j]))
+        if c != k:
+            for row in active:
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
         candidates = [i for i in range(k, n) if rows[i][k]]
         if not candidates:
             return LaurentPoly.zero()

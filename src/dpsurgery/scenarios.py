@@ -327,7 +327,8 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     builtin, names, fixed = SURGERY_CASES[tag]
     p = take_params(params, {
         "case": (str, None, lambda v: v in _THEOREM11_CASES, "one of i, ii, iii"),
-        **{name: (int, default, lambda v: v >= 1, f"{name} >= 1")
+        # the builtin's own field specs, with this case's defaults
+        **{name: (int, default) + EXAMPLE_PARAMS[builtin][name][2:]
            for name, default in zip(names, defaults)},
         "k": (int, twist, None, ""),
         "count": (int, 10, lambda v: v >= 1, "count >= 1"),

@@ -156,6 +156,19 @@ def test_torus_knot_family():
         knot_family(0)
 
 
+def test_torus_knot_family_matches_closed_form():
+    """The (2, 2r+1) torus knot has Delta = sum over i = -r..r of (-1)^(r-i) t^i.
+
+    The closed form needs no Fox calculus.  For r = 40 the Fox matrix is
+    80 x 80 with at most three nonzero cells in a row, where the pivot rule
+    decides most of the work.
+    """
+    family = knot_family(40)
+    for r, (braid, _, delta) in enumerate(family, start=1):
+        assert braid == torus_knot(r)
+        assert delta == LaurentPoly(-r, tuple((-1) ** (r - i) for i in range(-r, r + 1))), r
+
+
 T = LaurentPoly.term(1, 1)
 ONE, ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
@@ -165,25 +178,30 @@ def test_laurent_determinant_of_empty_matrix_is_one():
 
 
 def test_laurent_determinant_zero_pivot_swaps_rows_and_flips_sign():
-    # column 0 is nonzero only in row 1, so row 1 swaps in: det [[0, t], [1, 0]] = -t
+    # both columns hold one entry, so column 0 stays; it is nonzero only in
+    # row 1, so row 1 swaps in: det [[0, t], [1, 0]] = -t
     assert laurent_determinant([[ZERO, T], [ONE, ZERO]]) == LaurentPoly.term(-1, 1)
-    # a swap at the second step of a 3x3, where only row 2 is nonzero in
-    # column 1: det = -(1 * t * t^-1) = -1
+    # column 2 (one entry, in row 1) swaps in, then row 1; at the second
+    # step column 2 again holds fewer entries: det = -(1 * t * t^-1) = -1
     matrix = [[ONE, ONE, ZERO], [ONE, ONE, T], [ZERO, LaurentPoly.term(1, -1), ZERO]]
     assert laurent_determinant(matrix) == LaurentPoly.term(-1, 0)
-    # a nonzero a_00 still gives way to a sparser row: det [[t, 1], [1, 0]] = -1
+    # a nonzero a_00 still gives way to a sparser column, and its one
+    # nonzero row is row 0, so no row moves: det [[t, 1], [1, 0]] = -1
     assert laurent_determinant([[T, ONE], [ONE, ZERO]]) == LaurentPoly.term(-1, 0)
-    # row 1 is the sparser of the two nonzero in column 0: det = t^2 * (0 - t)
+    # column 2 swaps in, then row 2, its only nonzero row: det = t^2 * (0 - t)
     matrix = [[ZERO, ONE, ZERO], [T, ONE, ZERO], [ONE, T, T * T]]
     assert laurent_determinant(matrix) == LaurentPoly.term(-1, 3)
-    # a permuted diagonal: det = sign(sigma) * p_0 p_1 p_2 p_3, sigma odd
+    # a permuted diagonal: every column holds one entry, so no column moves
+    # and each step swaps in the row of its entry; sigma is odd, so
+    # det = sign(sigma) * p_0 p_1 p_2 p_3 = -p_0 p_1 p_2 p_3
     diagonal = [T, ONE + T, LaurentPoly.term(-2, -1), T * T + ONE]
     product = diagonal[0] * diagonal[1] * diagonal[2] * diagonal[3]
     sigma = (2, 0, 3, 1)
     matrix = [[diagonal[i] if j == sigma[i] else ZERO for j in range(4)] for i in range(4)]
     assert laurent_determinant(matrix) == -product
-    # lower triangular: row k is the sparsest at step k, so no row swaps;
-    # with columns 0 and 1 swapped, row 0 leaves column 0 and row 1 swaps in
+    # lower triangular: the last column is the sparsest, so steps 0 and 1
+    # each swap a column and a row in (an even count); with columns 0 and 1
+    # swapped, step 2 swaps one more column in, and the sign flips
     lower = [[diagonal[i] if j == i else (ONE + (-T) if j < i else ZERO) for j in range(4)]
              for i in range(4)]
     assert laurent_determinant(lower) == product
@@ -192,7 +210,7 @@ def test_laurent_determinant_zero_pivot_swaps_rows_and_flips_sign():
 
 def test_laurent_determinant_of_singular_matrix_is_zero():
     assert laurent_determinant([[ONE, T], [ONE, T]]) == ZERO
-    assert laurent_determinant([[ZERO, ONE], [ZERO, T]]) == ZERO  # no pivot at all
+    assert laurent_determinant([[ZERO, ONE], [ZERO, T]]) == ZERO  # column 0 is all zero
     assert laurent_determinant([[T, T + (-ONE)], [T * T, T * T + (-T)]]) == ZERO
 
 
@@ -254,6 +272,53 @@ def test_laurent_determinant_on_sparse_matrices_with_zero_pivots():
         for t in (2, 3, -2, 5):
             expected = fraction_det([[_evaluate(p, t) for p in row] for row in matrix])
             assert _evaluate(det, t) == expected, (matrix, t)
+
+
+def permutation_sign(perm) -> int:
+    """+1 for an even permutation of range(len(perm)), -1 for an odd one."""
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def test_laurent_determinant_permutation_and_transpose_identities():
+    """det(P_sigma A P_tau) = sgn sigma * sgn tau * det A, and det(A^T) = det A.
+
+    On 2-12 square matrices with 60-85 % zero cells, a permutation of rows
+    and columns changes which column and row the pivot rule picks at every
+    step, so each swap's sign flip is checked against the others.  Some
+    matrices repeat a row (singular), and some have an all-zero column.
+    """
+    rng = random.Random(31)
+
+    def nonzero_poly():
+        return LaurentPoly.make(rng.randint(-2, 2), [rng.choice((-3, -2, -1, 1, 2, 3))]
+                                + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
+
+    shapes = {"nonzero": 0, "zero": 0}
+    for trial in range(90):
+        n = rng.randint(2, 12)
+        zeros = rng.uniform(0.60, 0.85)
+        matrix = [[ZERO if rng.random() < zeros else nonzero_poly() for _ in range(n)]
+                  for _ in range(n)]
+        for row, column in enumerate(rng.sample(range(n), n)):
+            matrix[row][column] = nonzero_poly()
+        if trial % 5 == 1:
+            i, j = rng.sample(range(n), 2)
+            matrix[i] = list(matrix[j])
+        elif trial % 5 == 2:
+            column = rng.randrange(n)
+            for row in matrix:
+                row[column] = ZERO
+        det = laurent_determinant(matrix)
+        shapes["nonzero" if det else "zero"] += 1
+        sigma, tau = rng.sample(range(n), n), rng.sample(range(n), n)
+        permuted = [[matrix[sigma[i]][tau[j]] for j in range(n)] for i in range(n)]
+        sign = permutation_sign(sigma) * permutation_sign(tau)
+        assert laurent_determinant(permuted) == (det if sign > 0 else -det), (matrix, sigma, tau)
+        transposed = [list(column) for column in zip(*matrix)]
+        assert laurent_determinant(transposed) == det, matrix
+    assert shapes["nonzero"] >= 40 and shapes["zero"] >= 30, shapes
 
 
 # -- Fox against Burau: a closed braid's Wirtinger Fox matrix is I - Burau --------

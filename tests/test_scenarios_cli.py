@@ -242,7 +242,7 @@ def test_cli_usage_errors(capsys):
         (["verify", "theorem-1-1", "case=iii", "m=1", "n=1", "count=2"],
          "error: F3(m=1, n=1, k=1) gives 1 double point; a family needs at least two\n"),
         (["verify", "theorem-1-1", "case=i", "d2=0"],
-         "error: d2=0 out of range: d2 >= 1\n"),
+         "error: d2=0 out of range: degree >= 1\n"),
         # an integer is an optional '-' and ASCII digits: no '_', no other digits
         (["verify", "tori", "m=1_0", "n=2"], "error: m must be an integer\n"),
         (["verify", "tori", "m=\u0663", "n=2"], "error: m must be an integer\n"),
