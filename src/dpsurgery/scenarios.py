@@ -1,6 +1,6 @@
-"""Builtin example pipelines and JSON scenario files.
+"""Builtins and JSON scenario files: every command is checked and run here.
 
-Builtins reproduce the library's reference configurations end to end:
+Builtins reproduce the reference configurations and the paper's claims:
 
 * ``nodal d1= d2= [k= knot=]``      two plane curves; surgery needs d1=1
 * ``rational p= q= [k= knot=]``     a (p,q) curve and a ruling sphere
@@ -8,15 +8,17 @@ Builtins reproduce the library's reference configurations end to end:
 * ``tori m= n= [k= knot=]``         the symplectic two-torus configuration
 * ``theorem-1-1 case=i|ii|iii ...`` the full knotted-family pipeline
 * ``theorem-7-2 m= n= k= count=``   the branched-cover action certificate
+* ``surgery case=F1|F2|F3 ...``    one surgery, by the builtin of its case
+* ``alexander braids= | count=``    Alexander polynomials, or the family's
+* ``distinguish braids= [m= n=]``   two surgeries on tori compared
+* ``snf matrix=``                   Smith normal form with transforms
 
-Nodal, rational and tori run the surgery pipeline when ``k=`` or ``knot=``
-is given (twist 0, trefoil ``B2: 1 1 1`` by default).  ``take_params`` and
-``parse_knot`` check every parameter, from argv and from JSON alike, before
-any computation.
-
-``SURGERY_CASES`` maps a case tag F1/F2/F3 to its builtin, and the
-``surgery`` command and scenario ``case`` blocks check a case's fields with
-the ``take_params`` specs that ``case_specs`` reads from that builtin.
+``BUILTINS`` maps each name to its runner.  Nodal, rational and tori run the
+surgery pipeline when ``k=`` or ``knot=`` is given (twist 0, trefoil
+``B2: 1 1 1`` by default).  ``take_params`` and ``parse_knot`` check every
+parameter, from argv and JSON alike, before any computation; ``surgery`` and
+scenario ``case`` blocks check a case's fields, by the specs of its builtin,
+and its twist in one call of ``_take_case``.
 
 A scenario file is a JSON object `{"bounds": {...}, "checks": [entry, ...]}`
 where each entry either names a builtin (`{"builtin": ..., "params": {...}}`)
@@ -26,21 +28,23 @@ or describes a configuration inline; see the README for the schema.
 from __future__ import annotations
 
 import json
+from functools import partial
 from math import gcd
 
 from .actions import build_cover_plan, exotic_action_certificate
 from .configurations import (AmbientManifold, Configuration, SurfaceComponent,
                              complement_h1, meridian_relations, spheres_presentation,
                              tori_presentation)
+from .alexander import alexander_of_braid, coefficient_multiset, knot_family
 from .knots import BraidWord, knot_group_from_braid, parse_int
 from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix, \
     parse_presentation
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
-from .snf import element_order_in_cokernel
+from .snf import element_order_in_cokernel, mat_mul, smith_normal_form
 from .surgery import CASE_FIELDS, CaseParams, SurgerySpec, case_presentation, \
     check_case_hypothesis, on_unsimplified, surgered_components, surgered_presentation, \
     verify_group_preserved
-from .sw import family_report
+from .sw import distinguish, family_report
 from .verify import Bounds, DEFAULT_BOUNDS, decide_group, verify_abelian_isomorphism
 from .words import Word, commutator
 
@@ -159,6 +163,9 @@ def take_params(params: dict, spec: dict[str, tuple]) -> dict:
                     continue
             elif kind is str:
                 value = str(value)
+            elif not isinstance(value, kind):
+                problems.append(f"{name} must be a {kind.__name__}")
+                continue
         else:
             if default is None:
                 problems.append(f"missing required parameter {name!r}")
@@ -190,6 +197,7 @@ SURGERY_PARAMS = {"k": (int, 0, None, ""), "knot": (str, "B2: 1 1 1", None, "")}
 _DEGREE = (int, None, lambda v: v >= 1, "degree >= 1")
 _M = (int, None, lambda v: v >= 1, "m >= 1")
 _N = (int, None, lambda v: v >= 1, "n >= 1")
+_COUNT = (int, 10, lambda v: v >= 1, "count >= 1")
 EXAMPLE_PARAMS = {
     "nodal": {"d1": _DEGREE, "d2": _DEGREE, **SURGERY_PARAMS},
     "rational": {"p": (int, None, lambda v: v >= 1, "p >= 1"),
@@ -199,33 +207,30 @@ EXAMPLE_PARAMS = {
 }
 
 # surgery case tag -> the builtin that runs it, its parameters in the order of
-# the case's `CASE_FIELDS`, and its fixed parameters (F1 is nodal with d1=1)
+# the case's `CASE_FIELDS`, and its fixed parameters (F1 is nodal with d1=1);
+# `_CASE_OF` maps each of these builtins back to its tag
 SURGERY_CASES = {"F1": ("nodal", ("d2",), {"d1": 1}),
                  "F2": ("rational", ("p", "q"), {}),
                  "F3": ("tori", ("m", "n"), {})}
+_CASE_OF = {builtin: tag for tag, (builtin, _, _) in SURGERY_CASES.items()}
 
 
-def case_specs(tag: str) -> dict[str, tuple]:
-    """The `take_params` specs of a case's fields: its builtin's own, keyed by field."""
+def _default(spec: tuple, value) -> tuple:
+    """A `take_params` spec with `value` for its default."""
+    return (spec[0], value) + spec[2:]
+
+
+def _take_case(tag: str, params: dict, specs: dict) -> tuple[CaseParams, dict]:
+    """One `take_params` call on `specs`, the case's fields (by their
+    builtin's specs) and its twist `k`: the case and the checked parameters."""
     builtin, names, _ = SURGERY_CASES[tag]
-    return {field: EXAMPLE_PARAMS[builtin][name] for field, name in zip(CASE_FIELDS[tag], names)}
-
-
-def surgery_case(builtin: str, params: dict, k: int) -> CaseParams:
-    """The k-twisted case of `builtin` at `params`; ParamError if a fixed one differs."""
-    tag = next(tag for tag, (name, _, _) in SURGERY_CASES.items() if name == builtin)
-    _, names, fixed = SURGERY_CASES[tag]
-    for key, value in fixed.items():
-        if params[key] != value:
-            raise ParamError(f"surgery on the {builtin} configuration needs {key}={value}")
-    return CaseParams(tag, k, **{field: params[name]
-                                 for field, name in zip(CASE_FIELDS[tag], names)})
+    fields = {field: EXAMPLE_PARAMS[builtin][name] for field, name in zip(CASE_FIELDS[tag], names)}
+    p = take_params(params, {**specs, **fields, "k": SURGERY_PARAMS["k"]})
+    return CaseParams(tag, p["k"], **{field: p[field] for field in CASE_FIELDS[tag]}), p
 
 
 def _title(name: str, ordered: list[tuple[str, object]]) -> str:
-    if not ordered:
-        return name
-    return name + " " + " ".join(f"{k}={v}" for k, v in ordered)
+    return " ".join([name] + [f"{k}={v}" for k, v in ordered])
 
 
 # -- builtin pipelines --------------------------------------------------------
@@ -291,30 +296,56 @@ def _expected_homology(name: str, p: dict) -> AbelianGroup:
     return AbelianGroup.of_orders(p["m"], p["n"])
 
 
-def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
-    p = take_params(params, EXAMPLE_PARAMS[name])
-    k, knot_text = p.pop("k", 0), p.pop("knot", "")
-    ordered = sorted(p.items())
-    case = None
-    if "k" in params or "knot" in params:
-        knot = parse_knot(knot_text)
-        ordered += [("k", k)] + ([("knot", knot_text)] if "knot" in params else [])
-        case = surgery_case(name, p, k)
+def _example_report(name: str, p: dict, surgery_title: list,
+                    surgery: tuple[BraidWord, CaseParams] | None, bounds: Bounds) -> Report:
+    """The checks of configuration builtin `name` at its checked parameters
+    `p`; with `surgery`, a (knot, case) pair, those of that surgery after them."""
     config = BUILTIN_CONFIGURATIONS[name](**p)
-
-    lines = []
     homology = complement_h1(config)
     expected = _expected_homology(name, p)
-    lines.append(CheckLine("homology", PASS if homology == expected else FAIL,
-                           (f"complement H1 = {homology}, expected {expected}",)))
-    verdict = verify_abelian_isomorphism(config.pi1, expected, bounds)
-    lines.append(line_from_verdict("group", verdict))
+    lines = [CheckLine("homology", PASS if homology == expected else FAIL,
+                       (f"complement H1 = {homology}, expected {expected}",)),
+             line_from_verdict("group", verify_abelian_isomorphism(config.pi1, expected, bounds))]
     ab = abelianization(config.pi1)
     lines.append(CheckLine("h1-matches-abelianization", PASS if ab == homology else FAIL,
                            (f"presentation abelianization {ab}, homology {homology}",)))
-    if case is not None:
-        lines.extend(_surgery_lines(SurgerySpec(config, 0, knot, k), case, bounds))
-    return Report(_title(name, ordered), tuple(lines))
+    if surgery is not None:
+        knot, case = surgery
+        lines.extend(_surgery_lines(SurgerySpec(config, 0, knot, case.k), case, bounds))
+    return Report(_title(name, sorted(p.items()) + surgery_title), tuple(lines))
+
+
+def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
+    p = take_params(params, EXAMPLE_PARAMS[name])
+    k, knot_text = p.pop("k", 0), p.pop("knot", "")
+    if "k" not in params and "knot" not in params:
+        return _example_report(name, p, [], None, bounds)
+    knot = parse_knot(knot_text)
+    tag = _CASE_OF[name]
+    _, names, fixed = SURGERY_CASES[tag]
+    for key, value in fixed.items():
+        if p[key] != value:
+            raise ParamError(f"surgery on the {name} configuration needs {key}={value}")
+    case = CaseParams(tag, k, **{field: p[key] for field, key in zip(CASE_FIELDS[tag], names)})
+    surgery_title = [("k", k)] + ([("knot", knot_text)] if "knot" in params else [])
+    return _example_report(name, p, surgery_title, (knot, case), bounds)
+
+
+def _run_surgery(params: dict, bounds: Bounds) -> Report:
+    """One twisted surgery, run by the builtin of its case with the case's
+    fixed parameters; the knot always shows in the title."""
+    tag = str(params.get("case", "")).upper()
+    if tag not in SURGERY_CASES:
+        cases = [f"{name} (with {' '.join(f'{field}=' for field in fields)})"
+                 for name, fields in CASE_FIELDS.items()]
+        raise ParamError(f"surgery needs case={', '.join(cases[:-1])} or {cases[-1]}")
+    case, p = _take_case(tag, params, {"case": (str, None, None, ""),
+                                       "knot": SURGERY_PARAMS["knot"]})
+    knot = parse_knot(p["knot"])
+    builtin, names, fixed = SURGERY_CASES[tag]
+    values = {**fixed, **{name: p[field] for field, name in zip(CASE_FIELDS[tag], names)}}
+    return _example_report(builtin, values, [("k", case.k), ("knot", p["knot"])],
+                           (knot, case), bounds)
 
 
 # theorem-1-1 case -> surgery case tag, default twist, default field values
@@ -328,10 +359,10 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     p = take_params(params, {
         "case": (str, None, lambda v: v in _THEOREM11_CASES, "one of i, ii, iii"),
         # the builtin's own field specs, with this case's defaults
-        **{name: (int, default) + EXAMPLE_PARAMS[builtin][name][2:]
+        **{name: _default(EXAMPLE_PARAMS[builtin][name], default)
            for name, default in zip(names, defaults)},
         "k": (int, twist, None, ""),
-        "count": (int, 10, lambda v: v >= 1, "count >= 1"),
+        "count": _COUNT,
     })
     values = [p[name] for name in names]
     case = CaseParams(tag, p["k"], **dict(zip(CASE_FIELDS[tag], values)))
@@ -356,24 +387,84 @@ def _run_theorem_7_2(params: dict, bounds: Bounds) -> Report:
     title = _title("theorem-7-2", [(key, p[key]) for key in ("m", "n", "k", "count")])
     config = tori_configuration(m, n)
     plan = build_cover_plan(config, m, n, bounds)
-    if plan.verdict != PASS:
-        return Report(title, (plan,))
-    return Report(title, (plan, *exotic_action_certificate(config, m, n, p["k"], p["count"],
-                                                           bounds)))
+    checks = (exotic_action_certificate(config, m, n, p["k"], p["count"], bounds)
+              if plan.verdict == PASS else ())
+    return Report(title, (plan, *checks))
 
 
-BUILTIN_NAMES = ("nodal", "rational", "spheres", "tori", "theorem-1-1", "theorem-7-2")
+def _run_alexander(params: dict, bounds: Bounds) -> Report:
+    """The polynomials of the closures of `braids`, or without them of the
+    torus knot family K_1 .. K_count."""
+    if "braids" in params:
+        braids = take_params(params, {"braids": (list, None, None, "")})["braids"]
+        if not braids:
+            raise ParamError("alexander needs at least one braid word or 'family count=N'")
+        title = "alexander"
+        knots = [(f"alexander {braid.format()}", alexander_of_braid(braid))
+                 for braid in [parse_knot(text) for text in braids]]
+    else:
+        count = take_params(params, {"count": _COUNT})["count"]
+        title = f"alexander family count={count}"
+        knots = [(f"alexander K_{index} {braid.format()}", delta)
+                 for index, (braid, _, delta) in enumerate(knot_family(count), start=1)]
+    return Report(title, tuple(
+        CheckLine(name, PASS, (f"polynomial {delta.format()}",
+                               f"coefficient multiset {list(coefficient_multiset(delta))}"))
+        for name, delta in knots))
+
+
+def _run_distinguish(params: dict, bounds: Bounds) -> Report:
+    p = take_params(params, {"braids": (list, None, lambda v: len(v) == 2, "two braid words"),
+                             "m": _default(_M, 3), "n": _default(_N, 2)})
+    knot1, knot2 = map(parse_knot, p["braids"])
+    line = distinguish(knot1, knot2, tori_configuration(p["m"], p["n"]))
+    return Report(f"distinguish on tori m={p['m']} n={p['n']}", (line,))
+
+
+def _run_snf(params: dict, bounds: Bounds) -> Report:
+    """The Smith normal form D = U*M*V of `matrix`: rows split by ";",
+    entries by spaces."""
+    rows = []
+    matrix = take_params(params, {"matrix": (str, None, None, "")})["matrix"]
+    for chunk in filter(None, map(str.strip, matrix.split(";"))):
+        try:
+            rows.append([parse_int(tok) for tok in chunk.split()])
+        except ValueError:
+            raise ParamError(f"bad matrix row {chunk!r}") from None
+    if not rows:
+        raise ParamError("empty matrix")
+    if len({len(row) for row in rows}) > 1:
+        raise ParamError("ragged matrix rows")
+    d, u, v = smith_normal_form(rows)
+    ok = mat_mul(mat_mul(u, rows), v) == d
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+
+    def fmt(mat):
+        return "[" + "; ".join(" ".join(str(x) for x in row) for row in mat) + "]"
+
+    return Report("snf", (CheckLine(
+        "snf", PASS if ok else FAIL,
+        (f"D = {fmt(d)}", f"U = {fmt(u)}", f"V = {fmt(v)}",
+         f"diagonal {diag}", f"U*M*V == D: {ok}")),))
+
+
+# builtin name -> runner(params, bounds)
+BUILTINS = {
+    **{name: partial(_run_example, name) for name in BUILTIN_CONFIGURATIONS},
+    "theorem-1-1": _run_theorem_1_1,
+    "theorem-7-2": _run_theorem_7_2,
+    "surgery": _run_surgery,
+    "alexander": _run_alexander,
+    "distinguish": _run_distinguish,
+    "snf": _run_snf,
+}
 
 
 def run_builtin(name: str, params: dict, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
-    """Execute one builtin pipeline; raises ParamError before any computation."""
-    if name not in BUILTIN_NAMES:
-        raise ParamError(f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
-    if name == "theorem-1-1":
-        return _run_theorem_1_1(params, bounds)
-    if name == "theorem-7-2":
-        return _run_theorem_7_2(params, bounds)
-    return _run_example(name, params, bounds)
+    """Execute one builtin; raises ParamError before any computation."""
+    if name not in BUILTINS:
+        raise ParamError(f"unknown builtin {name!r}; choose from {', '.join(BUILTINS)}")
+    return BUILTINS[name](params, bounds)
 
 
 # -- scenario files -----------------------------------------------------------
@@ -466,7 +557,7 @@ def _case_from_json(data, where: str) -> CaseParams:
         raise ScenarioError(f"{where}: unknown case tag {data['tag']!r}")
     fields = {key: value for key, value in data.items() if key != "tag"}
     try:
-        return CaseParams(tag, **take_params(fields, {**case_specs(tag), "k": SURGERY_PARAMS["k"]}))
+        return _take_case(tag, fields, {})[0]
     except ParamError as err:
         raise ScenarioError(f"{where}: case: {err}") from None
 
@@ -576,9 +667,12 @@ def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
     bounds_data = {**bounds_data, **(overrides or {})}
     cosets = _integer(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets))
     rules = _integer(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules))
-    if cosets is None or rules is None or cosets < 1 or rules < 1:
-        raise ScenarioError(f"{source}: bounds must be integers >= 1")
-    bounds = Bounds(cosets, rules)
+    if cosets is None or rules is None:
+        raise ScenarioError(f"{source}: bounds must be integers")
+    try:
+        bounds = Bounds(cosets, rules)
+    except ValueError as err:
+        raise ScenarioError(f"{source}: {err}") from None
     checks = _json_list(data.get("checks", []), f"{source}: 'checks'")
 
     reports: list[Report] = []

@@ -10,12 +10,16 @@ takes milliseconds and capped engines are common.  The invariants:
   (exit 2) prints no report and one `error:` line (or argparse's usage);
 * a `pass` line never quotes a capped enumeration ("hit its cap");
 * an input error is never reported as an internal error, nor in Python's
-  own words ("invalid literal for int()").
+  own words ("invalid literal for int()");
+* a command is the builtin it names: its argv and the one-entry scenario
+  that says the same in JSON give the same exit code, the same stdout and,
+  on a refusal, the same message.
 """
 
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpsurgery.cli import main
+from dpsurgery.scenarios import ScenarioError, run_scenario_text
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -91,22 +96,26 @@ def _check_invariants(code: int, out: str, err: str):
             assert "hit its cap" not in evidence, line
 
 
-BOUNDS_FLAGS = st.tuples(st.sampled_from(["1", "30", "200", "30", "200", "0", "x", "1_0"]),
-                         st.sampled_from(["1", "20", "100"])).map(
-    lambda b: ["--bounds-cosets", b[0], "--bounds-rules", b[1]])
-
-
-def _tokens(params: dict) -> list[str]:
-    return [f"{key}={value}" for key, value in params.items()]
+BOUNDS = st.tuples(st.sampled_from(["1", "30", "200", "30", "200", "0", "x", "1_0"]),
+                   st.sampled_from(["1", "20", "100"]))
 
 
 @st.composite
 def argvs(draw):
+    """(argv, scenario): a command line, and the one-entry scenario text that
+    says the same in JSON, its bounds flags in `bounds`.
+
+    The scenario is None for an unknown command or builtin, and when argv
+    holds a token that JSON cannot: one without '=', a key given twice, or
+    an argument too many for argparse."""
     command = draw(st.sampled_from(["verify", "surgery", "alexander", "distinguish",
                                     "actions", "snf", "bogus"]))
+    builtin = {"actions": "theorem-7-2"}.get(command, command)
+    positional, params = [], {}
     if command == "verify":
-        name = draw(st.sampled_from(BUILTINS + ["nope"]))
-        tail = [name] + (_tokens(draw(builtin_params(name))) if name in PARAMS else [])
+        builtin = draw(st.sampled_from(BUILTINS + ["nope"]))
+        positional = [builtin]
+        params = draw(builtin_params(builtin)) if builtin in PARAMS else {}
     elif command == "surgery":
         case = draw(st.sampled_from(["F1", "F2", "F3", "F9"]))
         params = {"case": case, "k": draw(SMALL), "knot": draw(BRAIDS),
@@ -117,27 +126,50 @@ def argvs(draw):
         params = {k: v for k, v in params.items() if k in keep + ("case", "k", "knot")}
         if _rarely(draw):
             params[draw(st.sampled_from(["d", "m", "k", "bogus"]))] = draw(JUNK)
-        tail = _tokens(params)
     elif command == "alexander":
-        tail = draw(st.one_of(
-            st.lists(BRAIDS, max_size=3),
-            st.sampled_from(["0", "2", "x"]).map(lambda c: ["family", f"count={c}"])))
+        if draw(st.booleans()):
+            positional = draw(st.lists(BRAIDS, max_size=3))
+        else:
+            positional, params = ["family"], {"count": draw(st.sampled_from(["0", "2", "x"]))}
     elif command == "distinguish":
-        tail = [draw(BRAIDS), draw(BRAIDS)]
+        positional = [draw(BRAIDS), draw(BRAIDS)]
         for key in ("m", "n"):
             if draw(st.booleans()):
-                tail.append(f"{key}={draw(JUNK) if _rarely(draw) else draw(SMALL)}")
+                params[key] = draw(JUNK) if _rarely(draw) else draw(SMALL)
     elif command == "actions":
-        tail = _tokens(draw(builtin_params("theorem-7-2")))
+        params = draw(builtin_params("theorem-7-2"))
     elif command == "snf":
-        tail = [draw(st.sampled_from(["2 0; 0 3", "1 2; 3", "", "a b", "4 6 ; 6 9"]))]
+        positional = [draw(st.sampled_from(["2 0; 0 3", "1 2; 3", "", "a b", "4 6 ; 6 9"]))]
     else:
-        tail = ["x=1"]
+        params = {"x": 1}
+    # argv gives every value as a string
+    params = {key: str(value) for key, value in params.items()}
+    tokens = [f"{key}={value}" for key, value in params.items()]
+    known = command != "bogus" and builtin != "nope"
+    braids = command == "alexander" and positional[:1] != ["family"]
     if _rarely(draw):
-        # junk, or a key=value token given a second time
-        tail.append(draw(st.sampled_from(["novalue", "=3", "k=", "bogus=1"]
-                                         + [token for token in tail if "=" in token])))
-    return draw(BOUNDS_FLAGS) + ["--format", "machine", command] + tail
+        # junk, or a key=value token given a second time; to alexander, a braid
+        token = draw(st.sampled_from(["novalue", "=3", "k=", "bogus=1"] + tokens))
+        key, sep, value = token.partition("=")
+        if braids:
+            positional.append(token)
+        else:
+            tokens.append(token)
+            known = known and command != "snf" and sep and key and key not in params
+            params[key] = value
+    if braids:
+        params = {"braids": positional}
+    elif command == "distinguish":
+        params["braids"] = positional
+    elif command == "snf":
+        params = {"matrix": positional[0]}
+    cosets, rules = draw(BOUNDS)
+    argv = (["--bounds-cosets", cosets, "--bounds-rules", rules, "--format", "machine",
+             command] + positional + tokens)
+    if not known:
+        return argv, None
+    return argv, json.dumps({"bounds": {"cosets": cosets, "rules": rules},
+                             "checks": [{"builtin": builtin, "params": params}]})
 
 def _sphere_configuration(simply_connected=True):
     """Two transverse spheres in S2xS2; H1 and pi1 of the complement are trivial."""
@@ -215,7 +247,7 @@ def scenario_texts(draw):
 
 
 @SETTINGS
-@given(argvs())
+@given(argvs().map(lambda drawn: drawn[0]))
 @example(["--bounds-cosets", "100", "--format", "machine", "surgery", "case=F3", "m=3", "n=2",
           "k=1", "knot=B2: 1 1 1 1 1 1 1"])
 @example(["--format", "machine", "surgery", "case=F1"])
@@ -223,6 +255,49 @@ def scenario_texts(draw):
 @example(["--format", "machine", "distinguish", "B2: 1 1 1", "B1:", "m=2.5", "n=[]"])
 def test_argv_never_escapes_the_exit_codes(argv):
     _check_invariants(*_run(argv))
+
+
+# a refusal of argv and of JSON says the same after the scenario's prefix
+_PREFIX = re.compile(r"^error: (checks\[0\]|scenario): ")
+
+
+def _same(argv: list[str], builtin: str, params: dict) -> tuple[list[str], str]:
+    """An example of `argvs()`: `argv` at cosets cap 200 and its scenario."""
+    return (["--bounds-cosets", "200", "--bounds-rules", "100", "--format", "machine"] + argv,
+            json.dumps({"bounds": {"cosets": 200, "rules": 100},
+                        "checks": [{"builtin": builtin, "params": params}]}))
+
+
+@SETTINGS
+@given(argvs())
+@example(_same(["surgery", "case=F1", "d=2", "k=0"], "surgery", {"case": "F1", "d": 2, "k": 0}))
+@example(_same(["surgery", "case=f2", "p=1", "q=3", "k=1", "knot=B3: 1 -2 1 -2"], "surgery",
+               {"case": "f2", "p": 1, "q": 3, "k": 1, "knot": "B3: 1 -2 1 -2"}))
+@example(_same(["surgery", "case=F3", "m=3", "n=2", "k=3"], "surgery",
+               {"case": "F3", "m": 3, "n": 2, "k": 3}))
+@example(_same(["alexander", "B2: 1 1 1", "B1:"], "alexander", {"braids": ["B2: 1 1 1", "B1:"]}))
+@example(_same(["alexander", "family"], "alexander", {}))
+@example(_same(["distinguish", "B2: 1 1 1", "B1:", "n=1"], "distinguish",
+               {"braids": ["B2: 1 1 1", "B1:"], "n": 1}))
+@example(_same(["actions", "m=3", "n=2", "count=2"], "theorem-7-2",
+               {"m": 3, "n": 2, "count": 2}))
+@example(_same(["snf", "2 4; 6 8"], "snf", {"matrix": "2 4; 6 8"}))
+@example(_same(["verify", "surgery", "case=F3", "m=3", "n=2", "k=1"], "surgery",
+               {"case": "F3", "m": 3, "n": 2, "k": 1}))
+def test_argv_runs_the_builtin_of_its_one_entry_scenario(drawn):
+    argv, scenario = drawn
+    code, out, err = _run(argv)
+    _check_invariants(code, out, err)
+    if scenario is None:
+        return
+    try:
+        report = run_scenario_text(scenario)
+    except ScenarioError as refused:
+        assert code == 2, (argv, refused)
+        if err.startswith("error: "):  # not argparse's usage
+            assert err == _PREFIX.sub("error: ", f"error: {refused}\n"), argv
+        return
+    assert (code, out) == (report.exit_code(), report.render("machine")), argv
 
 
 @SETTINGS

@@ -32,6 +32,20 @@ def test_package_imports_only_the_standard_library():
     assert {name: mods for name, mods in outside.items() if mods} == {}
 
 
+def test_cli_imports_only_scenarios_reports_and_verify():
+    """The command line turns argv into a builtin's params; every command is
+    checked and run in `scenarios`, so no engine module is imported here."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules.update([node.module] if node.module else
+                           (alias.name for alias in node.names))
+    assert modules == {"scenarios", "reports", "verify"}
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+
+
 def test_pyproject_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as handle:

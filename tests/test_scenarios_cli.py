@@ -207,7 +207,8 @@ def test_cli_verify_scenario_file(capsys):
 
 def test_cli_usage_errors(capsys):
     """A bad argv exits 2 with one line that names the fault, and no report."""
-    builtins = "nodal, rational, spheres, tori, theorem-1-1, theorem-7-2"
+    builtins = ("nodal, rational, spheres, tori, theorem-1-1, theorem-7-2, surgery, alexander, "
+                "distinguish, snf")
     cases = [
         (["verify", "not-a-builtin-or-file"],
          f"error: 'not-a-builtin-or-file' is neither a builtin ({builtins}) "
@@ -334,6 +335,38 @@ def test_argv_and_case_blocks_read_case_fields_alike(tmp_path, capsys, monkeypat
     assert main(["surgery"]) == EXIT_USAGE
     assert f"{tag} (with {' '.join(f'{key}=' for key in CASE_FIELDS[tag])})" \
         in capsys.readouterr().err
+
+
+def test_surgery_checks_its_params_once(monkeypatch, capsys):
+    """`surgery case=` checks case, fields, k and knot by one `take_params`
+    call and builds its case once, as a scenario `case` block does."""
+    calls, cases = [], []
+    take_params, case_params = scenarios.take_params, scenarios.CaseParams
+    monkeypatch.setattr(scenarios, "take_params",
+                        lambda params, spec: calls.append(sorted(spec)) or take_params(params, spec))
+    monkeypatch.setattr(scenarios, "CaseParams",
+                        lambda *args, **kwargs: cases.append(args) or case_params(*args, **kwargs))
+    assert main(["surgery", "case=F3", "m=3", "n=2", "k=1"]) == EXIT_OK
+    assert calls == [["case", "k", "knot", "m", "n"]]
+    assert cases == [("F3", 1)]
+    capsys.readouterr()
+
+
+def test_commands_scenario_prints_the_lines_of_its_commands(capsys):
+    """scenarios/commands.json writes surgery, alexander, distinguish and snf
+    as entries; each entry prints the lines of its command line."""
+    expected = []
+    for argv in (["surgery", "case=F3", "m=3", "n=2", "k=1", "knot=B2: 1 1 1"],
+                 ["alexander", "B2: 1 1 1", "B3: 1 -2 1 -2"],
+                 ["distinguish", "B2: 1 1 1", "B1:", "m=3", "n=2"],
+                 ["snf", "2 4; 6 8"]):
+        assert main(["--format", "text", *argv]) == EXIT_OK
+        title = capsys.readouterr().out.splitlines()[0][len("== "):-len(" ==")]
+        assert main(["--format", "machine", *argv]) == EXIT_OK
+        expected += [f"{title} :: {line}" for line in capsys.readouterr().out.splitlines()]
+    path = os.path.join(SCENARIO_DIR, "commands.json")
+    assert main(["--format", "machine", "verify", path]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_builtin_params_checked_before_computation(monkeypatch):
@@ -507,6 +540,15 @@ _CAPPED_F3_BELOW_ROUTE = ["--bounds-cosets", "20", "--bounds-rules", "200", *_F3
     (["--format", "machine", "distinguish", "B2: 1 1 1", "B1:", "m=1", "n=1"], EXIT_FAIL,
      "distinguish-trefoil-unknot-m1-n1.machine"),
     (_CAPPED_F3, EXIT_OK, "surgery-F3-capped-route.text"),
+    # recorded before these commands became scenario builtins
+    (["alexander", "B2: 1 1 1", "B3: 1 -2 1 -2"], EXIT_OK,
+     "alexander-trefoil-figure-eight.text"),
+    (["--format", "machine", "alexander", "family", "count=5"], EXIT_OK,
+     "alexander-family-count-5.machine"),
+    (["snf", "2 4; 6 8"], EXIT_OK, "snf-2-4-6-8.text"),
+    (["--format", "machine", "snf", "2 4; 6 8"], EXIT_OK, "snf-2-4-6-8.machine"),
+    (["actions", "m=3", "n=2", "k=1", "count=3"], EXIT_OK, "actions-m3-n2-k1-count3.text"),
+    (["verify", "nodal", "d1=2", "d2=4"], EXIT_OK, "verify-nodal-d1-2-d2-4.text"),
 ])
 def test_cli_output_pinned_to_file(capsys, argv, code, pinned):
     """Whole reports recorded from the command line, byte for byte."""
@@ -661,12 +703,16 @@ def test_cli_bounds_flag_overrides_only_its_own_scenario_bound(tmp_path, capsys,
     assert free in lines["checks[1] group"][1]
 
 
-def test_cli_rejects_nonpositive_bounds(capsys):
+def test_cli_rejects_nonpositive_bounds(tmp_path, capsys):
+    """Flags and a scenario's `bounds` are refused by the one range rule of `Bounds`."""
     for flags in (["--bounds-cosets", "0"], ["--bounds-rules", "-1"]):
         assert main(flags + ["verify", "tori", "m=1", "n=1"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bounds must be >= 1\n"
+    _assert_usage_errors(tmp_path, capsys, [
+        ({"bounds": {"cosets": 0}, "checks": []}, "error: PATH: bounds must be >= 1\n"),
+        ({"bounds": {"rules": "-1"}, "checks": []}, "error: PATH: bounds must be >= 1\n")])
 
 
 def test_cli_flags_after_subcommand(capsys):
@@ -925,9 +971,9 @@ def test_cli_scenario_rejects_non_integer_numbers(tmp_path, capsys):
     case = {"tag": "F3", "m": 3, "n": 2.0, "k": 1}
     cases = [
         ({"bounds": {"cosets": 2.5, "rules": True}, "checks": [tori]},
-         "error: PATH: bounds must be integers >= 1\n"),
+         "error: PATH: bounds must be integers\n"),
         ({"bounds": {"cosets": 100, "rules": True}, "checks": []},
-         "error: PATH: bounds must be integers >= 1\n"),
+         "error: PATH: bounds must be integers\n"),
         ({"checks": [tori]}, "error: checks[0]: m must be an integer\n"),
         ({"checks": [{"builtin": "tori", "params": {"m": 2, "n": True}}]},
          "error: checks[0]: n must be an integer\n"),
