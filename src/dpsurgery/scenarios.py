@@ -15,19 +15,24 @@ Builtins reproduce the reference configurations and the paper's claims:
 
 ``BUILTINS`` maps each name to its runner.  Nodal, rational and tori run the
 surgery pipeline when ``k=`` or ``knot=`` is given (twist 0, trefoil
-``B2: 1 1 1`` by default).  ``take_params`` and ``parse_knot`` check every
-parameter, from argv and JSON alike, before any computation; ``surgery`` and
-scenario ``case`` blocks check a case's fields, by the specs of its builtin,
-and its twist in one call of ``_take_case``.
+``B2: 1 1 1`` by default).  ``take_params`` is the one check of every input
+field: builtin params from argv and JSON, and each block of a scenario file.
+``surgery`` and scenario ``case`` blocks check a case's tag, fields (by the
+specs of its builtin) and twist in one call of ``_take_case``, and
+``_admit`` alone decides whether a case describes the surgery at its double
+point.  All of it runs before any computation.
 
 A scenario file is a JSON object `{"bounds": {...}, "checks": [entry, ...]}`
 where each entry either names a builtin (`{"builtin": ..., "params": {...}}`)
-or describes a configuration inline; see the README for the schema.
+or describes a configuration inline; see the README for the schema.  A
+refusal reads ``<where>: <block>: <rule>``: the file for the top level,
+``bounds`` and each ``checks[i]``, and ``checks[i]`` for the blocks inside.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from functools import partial
 from math import gcd
 
@@ -40,7 +45,7 @@ from .knots import BraidWord, knot_group_from_braid, parse_int
 from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix, \
     parse_presentation
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
-from .snf import element_order_in_cokernel, mat_mul, smith_normal_form
+from .snf import cokernel_invariants, mat_mul, smith_normal_form
 from .surgery import CASE_FIELDS, CaseParams, SurgerySpec, case_presentation, \
     check_case_hypothesis, on_unsimplified, surgered_components, surgered_presentation, \
     verify_group_preserved
@@ -126,53 +131,60 @@ BUILTIN_CONFIGURATIONS = {
 
 # -- parameter handling -------------------------------------------------------
 
-def _integer(value) -> int | None:
-    """`value` as an int: an int, or a string that `parse_int` reads, as argv
-    gives them.
+# a `take_params` kind is int, str, bool or dict (a JSON object), or [kind]
+# for a list of that kind; its name in a refusal, singular and plural
+_KIND_NAMES = {int: ("an integer", "integers"), str: ("a string", "strings"),
+               bool: ("a boolean", "booleans"), dict: ("an object", "objects")}
 
-    None for anything else; a JSON float or boolean is never truncated.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
+
+def _kind_name(kind, plural: bool = False) -> str:
+    if isinstance(kind, list):
+        return f"{'lists' if plural else 'a list'} of {_kind_name(kind[0], True)}"
+    return _KIND_NAMES[kind][plural]
+
+
+def _read(value, kind):
+    """`value` as `kind`, or None.  An integer is an int or a string that
+    `parse_int` reads, as argv gives them; nothing else is converted, so a
+    JSON float or boolean is never truncated and a number is not a string."""
+    if isinstance(kind, list):
+        items = [_read(item, kind[0]) for item in value] if isinstance(value, list) else [None]
+        return None if any(item is None for item in items) else items
+    if kind is int and isinstance(value, str):
         try:
             return parse_int(value)
         except ValueError:
-            pass
-    return None
+            return None
+    boolean = isinstance(value, bool) and kind is not bool
+    return value if isinstance(value, kind) and not boolean else None
 
 
 def take_params(params: dict, spec: dict[str, tuple]) -> dict:
-    """Validate params against {name: (kind, default, predicate, description)}.
+    """Check params against {name: (kind, default, predicate, description)};
+    a default of None makes the field required.
 
-    The one parameter check of both front ends: argv values arrive as
-    strings, scenario JSON values as JSON types.
+    The one check of every input field: builtin params from argv (strings)
+    or JSON, and each block of a scenario file.  Every refusal is listed.
     """
-    problems = []
-    for key in params:
-        if key not in spec:
-            problems.append(f"unknown parameter {key!r}")
+    if not isinstance(params, dict):
+        raise ParamError(f"must be {_kind_name(dict)}")
+    problems = [f"unknown parameter {key!r}" for key in params if key not in spec]
     out = {}
     for name, (kind, default, predicate, description) in spec.items():
         if name in params:
-            value = params[name]
-            if kind is int:
-                value = _integer(value)
-                if value is None:
-                    problems.append(f"{name} must be an integer")
-                    continue
-            elif kind is str:
-                value = str(value)
-            elif not isinstance(value, kind):
-                problems.append(f"{name} must be a {kind.__name__}")
+            value = _read(params[name], kind)
+            if value is None:
+                problems.append(f"{name} must be {_kind_name(kind)}")
                 continue
+        elif default is None:
+            problems.append(f"missing required parameter {name!r}")
+            continue
         else:
-            if default is None:
-                problems.append(f"missing required parameter {name!r}")
-                continue
             value = default
         if predicate is not None and not predicate(value):
-            problems.append(f"{name}={value!r} out of range: {description}")
+            # a list is named, not quoted: it can be long
+            shown = name if isinstance(value, list) else f"{name}={value!r}"
+            problems.append(f"{shown} out of range: {description}")
             continue
         out[name] = value
     if problems:
@@ -180,10 +192,10 @@ def take_params(params: dict, spec: dict[str, tuple]) -> dict:
     return out
 
 
-def parse_knot(text) -> BraidWord:
+def parse_knot(text: str) -> BraidWord:
     """A braid word whose closure is a knot, or ParamError."""
     try:
-        braid = BraidWord.parse(str(text))
+        braid = BraidWord.parse(text)
     except ValueError as err:
         raise ParamError(str(err)) from None
     if not braid.is_knot_closure():
@@ -213,6 +225,10 @@ SURGERY_CASES = {"F1": ("nodal", ("d2",), {"d1": 1}),
                  "F2": ("rational", ("p", "q"), {}),
                  "F3": ("tori", ("m", "n"), {})}
 _CASE_OF = {builtin: tag for tag, (builtin, _, _) in SURGERY_CASES.items()}
+# the one rule for a case tag, at argv's `case=` and a case block's "tag"
+_CASE_TAG = (str, None, lambda v: v.upper() in SURGERY_CASES, "one of " + ", ".join(
+    f"{tag} (with {' '.join(f'{field}=' for field in fields)})"
+    for tag, fields in CASE_FIELDS.items()))
 
 
 def _default(spec: tuple, value) -> tuple:
@@ -220,13 +236,43 @@ def _default(spec: tuple, value) -> tuple:
     return (spec[0], value) + spec[2:]
 
 
-def _take_case(tag: str, params: dict, specs: dict) -> tuple[CaseParams, dict]:
-    """One `take_params` call on `specs`, the case's fields (by their
-    builtin's specs) and its twist `k`: the case and the checked parameters."""
+def _take_case(params: dict, key: str, specs: dict) -> tuple[CaseParams, dict]:
+    """One `take_params` call on the case tag at `key`, `specs`, the tag's
+    fields (by their builtin's specs) and its twist `k`: the case and the
+    checked parameters."""
+    tag = params.get(key)
+    if not (isinstance(tag, str) and tag.upper() in SURGERY_CASES):
+        # refused by the tag rule alone: an unknown tag names no fields
+        take_params({key: tag} if key in params else {}, {key: _CASE_TAG})
+    tag = tag.upper()
     builtin, names, _ = SURGERY_CASES[tag]
     fields = {field: EXAMPLE_PARAMS[builtin][name] for field, name in zip(CASE_FIELDS[tag], names)}
-    p = take_params(params, {**specs, **fields, "k": SURGERY_PARAMS["k"]})
-    return CaseParams(tag, p["k"], **{field: p[field] for field in CASE_FIELDS[tag]}), p
+    p = take_params(params, {key: _CASE_TAG, **specs, **fields, "k": SURGERY_PARAMS["k"]})
+    return CaseParams(tag, p["k"], **{field: p[field] for field in fields}), p
+
+
+def _admit(case: CaseParams, config: Configuration, point: int, twist: int) -> None:
+    """The one rule for whether `case` describes the surgery with `twist` at
+    double point `point` of `config`, checked before any computation: its
+    group claim holds only for its own twist and for its base relations on
+    the meridians of the point's two components.  With two components, equal
+    lattices give the case's target as the complement H1."""
+    if len(config.components) != 2:
+        raise ParamError(f"case {case.describe()} needs a two-component configuration, "
+                         f"not {len(config.components)} components")
+    if case.k != twist:
+        raise ParamError(f"case k={case.k} differs from twist {twist}")
+    if not config.ambient.simply_connected:
+        raise ParamError(f"case {case.describe()} needs a simply connected ambient manifold")
+    a, b, _ = config.double_points[point]
+    base, meridians = exponent_matrix(case.base_presentation()), meridian_relations(config, (a, b))
+    # lattices L1, L2 are equal when Z^2 / L1, Z^2 / L2 and Z^2 / (L1 + L2)
+    # are isomorphic: a surjection between isomorphic finitely generated
+    # abelian groups is injective
+    if not (cokernel_invariants(base, 2) == cokernel_invariants(base + meridians, 2)
+            == cokernel_invariants(meridians, 2)):
+        raise ParamError(f"case {case.describe()} does not match the meridian relations "
+                         f"at double point {point}")
 
 
 def _title(name: str, ordered: list[tuple[str, object]]) -> str:
@@ -301,6 +347,8 @@ def _example_report(name: str, p: dict, surgery_title: list,
     """The checks of configuration builtin `name` at its checked parameters
     `p`; with `surgery`, a (knot, case) pair, those of that surgery after them."""
     config = BUILTIN_CONFIGURATIONS[name](**p)
+    if surgery is not None:
+        _admit(surgery[1], config, 0, surgery[1].k)
     homology = complement_h1(config)
     expected = _expected_homology(name, p)
     lines = [CheckLine("homology", PASS if homology == expected else FAIL,
@@ -322,10 +370,7 @@ def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
         return _example_report(name, p, [], None, bounds)
     knot = parse_knot(knot_text)
     tag = _CASE_OF[name]
-    _, names, fixed = SURGERY_CASES[tag]
-    for key, value in fixed.items():
-        if p[key] != value:
-            raise ParamError(f"surgery on the {name} configuration needs {key}={value}")
+    names = SURGERY_CASES[tag][1]
     case = CaseParams(tag, k, **{field: p[key] for field, key in zip(CASE_FIELDS[tag], names)})
     surgery_title = [("k", k)] + ([("knot", knot_text)] if "knot" in params else [])
     return _example_report(name, p, surgery_title, (knot, case), bounds)
@@ -334,16 +379,10 @@ def _run_example(name: str, params: dict, bounds: Bounds) -> Report:
 def _run_surgery(params: dict, bounds: Bounds) -> Report:
     """One twisted surgery, run by the builtin of its case with the case's
     fixed parameters; the knot always shows in the title."""
-    tag = str(params.get("case", "")).upper()
-    if tag not in SURGERY_CASES:
-        cases = [f"{name} (with {' '.join(f'{field}=' for field in fields)})"
-                 for name, fields in CASE_FIELDS.items()]
-        raise ParamError(f"surgery needs case={', '.join(cases[:-1])} or {cases[-1]}")
-    case, p = _take_case(tag, params, {"case": (str, None, None, ""),
-                                       "knot": SURGERY_PARAMS["knot"]})
+    case, p = _take_case(params, "case", {"knot": SURGERY_PARAMS["knot"]})
     knot = parse_knot(p["knot"])
-    builtin, names, fixed = SURGERY_CASES[tag]
-    values = {**fixed, **{name: p[field] for field, name in zip(CASE_FIELDS[tag], names)}}
+    builtin, names, fixed = SURGERY_CASES[case.tag]
+    values = {**fixed, **{name: p[field] for field, name in zip(CASE_FIELDS[case.tag], names)}}
     return _example_report(builtin, values, [("k", case.k), ("knot", p["knot"])],
                            (knot, case), bounds)
 
@@ -396,7 +435,7 @@ def _run_alexander(params: dict, bounds: Bounds) -> Report:
     """The polynomials of the closures of `braids`, or without them of the
     torus knot family K_1 .. K_count."""
     if "braids" in params:
-        braids = take_params(params, {"braids": (list, None, None, "")})["braids"]
+        braids = take_params(params, {"braids": ([str], None, None, "")})["braids"]
         if not braids:
             raise ParamError("alexander needs at least one braid word or 'family count=N'")
         title = "alexander"
@@ -414,7 +453,7 @@ def _run_alexander(params: dict, bounds: Bounds) -> Report:
 
 
 def _run_distinguish(params: dict, bounds: Bounds) -> Report:
-    p = take_params(params, {"braids": (list, None, lambda v: len(v) == 2, "two braid words"),
+    p = take_params(params, {"braids": ([str], None, lambda v: len(v) == 2, "two braid words"),
                              "m": _default(_M, 3), "n": _default(_N, 2)})
     knot1, knot2 = map(parse_knot, p["braids"])
     line = distinguish(knot1, knot2, tori_configuration(p["m"], p["n"]))
@@ -469,174 +508,90 @@ def run_builtin(name: str, params: dict, bounds: Bounds = DEFAULT_BOUNDS) -> Rep
 
 # -- scenario files -----------------------------------------------------------
 
-def _json_object(value, what: str, fields: tuple[str, ...] | None = None) -> dict:
-    """`value` as a JSON object; with `fields`, a key outside them is refused."""
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{what} must be an object")
-    if fields is not None:
-        for key in value:
-            if key not in fields:
-                raise ScenarioError(f"{what} has unknown field {key!r}")
-    return value
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{what} must be a list")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    number = _integer(value)
-    if number is None:
-        raise ScenarioError(f"{what} must be an integer")
-    return number
-
-
-def _json_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{what} must be a boolean")
-    return value
-
-
-def _json_ints(value, what: str, length: int | None = None) -> tuple[int, ...]:
-    if isinstance(value, list) and length in (None, len(value)):
-        numbers = tuple(map(_integer, value))
-        if None not in numbers:
-            return numbers
-    count = "" if length is None else f" {length}"
-    raise ScenarioError(f"{what} must be a list of{count} integers")
-
-
-def _configuration_from_json(data, where: str) -> Configuration:
-    """A Configuration from its JSON block; a field of the wrong type is named."""
-    data = _json_object(data, f"{where}: 'configuration'",
-                        ("ambient", "components", "double_points", "pi1", "symplectic_positive"))
+@contextmanager
+def _refusals(where: str, block: str, caught: type[Exception] = ValueError):
+    """A `caught` error raised inside is an input error of `block`, read as
+    `<where>: <block>: <rule>`; an inner block's refusal passes unchanged."""
     try:
-        ambient_data = _json_object(data["ambient"], f"{where}: 'ambient'",
-                                    ("name", "simply_connected", "form", "basis"))
-        form = tuple(_json_ints(row, f"{where}: each 'form' row")
-                     for row in _json_list(ambient_data["form"], f"{where}: 'form'"))
-        basis = _json_list(ambient_data.get("basis", [f"A{i + 1}" for i in range(len(form))]),
-                           f"{where}: 'basis'")
-        ambient = AmbientManifold(str(ambient_data.get("name", "ambient")),
-                                  _json_bool(ambient_data.get("simply_connected", True),
-                                             f"{where}: 'simply_connected'"),
-                                  form, tuple(str(x) for x in basis))
-        comps = []
-        for i, c in enumerate(_json_list(data["components"], f"{where}: 'components'")):
-            at = f"{where}: components[{i}]"
-            c = _json_object(c, at, ("label", "genus", "class"))
-            comps.append(SurfaceComponent(str(c.get("label", f"C{i + 1}")),
-                                          _json_int(c.get("genus", 0), f"{at} 'genus'"),
-                                          _json_ints(c["class"], f"{at} 'class'")))
-        points = tuple(_json_ints(point, f"{where}: each 'double_points' entry", 3)
-                       for point in _json_list(data.get("double_points", []),
-                                               f"{where}: 'double_points'"))
-        pi1 = None
-        if "pi1" in data:
-            pi1 = parse_presentation(str(data["pi1"]))
-        return Configuration(ambient, tuple(comps), points, pi1,
-                             _json_bool(data.get("symplectic_positive", False),
-                                        f"{where}: 'symplectic_positive'"))
-    except KeyError as err:
-        raise ScenarioError(f"{where}: missing field {err}") from None
+        yield
     except ScenarioError:
         raise
-    except ValueError as err:
-        raise ScenarioError(f"{where}: {err}") from None
+    except caught as err:
+        raise ScenarioError(f"{where}: {block}: {err}") from None
 
 
-def _case_from_json(data, where: str) -> CaseParams:
-    """A case block, its fields checked as `surgery case=` checks them on argv."""
-    data = _json_object(data, f"{where}: 'case'")
-    if "tag" not in data:
-        raise ScenarioError(f"{where}: case needs field 'tag'")
-    tag = str(data["tag"]).upper()
-    if tag not in SURGERY_CASES:
-        raise ScenarioError(f"{where}: unknown case tag {data['tag']!r}")
-    fields = {key: value for key, value in data.items() if key != "tag"}
-    try:
-        return _take_case(tag, fields, {})[0]
-    except ParamError as err:
-        raise ScenarioError(f"{where}: case: {err}") from None
+def _block(data, spec: dict, where: str, block: str) -> dict:
+    """One scenario block checked by one `take_params` call."""
+    with _refusals(where, block, ParamError):
+        return take_params(data, spec)
 
 
-def _expected_group(wanted: dict, field: str, where: str) -> AbelianGroup:
-    if not isinstance(wanted[field], str):
-        raise ScenarioError(f"{where}: {field!r} must be a string")
-    try:
-        return AbelianGroup.parse(wanted[field])
-    except ValueError as err:
-        raise ScenarioError(f"{where}: {err}") from None
+# optional text fields: read only when the block gives them
+_TEXT = (str, "", None, "")
 
 
-def _complement_h1(config: Configuration, what: str) -> AbelianGroup:
-    if not config.ambient.simply_connected:
-        raise ScenarioError(f"{what} needs a simply connected ambient manifold")
-    return complement_h1(config)
+def _configuration_from_json(data: dict, where: str) -> Configuration:
+    """A Configuration from its JSON block and the blocks inside it."""
+    c = _block(data, {"ambient": (dict, None, None, ""), "components": ([dict], None, None, ""),
+                      "double_points": ([[int]], [], lambda v: all(len(p) == 3 for p in v),
+                                        "each double point is [component, component, sign]"),
+                      "pi1": _TEXT, "symplectic_positive": (bool, False, None, "")},
+               where, "configuration")
+    a = _block(c["ambient"], {"name": (str, "ambient", None, ""),
+                              "simply_connected": (bool, True, None, ""),
+                              "form": ([[int]], None, None, ""), "basis": ([str], [], None, "")},
+               where, "ambient")
+    components = [_block(comp, {"label": (str, f"C{i + 1}", None, ""),
+                                "genus": (int, 0, None, ""), "class": ([int], None, None, "")},
+                         where, f"components[{i}]")
+                  for i, comp in enumerate(c["components"])]
+    if "basis" not in c["ambient"]:
+        a["basis"] = [f"A{i + 1}" for i in range(len(a["form"]))]
+    with _refusals(where, "configuration"):
+        return Configuration(
+            AmbientManifold(a["name"], a["simply_connected"], a["form"], a["basis"]),
+            tuple(SurfaceComponent(comp["label"], comp["genus"], comp["class"])
+                  for comp in components),
+            c["double_points"], parse_presentation(c["pi1"]) if "pi1" in data else None,
+            c["symplectic_positive"])
 
 
-def _same_lattice(rows1: list[list[int]], rows2: list[list[int]]) -> bool:
-    """Whether two relation matrices on the same two meridians span the same
-    lattice: every row of each lies in the row space of the other."""
-    return all(element_order_in_cokernel(span, 2, row) == 1
-               for span, rows in ((rows1, rows2), (rows2, rows1)) for row in rows)
+def _case_from_json(data: dict, where: str) -> CaseParams:
+    """A case block, read as `surgery case=` reads its params."""
+    with _refusals(where, "case", ParamError):
+        return _take_case(data, "tag", {})[0]
 
 
-def _run_configuration_entry(entry: dict, index: int, bounds: Bounds) -> list[CheckLine]:
-    where = f"checks[{index}]"
+def _run_configuration_entry(entry: dict, where: str, bounds: Bounds) -> list[CheckLine]:
     config = _configuration_from_json(entry["configuration"], where)
+    verify = entry.get("verify", {})
+    wanted = _block(verify, {"homology": _TEXT, "group": _TEXT}, where, "verify")
+    with _refusals(where, "verify"):
+        expected = {field: AbelianGroup.parse(wanted[field]) for field in verify}
+        if "homology" in expected and not config.ambient.simply_connected:
+            raise ParamError("homology needs a simply connected ambient manifold")
+        if "group" in expected and config.pi1 is None:
+            raise ParamError("group needs a pi1 presentation")
     lines: list[CheckLine] = []
-    wanted = _json_object(entry.get("verify", {}), f"{where}: 'verify'", ("homology", "group"))
-    if "homology" in wanted:
-        computed = _complement_h1(config, f"{where}: 'homology'")
-        expected = _expected_group(wanted, "homology", where)
+    if "homology" in expected:
+        computed = complement_h1(config)
         lines.append(CheckLine(f"{where} homology",
-                               PASS if computed == expected else FAIL,
-                               (f"complement H1 = {computed}, expected {expected}",)))
-    if "group" in wanted:
-        if config.pi1 is None:
-            raise ScenarioError(f"{where}: group check needs a pi1 presentation")
-        expected = _expected_group(wanted, "group", where)
-        verdict = verify_abelian_isomorphism(config.pi1, expected, bounds)
+                               PASS if computed == expected["homology"] else FAIL,
+                               (f"complement H1 = {computed}, expected {expected['homology']}",)))
+    if "group" in expected:
+        verdict = verify_abelian_isomorphism(config.pi1, expected["group"], bounds)
         lines.append(line_from_verdict(f"{where} group", verdict))
     if "surgery" in entry:
-        s = _json_object(entry["surgery"], f"{where}: 'surgery'",
-                         ("point", "knot", "twist", "case"))
-        try:
-            point = _json_int(s["point"], f"{where}: surgery 'point'")
-            knot = parse_knot(s["knot"])
-            twist = _json_int(s["twist"], f"{where}: surgery 'twist'")
+        s = _block(entry["surgery"], {"point": (int, None, None, ""), "knot": (str, None, None, ""),
+                                      "twist": (int, None, None, ""), "case": (dict, {}, None, "")},
+                   where, "surgery")
+        with _refusals(where, "surgery"):
             # the spec checks the point index
-            spec = SurgerySpec(config, point, knot, twist)
-            case = _case_from_json(s["case"], where) if "case" in s else None
-        except KeyError as err:
-            raise ScenarioError(f"{where}: surgery needs field {err}") from None
-        except ScenarioError:
-            raise
-        except ValueError as err:
-            raise ScenarioError(f"{where}: {err}") from None
-        if case is not None:
-            # the case's group claim holds only for its own twist and for
-            # its base relations on the meridians of the point's components
-            if len(config.components) != 2:
-                raise ScenarioError(f"{where}: surgery case {case.describe()} needs a "
-                                    f"two-component configuration, not "
-                                    f"{len(config.components)} components")
-            if case.k != twist:
-                raise ScenarioError(f"{where}: surgery case k={case.k} differs from "
-                                    f"twist {twist}")
-            homology = _complement_h1(config, f"{where}: surgery 'case'")
-            if case.target() != homology:
-                raise ScenarioError(f"{where}: surgery case {case.describe()} needs "
-                                    f"complement H1 {case.target()}, not {homology}")
-            a, b, _ = config.double_points[point]
-            if not _same_lattice(exponent_matrix(case.base_presentation()),
-                                 meridian_relations(config, (a, b))):
-                raise ScenarioError(f"{where}: surgery case {case.describe()} does not "
-                                    f"match the meridian relations at double point {point}")
-        # outside the try: a ValueError of the engine is not an input error
+            spec = SurgerySpec(config, s["point"], parse_knot(s["knot"]), s["twist"])
+            case = _case_from_json(s["case"], where) if "case" in entry["surgery"] else None
+            if case is not None:
+                _admit(case, config, spec.point, spec.twist)
+        # outside the refusals: a ValueError of the engine is not an input error
         lines.extend(CheckLine(f"{where} {line.name}", line.verdict, line.evidence)
                      for line in _surgery_lines(spec, case, bounds))
     return lines
@@ -662,36 +617,33 @@ def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
         data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ScenarioError(f"{source}: line {err.lineno} column {err.colno}: {err.msg}") from None
-    _json_object(data, f"{source}: top level", ("bounds", "checks"))
-    bounds_data = _json_object(data.get("bounds", {}), f"{source}: 'bounds'", ("cosets", "rules"))
-    bounds_data = {**bounds_data, **(overrides or {})}
-    cosets = _integer(bounds_data.get("cosets", DEFAULT_BOUNDS.max_cosets))
-    rules = _integer(bounds_data.get("rules", DEFAULT_BOUNDS.max_rules))
-    if cosets is None or rules is None:
-        raise ScenarioError(f"{source}: bounds must be integers")
+    top = _block(data, {"bounds": (dict, {}, None, ""), "checks": ([dict], [], None, "")},
+                 source, "top level")
+    b = _block({**top["bounds"], **(overrides or {})},
+               {"cosets": (int, DEFAULT_BOUNDS.max_cosets, None, ""),
+                "rules": (int, DEFAULT_BOUNDS.max_rules, None, "")}, source, "bounds")
     try:
-        bounds = Bounds(cosets, rules)
+        bounds = Bounds(b["cosets"], b["rules"])
     except ValueError as err:
         raise ScenarioError(f"{source}: {err}") from None
-    checks = _json_list(data.get("checks", []), f"{source}: 'checks'")
 
     reports: list[Report] = []
     extra_lines: list[CheckLine] = []
-    for index, entry in enumerate(checks):
+    for index, entry in enumerate(top["checks"]):
         where = f"checks[{index}]"
-        entry = _json_object(entry, where)
         if "builtin" in entry:
-            _json_object(entry, where, ("builtin", "params"))
-            params = _json_object(entry.get("params", {}), f"{where}: 'params'")
-            try:
-                reports.append(run_builtin(str(entry["builtin"]), params, bounds))
-            except ParamError as err:
-                raise ScenarioError(f"{where}: {err}") from None
+            e = _block(entry, {"builtin": (str, None, BUILTINS.__contains__,
+                                           f"one of {', '.join(BUILTINS)}"),
+                               "params": (dict, {}, None, "")}, source, where)
+            with _refusals(where, "params", ParamError):
+                reports.append(run_builtin(e["builtin"], e["params"], bounds))
         elif "configuration" in entry:
-            _json_object(entry, where, ("configuration", "verify", "surgery"))
-            extra_lines.extend(_run_configuration_entry(entry, index, bounds))
+            _block(entry, {"configuration": (dict, None, None, ""),
+                           "verify": (dict, {}, None, ""), "surgery": (dict, {}, None, "")},
+                   source, where)
+            extra_lines.extend(_run_configuration_entry(entry, where, bounds))
         else:
-            raise ScenarioError(f"{where}: needs 'builtin' or 'configuration'")
+            raise ScenarioError(f"{source}: {where}: needs 'builtin' or 'configuration'")
 
     if len(reports) == 1 and not extra_lines:
         return reports[0]
@@ -700,7 +652,7 @@ def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
         lines.extend(CheckLine(f"{rep.title} :: {line.name}", line.verdict, line.evidence)
                      for line in rep.lines)
     lines.extend(extra_lines)
-    return Report(f"scenario ({len(checks)} entries)", tuple(lines))
+    return Report(f"scenario ({len(top['checks'])} entries)", tuple(lines))
 
 
 def run_scenario(path: str, overrides: dict[str, int] | None = None) -> Report:

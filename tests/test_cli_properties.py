@@ -258,7 +258,7 @@ def test_argv_never_escapes_the_exit_codes(argv):
 
 
 # a refusal of argv and of JSON says the same after the scenario's prefix
-_PREFIX = re.compile(r"^error: (checks\[0\]|scenario): ")
+_PREFIX = re.compile(r"^error: (checks\[0\]: params|scenario): ")
 
 
 def _same(argv: list[str], builtin: str, params: dict) -> tuple[list[str], str]:

@@ -1,5 +1,6 @@
 """Builtins, scenario files and the command line surface."""
 
+import itertools
 import json
 import os
 
@@ -53,7 +54,7 @@ def test_unknown_builtin_and_bad_params():
     with pytest.raises(ParamError):
         run_builtin("theorem-1-1", {"case": "ii", "p": 1, "q": 4, "k": 1})
     with pytest.raises(ParamError):
-        run_builtin("nodal", {"d1": 2, "d2": 3, "k": 1})  # surgery needs d1=1
+        run_builtin("nodal", {"d1": 2, "d2": 3, "k": 1})  # F1 is nodal with d1=1
 
 
 def test_scenario_reproduces_builtin_byte_for_byte():
@@ -113,11 +114,13 @@ def test_scenario_case_describing_its_surgery_runs_its_hypothesis():
 def test_scenario_parse_errors():
     with pytest.raises(ScenarioError, match="line"):
         run_scenario_text("{not json")
-    with pytest.raises(ScenarioError, match="top level has unknown field 'extra'"):
+    with pytest.raises(ScenarioError, match="^scenario: top level: unknown parameter 'extra'$"):
         run_scenario_text(json.dumps({"checks": [], "extra": 1}))
     with pytest.raises(ScenarioError, match="builtin"):
         run_scenario_text(json.dumps({"checks": [{"params": {}}]}))
-    with pytest.raises(ScenarioError, match="missing field"):
+    with pytest.raises(ScenarioError, match=r"^checks\[0\]: configuration: missing required "
+                                            r"parameter 'ambient'; missing required parameter "
+                                            r"'components'$"):
         run_scenario_text(json.dumps({"checks": [{"configuration": {}}]}))
     with pytest.raises(ScenarioError):
         run_scenario("/nonexistent/path.json")
@@ -214,8 +217,8 @@ def test_cli_usage_errors(capsys):
          f"error: 'not-a-builtin-or-file' is neither a builtin ({builtins}) "
          "nor an existing scenario file\n"),
         (["verify", "nodal", "d1=2"], "error: missing required parameter 'd2'\n"),
-        (["surgery", "case=F9"],
-         "error: surgery needs case=F1 (with d=), F2 (with p= q=) or F3 (with m= n=)\n"),
+        (["surgery", "case=F9"], "error: case='F9' out of range: one of F1 (with d=), "
+                                 "F2 (with p= q=), F3 (with m= n=)\n"),
         (["alexander", "B2: 1 1"],  # link, not knot
          "error: braid B2: 1 1 does not close to a knot\n"),
         (["snf", "1 2; 3"], "error: ragged matrix rows\n"),
@@ -332,7 +335,7 @@ def test_argv_and_case_blocks_read_case_fields_alike(tmp_path, capsys, monkeypat
         assert capsys.readouterr().err == \
             refused.err.replace("error: ", "error: checks[0]: case: ", 1)
 
-    assert main(["surgery"]) == EXIT_USAGE
+    assert main(["surgery", "case=F9"]) == EXIT_USAGE
     assert f"{tag} (with {' '.join(f'{key}=' for key in CASE_FIELDS[tag])})" \
         in capsys.readouterr().err
 
@@ -376,8 +379,23 @@ def test_builtin_params_checked_before_computation(monkeypatch):
     monkeypatch.setattr(scenarios, "complement_h1", computed)
     with pytest.raises(ParamError, match="does not close to a knot"):
         run_builtin("tori", {"m": 16, "n": 17, "knot": "B2: 1 1"})
-    with pytest.raises(ParamError, match="needs d1=1"):
+    with pytest.raises(ParamError, match=r"^case F1\(d=3, k=1\) does not match the meridian "
+                                         r"relations at double point 0$"):
         run_builtin("nodal", {"d1": 2, "d2": 3, "k": 1})
+
+
+def test_admission_refuses_the_builtin_surgeries_the_fixed_d1_refused(monkeypatch, capsys):
+    """`verify nodal|rational|tori ... k=` runs its surgery exactly when the
+    case describes double point 0: nodal only with d1=1, as when F1 fixed
+    d1=1, rational and tori always."""
+    monkeypatch.setattr(scenarios, "_surgery_lines", lambda spec, case, bounds: [])
+    for d1, d2, k in itertools.product(range(1, 5), range(1, 5), (0, 1)):
+        code = main(["verify", "nodal", f"d1={d1}", f"d2={d2}", f"k={k}"])
+        assert (code == EXIT_USAGE) == (d1 != 1), (d1, d2, k)
+    for (name, keys), a, b in itertools.product((("rational", "pq"), ("tori", "mn")),
+                                                range(1, 4), range(1, 5)):
+        assert main(["verify", name, f"{keys[0]}={a}", f"{keys[1]}={b}", "k=1"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def _broken(*args, **kwargs):
@@ -866,49 +884,50 @@ def test_cli_scenario_input_errors_name_the_entry(tmp_path, capsys):
 
     cases = [
         ({"checks": [{"builtin": "tori", "params": [1, 2]}]},
-         "error: checks[0]: 'params' must be an object\n"),
+         "error: PATH: checks[0]: params must be an object\n"),
         ({"checks": [{"builtin": "tori", "params": {"m": 1, "n": 1}},
                      {"configuration": spheres,
                       "surgery": {"point": 7, "knot": "B2: 1 1 1", "twist": 1}}]},
-         "error: checks[1]: double point index 7 out of range\n"),
-        # a case's group claim is about its own twist and its own base group
-        (custom_spheres(twist=2), "error: checks[0]: surgery case k=1 differs from twist 2\n"),
+         "error: checks[1]: surgery: double point index 7 out of range\n"),
+        # a case's group claim is about its own twist and its own base group;
+        # F3(5,7) has H1 Z_35, not Z_6, so its relations span another lattice
+        (custom_spheres(twist=2), "error: checks[0]: surgery: case k=1 differs from twist 2\n"),
         (custom_spheres(case={"tag": "F3", "m": 5, "n": 7, "k": 1}),
-         "error: checks[0]: surgery case F3(m=5, n=7, k=1) needs complement H1 Z_35, "
-         "not Z_6\n"),
+         "error: checks[0]: surgery: case F3(m=5, n=7, k=1) does not match the meridian "
+         "relations at double point 0\n"),
         # F3(2,3) has the H1 Z_6 too, but its mu1 has order 2 and the point's
         # first component S_m has a meridian of order 3
         (custom_spheres(twist=3, case={"tag": "F3", "m": 2, "n": 3, "k": 3}),
-         "error: checks[0]: surgery case F3(m=2, n=3, k=3) does not match the meridian "
+         "error: checks[0]: surgery: case F3(m=2, n=3, k=3) does not match the meridian "
          "relations at double point 0\n"),
-        (three_components, "error: checks[0]: surgery case F3(m=3, n=2, k=1) needs a "
+        (three_components, "error: checks[0]: surgery: case F3(m=3, n=2, k=1) needs a "
                            "two-component configuration, not 3 components\n"),
         # an unknown key is refused in every block, never silently dropped
-        (misspelt("checks"), "error: PATH: top level has unknown field 'checksx'\n"),
+        (misspelt("checks"), "error: PATH: top level: unknown parameter 'checksx'\n"),
         ({"bounds": {"coset": 50}, "checks": []},
-         "error: PATH: 'bounds' has unknown field 'coset'\n"),
+         "error: PATH: bounds: unknown parameter 'coset'\n"),
         ({"checks": [{"builtin": "tori", "parms": {"m": 1, "n": 1}}]},
-         "error: checks[0] has unknown field 'parms'\n"),
-        (misspelt("checks", 0, "verify"), "error: checks[0] has unknown field 'verifyx'\n"),
+         "error: PATH: checks[0]: unknown parameter 'parms'\n"),
+        (misspelt("checks", 0, "verify"), "error: PATH: checks[0]: unknown parameter 'verifyx'\n"),
         (misspelt("checks", 0, "configuration", "pi1"),
-         "error: checks[0]: 'configuration' has unknown field 'pi1x'\n"),
+         "error: checks[0]: configuration: unknown parameter 'pi1x'\n"),
         (misspelt("checks", 0, "configuration", "ambient", "basis"),
-         "error: checks[0]: 'ambient' has unknown field 'basisx'\n"),
+         "error: checks[0]: ambient: unknown parameter 'basisx'\n"),
         (misspelt("checks", 0, "configuration", "components", 1, "genus"),
-         "error: checks[0]: components[1] has unknown field 'genusx'\n"),
+         "error: checks[0]: components[1]: unknown parameter 'genusx'\n"),
         (misspelt("checks", 0, "verify", "group"),
-         "error: checks[0]: 'verify' has unknown field 'groupx'\n"),
+         "error: checks[0]: verify: unknown parameter 'groupx'\n"),
         (misspelt("checks", 0, "surgery", "case"),
-         "error: checks[0]: 'surgery' has unknown field 'casex'\n"),
+         "error: checks[0]: surgery: unknown parameter 'casex'\n"),
         # the case block takes the fields of its own tag only
         (custom_spheres(case={"tag": "F3", "m": 3, "n": 2, "d": 2, "k": 1}),
          "error: checks[0]: case: unknown parameter 'd'\n"),
         # integer strings are read as on argv; a key given twice is refused
         ({"checks": [{"builtin": "tori", "params": {"m": "1_0", "n": 1}}]},
-         "error: checks[0]: m must be an integer\n"),
+         "error: checks[0]: params: m must be an integer\n"),
         ({"checks": [{"builtin": "tori", "params": {"m": "\u0663", "n": 1}}]},
-         "error: checks[0]: m must be an integer\n"),
-        (custom_spheres(twist=" 1"), "error: checks[0]: surgery 'twist' must be an integer\n"),
+         "error: checks[0]: params: m must be an integer\n"),
+        (custom_spheres(twist=" 1"), "error: checks[0]: surgery: twist must be an integer\n"),
         ('{"bounds": {"cosets": 5, "cosets": 100000}, "checks": []}',
          "error: PATH: duplicate key 'cosets'\n"),
         ('{"checks": [{"builtin": "tori", "params": {"m": 1, "n": 1, "m": 2}}]}',
@@ -939,14 +958,14 @@ def test_cli_scenario_rejects_malformed_group_text(tmp_path, capsys):
         return {"checks": [{"configuration": entry, "verify": {field: text}}]}
 
     cases = [
-        (verify("Z^-1 + Z_2"), "error: checks[0]: cannot parse abelian group term 'Z^-1'\n"),
-        (verify("Z^-1"), "error: checks[0]: cannot parse abelian group term 'Z^-1'\n"),
-        (verify(""), "error: checks[0]: empty abelian group text\n"),
-        (verify("Z^x"), "error: checks[0]: cannot parse abelian group term 'Z^x'\n"),
-        (verify("Z^x", "group"), "error: checks[0]: cannot parse abelian group term 'Z^x'\n"),
+        (verify("Z^-1 + Z_2"), "error: checks[0]: verify: cannot parse abelian group term 'Z^-1'\n"),
+        (verify("Z^-1"), "error: checks[0]: verify: cannot parse abelian group term 'Z^-1'\n"),
+        (verify(""), "error: checks[0]: verify: empty abelian group text\n"),
+        (verify("Z^x"), "error: checks[0]: verify: cannot parse abelian group term 'Z^x'\n"),
+        (verify("Z^x", "group"), "error: checks[0]: verify: cannot parse abelian group term 'Z^x'\n"),
         # a group is a JSON string: the number 0 is not read as the trivial group
-        (verify(0), "error: checks[0]: 'homology' must be a string\n"),
-        (verify(1, "group"), "error: checks[0]: 'group' must be a string\n"),
+        (verify(0), "error: checks[0]: verify: homology must be a string\n"),
+        (verify(1, "group"), "error: checks[0]: verify: group must be a string\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
 
@@ -971,18 +990,18 @@ def test_cli_scenario_rejects_non_integer_numbers(tmp_path, capsys):
     case = {"tag": "F3", "m": 3, "n": 2.0, "k": 1}
     cases = [
         ({"bounds": {"cosets": 2.5, "rules": True}, "checks": [tori]},
-         "error: PATH: bounds must be integers\n"),
+         "error: PATH: bounds: cosets must be an integer; rules must be an integer\n"),
         ({"bounds": {"cosets": 100, "rules": True}, "checks": []},
-         "error: PATH: bounds must be integers\n"),
-        ({"checks": [tori]}, "error: checks[0]: m must be an integer\n"),
+         "error: PATH: bounds: rules must be an integer\n"),
+        ({"checks": [tori]}, "error: checks[0]: params: m must be an integer\n"),
         ({"checks": [{"builtin": "tori", "params": {"m": 2, "n": True}}]},
-         "error: checks[0]: n must be an integer\n"),
+         "error: checks[0]: params: n must be an integer\n"),
         ({"checks": [{"builtin": "theorem-1-1", "params": {"case": "ii", "k": 1.5}}]},
-         "error: checks[0]: k must be an integer\n"),
+         "error: checks[0]: params: k must be an integer\n"),
         (component_class([1.7, 0]),
-         "error: checks[0]: components[0] 'class' must be a list of integers\n"),
-        (surgery(point=0.0), "error: checks[0]: surgery 'point' must be an integer\n"),
-        (surgery(twist=True), "error: checks[0]: surgery 'twist' must be an integer\n"),
+         "error: checks[0]: components[0]: class must be a list of integers\n"),
+        (surgery(point=0.0), "error: checks[0]: surgery: point must be an integer\n"),
+        (surgery(twist=True), "error: checks[0]: surgery: twist must be an integer\n"),
         (surgery(case=case), "error: checks[0]: case: n must be an integer\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
@@ -1005,27 +1024,43 @@ def test_cli_scenario_wrong_type_fields_are_named(tmp_path, capsys):
     non_simply_connected["ambient"]["simply_connected"] = False
     cases = [
         ({"checks": [{"configuration": {"ambient": {"form": form}, "components": 5}}]},
-         "error: checks[0]: 'components' must be a list\n"),
-        (configuration(ambient=[form]), "error: checks[0]: 'ambient' must be an object\n"),
-        (configuration(ambient={"form": 3}), "error: checks[0]: 'form' must be a list\n"),
+         "error: checks[0]: configuration: components must be a list of objects\n"),
+        (configuration(ambient=[form]),
+         "error: checks[0]: configuration: ambient must be an object\n"),
+        (configuration(ambient={"form": 3}),
+         "error: checks[0]: ambient: form must be a list of lists of integers\n"),
         (configuration(ambient={"form": [[0, 1], 1]}),
-         "error: checks[0]: each 'form' row must be a list of integers\n"),
+         "error: checks[0]: ambient: form must be a list of lists of integers\n"),
         (configuration(components=[{"class": 7}, {"class": [0, 1]}]),
-         "error: checks[0]: components[0] 'class' must be a list of integers\n"),
+         "error: checks[0]: components[0]: class must be a list of integers\n"),
         (configuration(components=[{"class": [1, 0]}, "S2"]),
-         "error: checks[0]: components[1] must be an object\n"),
-        (configuration(double_points=7), "error: checks[0]: 'double_points' must be a list\n"),
+         "error: checks[0]: configuration: components must be a list of objects\n"),
+        (configuration(double_points=7),
+         "error: checks[0]: configuration: double_points must be a list of lists of integers\n"),
         (configuration(double_points=[[0, 1]]),
-         "error: checks[0]: each 'double_points' entry must be a list of 3 integers\n"),
+         "error: checks[0]: configuration: double_points out of range: each double "
+         "point is [component, component, sign]\n"),
         ({"checks": [{"configuration": [1]}]},
-         "error: checks[0]: 'configuration' must be an object\n"),
+         "error: PATH: checks[0]: configuration must be an object\n"),
         # booleans take JSON booleans; the string "false" is not false
         (configuration(ambient=dict(ambient, simply_connected="false")),
-         "error: checks[0]: 'simply_connected' must be a boolean\n"),
+         "error: checks[0]: ambient: simply_connected must be a boolean\n"),
         (configuration(symplectic_positive=1),
-         "error: checks[0]: 'symplectic_positive' must be a boolean\n"),
+         "error: checks[0]: configuration: symplectic_positive must be a boolean\n"),
         # complement H1 is defined here only for a simply connected ambient
         ({"checks": [{"configuration": non_simply_connected, "verify": {"homology": "0"}}]},
-         "error: checks[0]: 'homology' needs a simply connected ambient manifold\n"),
+         "error: checks[0]: verify: homology needs a simply connected ambient manifold\n"),
+        # text fields take JSON strings: a list is not read as its Python
+        # text (`bad matrix row '[[2, 4], [6, 8]]'`, the braid word
+        # "['B2: 1 1 1']"), nor the name 5 as "5"
+        ({"checks": [{"builtin": "snf", "params": {"matrix": [[2, 4], [6, 8]]}}]},
+         "error: checks[0]: params: matrix must be a string\n"),
+        ({"checks": [{"builtin": "tori", "params": {"m": 3, "n": 2, "knot": ["B2: 1 1 1"]}}]},
+         "error: checks[0]: params: knot must be a string\n"),
+        ({"checks": [{"configuration": _sphere_configuration_entry(),
+                      "surgery": {"point": 0, "knot": ["B2: 1 1 1"], "twist": 1}}]},
+         "error: checks[0]: surgery: knot must be a string\n"),
+        (configuration(ambient=dict(ambient, name=5)),
+         "error: checks[0]: ambient: name must be a string\n"),
     ]
     _assert_usage_errors(tmp_path, capsys, cases)
