@@ -1,78 +1,75 @@
-"""Alexander polynomials by Fox calculus on Wirtinger presentations.
+"""Alexander polynomials from the crossing matrix of a knot diagram.
 
-The Alexander matrix has one row per relator and one column per generator;
-entry (r, g) is the Fox derivative of relator r with respect to generator g,
-abelianized so every generator maps to t.  Dropping the last (redundant)
-relator and the meridian column leaves a square matrix whose determinant is
-the polynomial up to a unit.  The stored normal form is symmetric about
-degree zero with value +1 at t = 1; that choice makes coefficient multisets
-comparable across knots.
+The Alexander matrix has one row per crossing and one column per arc
+(J. W. Alexander, 1928; Lickorish, *An Introduction to Knot Theory*, ch. 6).
+A positive crossing puts 1 - t at its over arc, t at its incoming under arc
+and -1 at its outgoing one; a negative crossing, multiplied by the unit t,
+puts t - 1, 1 and -t.  Row by row this is the abelianized Fox matrix of the
+Wirtinger presentation up to a unit +-t^k, so every entry is a plain
+polynomial.  Dropping the last (redundant) crossing and the column of arc 0
+leaves a square matrix whose determinant is the polynomial up to a unit.
+The stored normal form is symmetric about degree zero with value +1 at
+t = 1; that choice makes coefficient multisets comparable across knots.
 
 The determinant is a fraction-free Bareiss elimination on the dense kernel
 of `laurent`: each update a_ij <- (a_ij a_kk - a_ik a_kj) / a_{k-1,k-1} is
-one multiply-accumulate and one exact division.  Fox matrices are sparse,
-so the update is skipped when a_ij = 0 and a_ik = 0 or a_kj = 0: its
-numerator is then the zero polynomial, and zero divided by the nonzero
+one multiply-accumulate and one exact division.  Crossing matrices are
+sparse, so the update is skipped when a_ij = 0 and a_ik = 0 or a_kj = 0:
+its numerator is then the zero polynomial, and zero divided by the nonzero
 previous pivot is exactly zero, so the skip changes no entry.  Each pivot
 is chosen by sparsity (Markowitz's rule): first the column with the fewest
 nonzero entries among the rows not yet eliminated, then, of its rows with a
 nonzero entry, the one with the fewest nonzero entries.  Each swap, of
 columns or of rows, flips the sign.  Pivoting on the diagonal lets the
-three-entry rows of a Fox matrix fill in; a sparse pivot leaves more
+three-entry rows of a crossing matrix fill in; a sparse pivot leaves more
 updates to skip.
 """
 
 from __future__ import annotations
 
-from .knots import BraidWord, KnotDiagram, KnotGroupData, braid_to_diagram, \
-    knot_group_from_braid, torus_knot, wirtinger_presentation
+from .knots import BraidWord, KnotDiagram, KnotGroupData, braid_to_diagram, torus_knot, \
+    wirtinger_presentation
 from .laurent import LaurentPoly, div_exact, mul_add
-from .words import Word
+
+# crossing sign -> entries at the over, incoming under and outgoing under arc
+_CROSSING_ENTRIES = {1: ([1, -1], [0, 1], [-1]), -1: ([-1, 1], [1], [0, -1])}
 
 
-def fox_derivative_row(relator: Word, ngens: int) -> list[LaurentPoly]:
-    """Abelianized Fox derivatives of one relator (every generator -> t)."""
-    row = [LaurentPoly.zero() for _ in range(ngens)]
-    exponent = 0
-    for x in relator.letters:
-        g = x >> 1
-        if x & 1:
-            exponent -= 1
-            row[g] = row[g] + LaurentPoly.term(-1, exponent)
-        else:
-            row[g] = row[g] + LaurentPoly.term(1, exponent)
-            exponent += 1
-    return row
+def alexander_matrix(d: KnotDiagram) -> list[list[list[int]]]:
+    """Crossing rows but the last, over the arcs but arc 0, as coefficient
+    lists (lowest degree first, `[]` for zero); where two arcs of a crossing
+    coincide their entries are summed."""
+    matrix = []
+    for c in d.crossings[:-1]:
+        row: list[list[int]] = [[] for _ in range(d.arcs)]
+        for arc, entry in zip((c.over, c.under_in, c.under_out), _CROSSING_ENTRIES[c.sign]):
+            mul_add(row[arc], 1, entry, [1])
+        matrix.append(row[1:])
+    return matrix
 
 
-def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant over Z[t, t^-1], exact, up to no unit at all.
+def laurent_determinant(matrix: list[list[list[int]]]) -> LaurentPoly:
+    """Determinant over Z[t] of a square matrix of coefficient lists (lowest
+    degree first, `[]` for zero), exact, as a `LaurentPoly` at degree 0.
 
-    Each row is first shifted to plain polynomials; the accumulated shift is
-    restored at the end.  Elimination is fraction-free (Bareiss), with exact
-    polynomial division at every step.  At step k the pivot column is, of
-    columns k..n-1, the one with the fewest nonzero entries in rows k..n-1
-    (then the lowest index); it swaps into position k in rows k..n-1,
-    flipping the sign.  With no nonzero entry in it the determinant is
-    zero.  The pivot row is then, of the rows k..n-1 with a nonzero entry
-    in column k, the one with the fewest nonzero entries in columns k..n-1
-    (then the shortest entry in column k, then the lowest index); it swaps
-    into position k, flipping the sign again.  Permuting the rows and
-    columns not yet eliminated keeps every entry a minor of the permuted
-    matrix, so every division stays exact.
+    The rows are copied; the entries are only read.  Elimination is
+    fraction-free (Bareiss), with exact polynomial division at every step.
+    At step k the pivot column is, of columns k..n-1, the one with the
+    fewest nonzero entries in rows k..n-1 (then the lowest index); it swaps
+    into position k in rows k..n-1, flipping the sign.  With no nonzero
+    entry in it the determinant is zero.  The pivot row is then, of the
+    rows k..n-1 with a nonzero entry in column k, the one with the fewest
+    nonzero entries in columns k..n-1 (then the shortest entry in column k,
+    then the lowest index); it swaps into position k, flipping the sign
+    again.  Permuting the rows and columns not yet eliminated keeps every
+    entry a minor of the permuted matrix, so every division stays exact.
     """
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one()
-    shift_total = 0
-    rows: list[list[list[int]]] = []
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
-        base = min((p.min_degree for p in row if p.coeffs), default=0)
-        shift_total += base
-        rows.append([[0] * (p.min_degree - base) + list(p.coeffs) if p.coeffs else []
-                     for p in row])
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    rows = [list(row) for row in matrix]
 
     sign = 1
     prev: list[int] = [1]
@@ -105,7 +102,7 @@ def laurent_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
             row[k] = []
         prev = a_kk
 
-    det = LaurentPoly.make(shift_total, rows[n - 1][n - 1])
+    det = LaurentPoly.make(0, rows[n - 1][n - 1])
     return -det if sign < 0 else det
 
 
@@ -131,16 +128,7 @@ def normalize_alexander(raw: LaurentPoly) -> LaurentPoly:
 
 def alexander_polynomial(d: KnotDiagram) -> LaurentPoly:
     """Normalized Alexander polynomial of a knot diagram."""
-    return wirtinger_alexander(wirtinger_presentation(d))
-
-
-def wirtinger_alexander(data: KnotGroupData) -> LaurentPoly:
-    """Normalized Alexander polynomial of a Wirtinger presentation."""
-    p = data.presentation
-    relators = p.relators[:-1] if p.relators else ()
-    # without the column of the meridian, generator 0
-    matrix = [fox_derivative_row(r, p.ngens)[1:] for r in relators]
-    return normalize_alexander(laurent_determinant(matrix))
+    return normalize_alexander(laurent_determinant(alexander_matrix(d)))
 
 
 def alexander_of_braid(b: BraidWord) -> LaurentPoly:
@@ -165,8 +153,9 @@ def knot_family(count: int) -> list[tuple[BraidWord, KnotGroupData, LaurentPoly]
     seen: dict[tuple[int, ...], int] = {}
     for r in range(1, count + 1):
         braid = torus_knot(r)
-        knot = knot_group_from_braid(braid)
-        delta = wirtinger_alexander(knot)
+        diagram = braid_to_diagram(braid)
+        knot = wirtinger_presentation(diagram)
+        delta = alexander_polynomial(diagram)
         multiset = coefficient_multiset(delta)
         if multiset in seen:
             raise RuntimeError(f"coefficient multiset collision between K_{seen[multiset]} "

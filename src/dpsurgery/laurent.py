@@ -49,12 +49,6 @@ class LaurentPoly:
     def one() -> "LaurentPoly":
         return LaurentPoly(0, (1,))
 
-    @staticmethod
-    def term(coeff: int, degree: int = 0) -> "LaurentPoly":
-        if coeff == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly(degree, (coeff,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -70,20 +64,6 @@ class LaurentPoly:
     def terms(self) -> list[tuple[int, int]]:
         """(degree, coefficient) pairs for nonzero coefficients, ascending."""
         return [(self.min_degree + i, c) for i, c in enumerate(self.coeffs) if c]
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.min_degree, other.min_degree)
-        hi = max(self.max_degree, other.max_degree)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_degree + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_degree + i - lo] += c
-        return LaurentPoly.make(lo, out)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.min_degree, tuple(-c for c in self.coeffs)) if self.coeffs else self

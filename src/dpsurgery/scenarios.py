@@ -240,10 +240,12 @@ def _take_case(params: dict, key: str, specs: dict) -> tuple[CaseParams, dict]:
     """One `take_params` call on the case tag at `key`, `specs`, the tag's
     fields (by their builtin's specs) and its twist `k`: the case and the
     checked parameters."""
-    tag = params.get(key)
+    if key not in params:
+        raise ParamError(f"missing required parameter {key!r}: {_CASE_TAG[3]}")
+    tag = params[key]
     if not (isinstance(tag, str) and tag.upper() in SURGERY_CASES):
         # refused by the tag rule alone: an unknown tag names no fields
-        take_params({key: tag} if key in params else {}, {key: _CASE_TAG})
+        take_params({key: tag}, {key: _CASE_TAG})
     tag = tag.upper()
     builtin, names, _ = SURGERY_CASES[tag]
     fields = {field: EXAMPLE_PARAMS[builtin][name] for field, name in zip(CASE_FIELDS[tag], names)}
@@ -499,10 +501,14 @@ BUILTINS = {
 }
 
 
+# the one rule for a builtin name, at `run_builtin` and a scenario entry
+_BUILTIN = (str, None, BUILTINS.__contains__, f"one of {', '.join(BUILTINS)}")
+
+
 def run_builtin(name: str, params: dict, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
     """Execute one builtin; raises ParamError before any computation."""
     if name not in BUILTINS:
-        raise ParamError(f"unknown builtin {name!r}; choose from {', '.join(BUILTINS)}")
+        take_params({"builtin": name}, {"builtin": _BUILTIN})
     return BUILTINS[name](params, bounds)
 
 
@@ -632,9 +638,8 @@ def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
     for index, entry in enumerate(top["checks"]):
         where = f"checks[{index}]"
         if "builtin" in entry:
-            e = _block(entry, {"builtin": (str, None, BUILTINS.__contains__,
-                                           f"one of {', '.join(BUILTINS)}"),
-                               "params": (dict, {}, None, "")}, source, where)
+            e = _block(entry, {"builtin": _BUILTIN, "params": (dict, {}, None, "")},
+                       source, where)
             with _refusals(where, "params", ParamError):
                 reports.append(run_builtin(e["builtin"], e["params"], bounds))
         elif "configuration" in entry:

@@ -111,6 +111,16 @@ def test_scenario_case_describing_its_surgery_runs_its_hypothesis():
         ("checks[0] hypothesis", FAIL), ("checks[0] group-preserved", FAIL)]
 
 
+def test_unknown_builtin_reads_the_scenario_entry_rule():
+    """`run_builtin` and a scenario entry refuse an unknown builtin with one text."""
+    with pytest.raises(ParamError) as direct:
+        run_builtin("nope", {})
+    with pytest.raises(ScenarioError) as entry:
+        run_scenario_text(json.dumps({"checks": [{"builtin": "nope"}]}))
+    assert str(direct.value).startswith("builtin='nope' out of range: one of nodal, ")
+    assert str(entry.value) == f"scenario: checks[0]: {direct.value}"
+
+
 def test_scenario_parse_errors():
     with pytest.raises(ScenarioError, match="line"):
         run_scenario_text("{not json")
@@ -152,6 +162,14 @@ def test_scenario_surgery_case_needs_fields():
     with pytest.raises(ScenarioError,
                        match=r"^checks\[0\]: case: missing required parameter 'n'$"):
         run_scenario_text(text)
+    # without a tag the refusal names the tags and their fields
+    text = json.dumps({"checks": [{
+        "configuration": entry,
+        "surgery": {"point": 0, "knot": "B2: 1 1 1", "twist": 1, "case": {"m": 3}}}]})
+    with pytest.raises(ScenarioError) as refusal:
+        run_scenario_text(text)
+    assert str(refusal.value) == ("checks[0]: case: missing required parameter 'tag': one of "
+                                  "F1 (with d=), F2 (with p= q=), F3 (with m= n=)")
 
 
 def test_module_entry_point():
@@ -219,6 +237,10 @@ def test_cli_usage_errors(capsys):
         (["verify", "nodal", "d1=2"], "error: missing required parameter 'd2'\n"),
         (["surgery", "case=F9"], "error: case='F9' out of range: one of F1 (with d=), "
                                  "F2 (with p= q=), F3 (with m= n=)\n"),
+        (["surgery"], "error: missing required parameter 'case': one of F1 (with d=), "
+                      "F2 (with p= q=), F3 (with m= n=)\n"),
+        (["surgery", "m=3", "n=2"], "error: missing required parameter 'case': one of "
+                                    "F1 (with d=), F2 (with p= q=), F3 (with m= n=)\n"),
         (["alexander", "B2: 1 1"],  # link, not knot
          "error: braid B2: 1 1 does not close to a knot\n"),
         (["snf", "1 2; 3"], "error: ragged matrix rows\n"),
