@@ -27,8 +27,7 @@ updates to skip.
 
 from __future__ import annotations
 
-from .knots import BraidWord, KnotDiagram, KnotGroupData, braid_to_diagram, torus_knot, \
-    wirtinger_presentation
+from .knots import BraidWord, KnotDiagram, braid_to_diagram, torus_knot
 from .laurent import LaurentPoly, div_exact, mul_add
 
 # crossing sign -> entries at the over, incoming under and outgoing under arc
@@ -140,8 +139,8 @@ def coefficient_multiset(p: LaurentPoly) -> tuple[int, ...]:
     return tuple(sorted(c for _, c in p.terms()))
 
 
-def knot_family(count: int) -> list[tuple[BraidWord, KnotGroupData, LaurentPoly]]:
-    """(2, 2r+1) torus knots r = 1..count with knot groups and Alexander polynomials.
+def knot_family(count: int) -> list[tuple[BraidWord, LaurentPoly]]:
+    """(2, 2r+1) torus knots r = 1..count with their Alexander polynomials.
 
     The coefficient multisets are pairwise distinct by construction (the
     r-th polynomial has exactly 2r+1 nonzero coefficients); the function
@@ -153,13 +152,11 @@ def knot_family(count: int) -> list[tuple[BraidWord, KnotGroupData, LaurentPoly]
     seen: dict[tuple[int, ...], int] = {}
     for r in range(1, count + 1):
         braid = torus_knot(r)
-        diagram = braid_to_diagram(braid)
-        knot = wirtinger_presentation(diagram)
-        delta = alexander_polynomial(diagram)
+        delta = alexander_of_braid(braid)
         multiset = coefficient_multiset(delta)
         if multiset in seen:
             raise RuntimeError(f"coefficient multiset collision between K_{seen[multiset]} "
                                f"and K_{r}")
         seen[multiset] = r
-        family.append((braid, knot, delta))
+        family.append((braid, delta))
     return family

@@ -47,8 +47,7 @@ from .presentations import AbelianGroup, Presentation, abelianization, exponent_
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
 from .snf import cokernel_invariants, mat_mul, smith_normal_form
 from .surgery import CASE_FIELDS, CaseParams, SurgerySpec, case_presentation, \
-    check_case_hypothesis, on_unsimplified, surgered_components, surgered_presentation, \
-    verify_group_preserved
+    check_case_hypothesis, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import distinguish, family_report
 from .verify import Bounds, DEFAULT_BOUNDS, decide_group, verify_abelian_isomorphism
 from .words import Word, commutator
@@ -307,18 +306,15 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
     lines.append(line_from_verdict("group-preserved", verdict))
 
     # cross-validation: both construction paths built on the meridian-kept
-    # simplification, their orders decided as in group-preserved
-    builds = {"amalgam": lambda data: surgered_presentation(case.base_presentation(), data,
-                                                            case.k),
-              "collapsed": lambda data: case_presentation(case, data)}
-    paths = {name: build(knot_data) for name, build in builds.items()}
+    # simplification, their orders decided as in group-preserved; the target
+    # is finite, so no raw knot group is retried
+    paths = {"amalgam": surgered_presentation(case.base_presentation(), knot_data, case.k),
+             "collapsed": case_presentation(case, knot_data)}
     ab1, ab2 = map(abelianization, paths.values())
     facts = [f"amalgam abelianization {ab1}, collapsed abelianization {ab2}"]
     agree, capped, target = ab1 == ab2, False, case.target()
     if target.order() is not None:
-        decisions = {name: decide_group(paths[name], target, bounds,
-                                        on_unsimplified(build, raw_knot))
-                     for name, build in builds.items()}
+        decisions = {name: decide_group(path, target, bounds) for name, path in paths.items()}
         orders = [d.order for d in decisions.values()]
         derived = [name for name, d in decisions.items() if d.derived]
         if None in orders:
@@ -447,7 +443,7 @@ def _run_alexander(params: dict, bounds: Bounds) -> Report:
         count = take_params(params, {"count": _COUNT})["count"]
         title = f"alexander family count={count}"
         knots = [(f"alexander K_{index} {braid.format()}", delta)
-                 for index, (braid, _, delta) in enumerate(knot_family(count), start=1)]
+                 for index, (braid, delta) in enumerate(knot_family(count), start=1)]
     return Report(title, tuple(
         CheckLine(name, PASS, (f"polynomial {delta.format()}",
                                f"coefficient multiset {list(coefficient_multiset(delta))}"))

@@ -18,8 +18,9 @@ case's target group is the abelianization of its `base_presentation`.
 The two paths are cross-validated against each other by the test suite, on
 the Wirtinger knot group and on its meridian-kept simplification.  The
 ``surgery`` report's `group-preserved` and both `cross-validation` paths
-decide by `verify.decide_group`: on the simplification, on the raw knot
-group only after a cap, then one Reidemeister-Schreier step on the first.
+decide by `verify.decide_group` on the simplification, then by one
+Reidemeister-Schreier step on it.  Only `group-preserved` of an infinite
+target (F1) retries the raw knot group, after a cap and before that step.
 """
 
 from __future__ import annotations
@@ -168,26 +169,22 @@ def case_presentation(c: CaseParams, knot: KnotGroupData) -> Presentation:
     return Presentation(generators, tuple(free_reduce(r) for r in relators))
 
 
-def on_unsimplified(build, raw: KnotGroupData | None):
-    """`decide_group` fallbacks: `build(raw)`, built only on demand; none without `raw`."""
-    if raw is not None:
-        yield "the unsimplified Wirtinger group", build(raw)
-
-
 def verify_group_preserved(c: CaseParams, knot: KnotGroupData,
                            bounds: Bounds = DEFAULT_BOUNDS,
                            raw: KnotGroupData | None = None) -> Verdict:
     """Verify that the surgered group matches the case's abelian target.
 
-    The case presentation is built on `knot`, typically simplified, and on
-    `raw`, the unsimplified knot group, only after a cap (`decide_group`).
-    Refuses to run when the arithmetic hypothesis fails: no claim is made.
+    The case presentation is built on `knot`, typically simplified, and, for
+    an infinite target (F1), on `raw`, the unsimplified knot group, only
+    after a cap (`decide_group`).  Refuses to run when the arithmetic
+    hypothesis fails: no claim is made.
     """
     if not check_case_hypothesis(c):
         raise HypothesisError(f"hypothesis of {c.describe()} fails; no claim is made")
-    verdict = verify_abelian_isomorphism(
-        case_presentation(c, knot), c.target(), bounds,
-        on_unsimplified(lambda data: case_presentation(c, data), raw))
+    fallbacks = (("the unsimplified Wirtinger group", case_presentation(c, data))
+                 for data in (raw,) if data is not None)
+    verdict = verify_abelian_isomorphism(case_presentation(c, knot), c.target(), bounds,
+                                         fallbacks)
     return Verdict(verdict.status, (f"{c.describe()}: hypothesis holds",) + verdict.evidence)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
 from .configurations import STANDARD, Configuration, algebraic_intersection
-from .knots import BraidWord
+from .knots import BraidWord, knot_group_from_braid
 from .laurent import LaurentPoly
 from .reports import FAIL, PASS, CheckLine, line_from_verdict
 from .surgery import CaseParams, HypothesisError, SurgerySpec, check_case_hypothesis, \
@@ -113,7 +113,7 @@ def family_report(config: Configuration, count: int, case: CaseParams,
     """Surger a family of torus knots at the first double point and certify the lot.
 
     For each knot `r=<i> <braid>`: verify the group is preserved (on the
-    Tietze-reduced knot group, on the raw one only after a cap), check that
+    Tietze-reduced knot group; for F1, on the raw one after a cap), check that
     component 1 becomes standard and component 2 keeps its embedding tag;
     then compare every pair through the invariant.  Requires the case hypothesis.
     """
@@ -123,8 +123,9 @@ def family_report(config: Configuration, count: int, case: CaseParams,
     family = knot_family(count)
     unchanged = config.components[1].embedding_tag
     knots = []
-    for i, (braid, knot, _) in enumerate(family, start=1):
+    for i, (braid, _) in enumerate(family, start=1):
         prefix = f"r={i} {braid.format()}"
+        knot = knot_group_from_braid(braid)
         tag1, tag2 = (c.embedding_tag for c in
                       surgered_components(SurgerySpec(config, 0, braid, case.k)))
         knots.append((
@@ -134,7 +135,7 @@ def family_report(config: Configuration, count: int, case: CaseParams,
                       (f"component 1 embedding tag: {tag1}",)),
             CheckLine(f"component-2-unchanged {prefix}", PASS if tag2 == unchanged else FAIL,
                       (f"component 2 embedding tag: {tag2}",))))
-    multisets = [(braid, _surgered_multiset(delta)) for braid, _, delta in family]
+    multisets = [(braid, _surgered_multiset(delta)) for braid, delta in family]
     pairs = []
     for i, (b1, m1) in enumerate(multisets):
         for b2, m2 in multisets[i + 1:]:

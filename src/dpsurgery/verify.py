@@ -5,11 +5,12 @@ evidence lists the facts actually established.  Inconclusive is a first-class
 outcome: no bounded run is ever silently converted into a yes or a no.
 
 `decide_group` alone turns presentations of one group into an order or an
-index, in one order: the index test on the simplified presentation, on the
-raw one only after a cap, then on the first one Reidemeister-Schreier step
-(the commutator subgroup or, for infinite targets, the kernel check), and
-Knuth-Bendix last, for an infinite target both left open.
-Surgery's `group-preserved` and `cross-validation` both call it.
+index, in one order: the index test on the simplified presentation (for an
+infinite target, on the raw one too after a cap), then on the first one
+Reidemeister-Schreier step (the commutator subgroup or, for infinite
+targets, the kernel check), and Knuth-Bendix last, for an infinite target
+both left open.  Surgery's `group-preserved` and `cross-validation` both
+call it.
 """
 
 from __future__ import annotations
@@ -291,17 +292,20 @@ def decide_group(p: Presentation, target: AbelianGroup, bounds: Bounds = DEFAULT
                  fallbacks: Iterable[tuple[str, Presentation]] = ()) -> GroupDecision:
     """Decide whether a group whose abelianization is the target is the target.
 
-    `p` presents the group; `fallbacks` lazily yields (name, presentation)
-    pairs of it, each enumerated only after the one before capped, its facts
-    prefixed `on <name>: `.  A target Z^r + T, r <= 1, is settled by
-    `subgroup_index_test`.  When all cap, or r >= 2, one Reidemeister-Schreier
-    step runs once, on `p`: `commutator_subgroup_order` (finite targets) or
-    the kernel check `nonabelian_quotient_witness`, then Knuth-Bendix.  The
+    `p` presents the group.  A target Z^r + T, r <= 1, is settled by
+    `subgroup_index_test` on `p`; for an infinite target `fallbacks` lazily
+    yields (name, presentation) pairs of it, each enumerated only after the
+    one before capped, its facts prefixed `on <name>: `.  A finite target
+    ignores them.  When all cap, or r >= 2, one Reidemeister-Schreier step
+    runs once, on `p`: `commutator_subgroup_order` (finite targets) or the
+    kernel check `nonabelian_quotient_witness`, then Knuth-Bendix.  The
     verdict assumes the abelianization check of `verify_abelian_isomorphism`;
     the order does not.
     """
     evidence: list[str] = []
-    attempts = chain([("", p)], ((f"on {name}: ", q) for name, q in fallbacks))
+    target_order = target.order()
+    attempts = chain([("", p)], ((f"on {name}: ", q) for name, q in fallbacks)
+                     if target_order is None else ())
     order, nonabelian, derived = None, False, False
 
     def decision(status: Status, *facts: str) -> GroupDecision:
@@ -315,7 +319,6 @@ def decide_group(p: Presentation, target: AbelianGroup, bounds: Bounds = DEFAULT
                 return decision(test.verdict.status)
             order = test.order
             break
-    target_order = target.order()
     if target_order is not None:
         if order is None:
             route = commutator_subgroup_order(p, bounds.max_cosets)
@@ -348,8 +351,9 @@ def verify_abelian_isomorphism(p: Presentation, target: AbelianGroup,
                                fallbacks: Iterable[tuple[str, Presentation]] = ()) -> Verdict:
     """Decide whether the presented group is isomorphic to the abelian target:
     the abelianization must equal it, then `decide_group` decides on `p`
-    (typically simplified), on `fallbacks` (the raw one) only after a cap,
-    and after all cap by one Reidemeister-Schreier step on `p`."""
+    (typically simplified), for an infinite target on `fallbacks` (the raw
+    one) only after a cap, and after all cap by one Reidemeister-Schreier
+    step on `p`."""
     ab = abelianization(p)
     if ab != target:
         return Verdict(Status.NOT_ISOMORPHIC, (f"abelianization is {ab}, target is {target}",))

@@ -177,7 +177,7 @@ def test_criterion_5_alexander_engine():
         assert delta.is_palindromic()
         assert abs(delta.evaluate_unit(-1)) == coloring_determinant(diagram)
     family = knot_family(10)
-    multisets = [coefficient_multiset(delta) for _, _, delta in family]
+    multisets = [coefficient_multiset(delta) for _, delta in family]
     assert [len(m) for m in multisets] == list(range(3, 22, 2))
     assert len(set(multisets)) == 10
     _report("criterion-5 alexander engine", "50 random braids + family of 10")

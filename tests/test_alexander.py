@@ -8,9 +8,10 @@ import pytest
 
 from dpsurgery.alexander import (alexander_matrix, alexander_of_braid, alexander_polynomial,
                                  coefficient_multiset, knot_family, laurent_determinant)
-from dpsurgery.knots import (BraidWord, Crossing, FIGURE_EIGHT, TREFOIL, UNKNOT,
-                             braid_to_diagram, torus_knot, wirtinger_presentation)
+from dpsurgery.knots import (BraidWord, Crossing, FIGURE_EIGHT, KnotGroupData, TREFOIL,
+                             UNKNOT, braid_to_diagram, torus_knot, wirtinger_presentation)
 from dpsurgery.laurent import LaurentPoly
+from dpsurgery.scenarios import run_builtin
 from dpsurgery.words import Word
 
 
@@ -145,17 +146,24 @@ def test_invariance_under_conjugation_and_stabilization():
 
 def test_torus_knot_family():
     family = knot_family(10)
-    sizes = [len(coefficient_multiset(delta)) for _, _, delta in family]
+    sizes = [len(coefficient_multiset(delta)) for _, delta in family]
     assert sizes == [3, 5, 7, 9, 11, 13, 15, 17, 19, 21]
-    multisets = {coefficient_multiset(delta) for _, _, delta in family}
+    multisets = {coefficient_multiset(delta) for _, delta in family}
     assert len(multisets) == 10
-    assert family[0][0] == TREFOIL
-    assert family[0][1].presentation.ngens == 3
-    assert family[0][2] == LaurentPoly(-1, (1, -1, 1))
+    assert family[0] == (TREFOIL, LaurentPoly(-1, (1, -1, 1)))
     # second entry: 5 nonzero coefficients
-    assert len(coefficient_multiset(family[1][2])) == 5
+    assert len(coefficient_multiset(family[1][1])) == 5
     with pytest.raises(ValueError):
         knot_family(0)
+
+
+def test_alexander_family_builds_no_knot_group(monkeypatch):
+    # every wirtinger_presentation call builds a KnotGroupData, wherever the
+    # function was imported; the family's polynomials need none
+    built = []
+    monkeypatch.setattr(KnotGroupData, "__post_init__", built.append)
+    assert run_builtin("alexander", {"count": 5}).exit_code() == 0
+    assert built == []
 
 
 def test_torus_knot_family_matches_closed_form():
@@ -166,7 +174,7 @@ def test_torus_knot_family_matches_closed_form():
     decides most of the work.
     """
     family = knot_family(40)
-    for r, (braid, _, delta) in enumerate(family, start=1):
+    for r, (braid, delta) in enumerate(family, start=1):
         assert braid == torus_knot(r)
         assert delta == LaurentPoly(-r, tuple((-1) ** (r - i) for i in range(-r, r + 1))), r
 

@@ -844,9 +844,9 @@ def test_cli_cross_validation_decides_on_the_simplified_knot_group(capsys):
                 "enumerated orders 6 and 6")
 
 
-def test_cli_cross_validation_falls_back_to_the_unsimplified_knot_group(capsys):
-    # here one path hits the cap on the simplified knot group and closes on
-    # the unsimplified one, so the check still decides
+def test_cli_cross_validation_capped_path_is_decided_by_the_commutator_subgroup(capsys):
+    # here the amalgam hits the cap on the simplified knot group; its finite
+    # order comes from the commutator subgroup, so the check still decides
     code = main(["--format", "machine", "--bounds-cosets", "500", "--bounds-rules", "200",
                  "surgery", "case=F3", "m=5", "n=1", "k=1",
                  "knot=B4: -1 -2 2 -1 -2 -2 2 2 1 -3 -2"])
@@ -854,7 +854,7 @@ def test_cli_cross_validation_falls_back_to_the_unsimplified_knot_group(capsys):
     assert code == EXIT_OK
     assert lines["cross-validation"] == (
         "pass", "amalgam abelianization Z_5, collapsed abelianization Z_5; "
-                "enumerated orders 5 and 5")
+                "enumerated orders 5 and 5; amalgam order from the commutator subgroup")
 
 
 def test_cli_theorem_7_2_capped_is_inconclusive(capsys):

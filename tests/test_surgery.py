@@ -188,12 +188,18 @@ def test_uncapped_surgery_never_builds_a_raw_presentation(monkeypatch):
     # group-preserved and both cross-validation paths build on the latter
     run_builtin("tori", {"m": 3, "n": 2, "k": 1, "knot": "B2: 1 1 1"})
     assert ngens == [2, 2, 2]
-    # capped at 500 on the 3-generator simplification, each of the three
-    # goes on to the 12-generator Wirtinger group
+    # capped at 500 on the 3-generator simplification, the finite target Z_6
+    # is decided by the commutator subgroup: no 12-generator Wirtinger group
     ngens.clear()
     run_builtin("tori", {"m": 2, "n": 3, "k": 3, "knot": "B3: 2 -1 2 -1 2 -1 -1 2 -1 -1 2 2"},
                 Bounds(500, 200))
-    assert sorted(ngens) == [3, 3, 3, 12, 12, 12]
+    assert sorted(ngens) == [3, 3, 3]
+    # the infinite target Z caps at 500 on the 4-generator simplification, so
+    # group-preserved alone goes on to the 12-generator Wirtinger group
+    ngens.clear()
+    run_builtin("nodal", {"d1": 1, "d2": 5, "k": 0,
+                          "knot": "B3: -1 -1 1 -2 1 1 1 -2 1 1 2 -1"}, Bounds(500, 200))
+    assert sorted(ngens) == [4, 4, 4, 12]
 
 
 # -- apply_surgery ----------------------------------------------------------------
