@@ -139,8 +139,8 @@ def coefficient_multiset(p: LaurentPoly) -> tuple[int, ...]:
     return tuple(sorted(c for _, c in p.terms()))
 
 
-def knot_family(count: int) -> list[tuple[BraidWord, LaurentPoly]]:
-    """(2, 2r+1) torus knots r = 1..count with their Alexander polynomials.
+def knot_family(count: int) -> list[tuple[BraidWord, KnotDiagram, LaurentPoly]]:
+    """(2, 2r+1) torus knots r = 1..count as (braid, diagram, Alexander polynomial).
 
     The coefficient multisets are pairwise distinct by construction (the
     r-th polynomial has exactly 2r+1 nonzero coefficients); the function
@@ -152,11 +152,12 @@ def knot_family(count: int) -> list[tuple[BraidWord, LaurentPoly]]:
     seen: dict[tuple[int, ...], int] = {}
     for r in range(1, count + 1):
         braid = torus_knot(r)
-        delta = alexander_of_braid(braid)
+        diagram = braid_to_diagram(braid)
+        delta = alexander_polynomial(diagram)
         multiset = coefficient_multiset(delta)
         if multiset in seen:
             raise RuntimeError(f"coefficient multiset collision between K_{seen[multiset]} "
                                f"and K_{r}")
         seen[multiset] = r
-        family.append((braid, delta))
+        family.append((braid, diagram, delta))
     return family

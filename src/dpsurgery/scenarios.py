@@ -24,7 +24,8 @@ point.  All of it runs before any computation.
 
 A scenario file is a JSON object `{"bounds": {...}, "checks": [entry, ...]}`
 where each entry either names a builtin (`{"builtin": ..., "params": {...}}`)
-or describes a configuration inline; see the README for the schema.  A
+or describes a configuration inline, checked by ``_configuration_lines`` as a
+configuration builtin is; see the README for the schema.  A
 refusal reads ``<where>: <block>: <rule>``: the file for the top level,
 ``bounds`` and each ``checks[i]``, and ``checks[i]`` for the blocks inside.
 """
@@ -120,12 +121,9 @@ def tori_configuration(m: int, n: int) -> Configuration:
                          symplectic_positive=True)
 
 
-BUILTIN_CONFIGURATIONS = {
-    "nodal": nodal_configuration,
-    "rational": rational_configuration,
-    "spheres": spheres_configuration,
-    "tori": tori_configuration,
-}
+def _configuration(name: str, p: dict) -> Configuration:
+    """Builtin `name` at `p`; `<name>_configuration` is looked up as it runs, not at import."""
+    return globals()[f"{name}_configuration"](**p)
 
 
 # -- parameter handling -------------------------------------------------------
@@ -340,24 +338,35 @@ def _expected_homology(name: str, p: dict) -> AbelianGroup:
     return AbelianGroup.of_orders(p["m"], p["n"])
 
 
+def _configuration_lines(config: Configuration, expected: dict[str, AbelianGroup],
+                         surgery: tuple[SurgerySpec, CaseParams | None] | None,
+                         bounds: Bounds) -> list[CheckLine]:
+    """A configuration's checks, builtin or inline: `homology` and `group`, each against its
+    group in `expected` when given, then those of `surgery`, a (spec, case) pair."""
+    lines = []
+    if "homology" in expected:
+        homology = complement_h1(config)
+        lines.append(CheckLine("homology", PASS if homology == expected["homology"] else FAIL,
+                               (f"complement H1 = {homology}, expected {expected['homology']}",)))
+    if "group" in expected:
+        lines.append(line_from_verdict(
+            "group", verify_abelian_isomorphism(config.pi1, expected["group"], bounds)))
+    if surgery is not None:
+        lines.extend(_surgery_lines(*surgery, bounds))
+    return lines
+
+
 def _example_report(name: str, p: dict, surgery_title: list,
                     surgery: tuple[BraidWord, CaseParams] | None, bounds: Bounds) -> Report:
     """The checks of configuration builtin `name` at its checked parameters
-    `p`; with `surgery`, a (knot, case) pair, those of that surgery after them."""
-    config = BUILTIN_CONFIGURATIONS[name](**p)
-    if surgery is not None:
-        _admit(surgery[1], config, 0, surgery[1].k)
-    homology = complement_h1(config)
-    expected = _expected_homology(name, p)
-    lines = [CheckLine("homology", PASS if homology == expected else FAIL,
-                       (f"complement H1 = {homology}, expected {expected}",)),
-             line_from_verdict("group", verify_abelian_isomorphism(config.pi1, expected, bounds))]
-    ab = abelianization(config.pi1)
-    lines.append(CheckLine("h1-matches-abelianization", PASS if ab == homology else FAIL,
-                           (f"presentation abelianization {ab}, homology {homology}",)))
+    `p`; with `surgery`, a (knot, case) pair, those of its surgery at point 0."""
+    config = _configuration(name, p)
     if surgery is not None:
         knot, case = surgery
-        lines.extend(_surgery_lines(SurgerySpec(config, 0, knot, case.k), case, bounds))
+        _admit(case, config, 0, case.k)
+        surgery = (SurgerySpec(config, 0, knot, case.k), case)
+    expected = _expected_homology(name, p)
+    lines = _configuration_lines(config, {"homology": expected, "group": expected}, surgery, bounds)
     return Report(_title(name, sorted(p.items()) + surgery_title), tuple(lines))
 
 
@@ -405,7 +414,7 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     case = CaseParams(tag, p["k"], **dict(zip(CASE_FIELDS[tag], values)))
     if not check_case_hypothesis(case):
         raise ParamError(f"hypothesis of {case.describe()} fails; no claim is made")
-    config = BUILTIN_CONFIGURATIONS[builtin](**fixed, **dict(zip(names, values)))
+    config = _configuration(builtin, {**fixed, **dict(zip(names, values))})
     if len(config.double_points) < 2:
         raise ParamError(f"{case.describe()} gives {len(config.double_points)} double "
                          f"point; a family needs at least two")
@@ -443,7 +452,7 @@ def _run_alexander(params: dict, bounds: Bounds) -> Report:
         count = take_params(params, {"count": _COUNT})["count"]
         title = f"alexander family count={count}"
         knots = [(f"alexander K_{index} {braid.format()}", delta)
-                 for index, (braid, delta) in enumerate(knot_family(count), start=1)]
+                 for index, (braid, _, delta) in enumerate(knot_family(count), start=1)]
     return Report(title, tuple(
         CheckLine(name, PASS, (f"polynomial {delta.format()}",
                                f"coefficient multiset {list(coefficient_multiset(delta))}"))
@@ -487,7 +496,7 @@ def _run_snf(params: dict, bounds: Bounds) -> Report:
 
 # builtin name -> runner(params, bounds)
 BUILTINS = {
-    **{name: partial(_run_example, name) for name in BUILTIN_CONFIGURATIONS},
+    **{name: partial(_run_example, name) for name in EXAMPLE_PARAMS},
     "theorem-1-1": _run_theorem_1_1,
     "theorem-7-2": _run_theorem_7_2,
     "surgery": _run_surgery,
@@ -574,15 +583,7 @@ def _run_configuration_entry(entry: dict, where: str, bounds: Bounds) -> list[Ch
             raise ParamError("homology needs a simply connected ambient manifold")
         if "group" in expected and config.pi1 is None:
             raise ParamError("group needs a pi1 presentation")
-    lines: list[CheckLine] = []
-    if "homology" in expected:
-        computed = complement_h1(config)
-        lines.append(CheckLine(f"{where} homology",
-                               PASS if computed == expected["homology"] else FAIL,
-                               (f"complement H1 = {computed}, expected {expected['homology']}",)))
-    if "group" in expected:
-        verdict = verify_abelian_isomorphism(config.pi1, expected["group"], bounds)
-        lines.append(line_from_verdict(f"{where} group", verdict))
+    surgery = None
     if "surgery" in entry:
         s = _block(entry["surgery"], {"point": (int, None, None, ""), "knot": (str, None, None, ""),
                                       "twist": (int, None, None, ""), "case": (dict, {}, None, "")},
@@ -593,10 +594,10 @@ def _run_configuration_entry(entry: dict, where: str, bounds: Bounds) -> list[Ch
             case = _case_from_json(s["case"], where) if "case" in entry["surgery"] else None
             if case is not None:
                 _admit(case, config, spec.point, spec.twist)
-        # outside the refusals: a ValueError of the engine is not an input error
-        lines.extend(CheckLine(f"{where} {line.name}", line.verdict, line.evidence)
-                     for line in _surgery_lines(spec, case, bounds))
-    return lines
+        surgery = (spec, case)
+    # outside the refusals: a ValueError of the engine is not an input error
+    return [CheckLine(f"{where} {line.name}", line.verdict, line.evidence)
+            for line in _configuration_lines(config, expected, surgery, bounds)]
 
 
 def run_scenario_text(text: str, overrides: dict[str, int] | None = None,

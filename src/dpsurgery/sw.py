@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .alexander import alexander_of_braid, coefficient_multiset, knot_family
 from .configurations import STANDARD, Configuration, algebraic_intersection
-from .knots import BraidWord, knot_group_from_braid
+from .knots import BraidWord, wirtinger_presentation
 from .laurent import LaurentPoly
 from .reports import FAIL, PASS, CheckLine, line_from_verdict
 from .surgery import CaseParams, HypothesisError, SurgerySpec, check_case_hypothesis, \
@@ -97,10 +97,10 @@ def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration) -> Ch
 @dataclass(frozen=True)
 class FamilyReport:
     """A knotted family's report lines, grouped: the applicability line; per
-    knot its (group-preserved, component-1-standard, component-2-unchanged)
-    lines; one smoothly-distinct line per pair."""
+    knot its (group-preserved, component-1-standard) lines; one
+    smoothly-distinct line per pair."""
     applicability: CheckLine
-    knots: tuple[tuple[CheckLine, CheckLine, CheckLine], ...]
+    knots: tuple[tuple[CheckLine, CheckLine], ...]
     pairs: tuple[CheckLine, ...]
 
     def lines(self) -> tuple[CheckLine, ...]:
@@ -113,29 +113,26 @@ def family_report(config: Configuration, count: int, case: CaseParams,
     """Surger a family of torus knots at the first double point and certify the lot.
 
     For each knot `r=<i> <braid>`: verify the group is preserved (on the
-    Tietze-reduced knot group; for F1, on the raw one after a cap), check that
-    component 1 becomes standard and component 2 keeps its embedding tag;
-    then compare every pair through the invariant.  Requires the case hypothesis.
+    Tietze-reduced Wirtinger group of the diagram its polynomial came from;
+    for F1, on the raw one after a cap) and check that component 1 becomes
+    standard (at the point (0, 1, .) no other component changes); then
+    compare every pair through the invariant.  Requires the case hypothesis.
     """
     if not check_case_hypothesis(case):
         raise HypothesisError(f"case hypothesis fails for {case.describe()}")
     applicability = applicability_check(config)
     family = knot_family(count)
-    unchanged = config.components[1].embedding_tag
     knots = []
-    for i, (braid, _) in enumerate(family, start=1):
+    for i, (braid, diagram, _) in enumerate(family, start=1):
         prefix = f"r={i} {braid.format()}"
-        knot = knot_group_from_braid(braid)
-        tag1, tag2 = (c.embedding_tag for c in
-                      surgered_components(SurgerySpec(config, 0, braid, case.k)))
+        knot = wirtinger_presentation(diagram)
+        tag = surgered_components(SurgerySpec(config, 0, braid, case.k))[0].embedding_tag
         knots.append((
             line_from_verdict(f"group-preserved {prefix}",
                               verify_group_preserved(case, knot.simplified(), bounds, knot)),
-            CheckLine(f"component-1-standard {prefix}", PASS if tag1 == STANDARD else FAIL,
-                      (f"component 1 embedding tag: {tag1}",)),
-            CheckLine(f"component-2-unchanged {prefix}", PASS if tag2 == unchanged else FAIL,
-                      (f"component 2 embedding tag: {tag2}",))))
-    multisets = [(braid, _surgered_multiset(delta)) for braid, delta in family]
+            CheckLine(f"component-1-standard {prefix}", PASS if tag == STANDARD else FAIL,
+                      (f"component 1 embedding tag: {tag}",))))
+    multisets = [(braid, _surgered_multiset(delta)) for braid, _, delta in family]
     pairs = []
     for i, (b1, m1) in enumerate(multisets):
         for b2, m2 in multisets[i + 1:]:

@@ -177,7 +177,7 @@ def test_criterion_5_alexander_engine():
         assert delta.is_palindromic()
         assert abs(delta.evaluate_unit(-1)) == coloring_determinant(diagram)
     family = knot_family(10)
-    multisets = [coefficient_multiset(delta) for _, delta in family]
+    multisets = [coefficient_multiset(delta) for _, _, delta in family]
     assert [len(m) for m in multisets] == list(range(3, 22, 2))
     assert len(set(multisets)) == 10
     _report("criterion-5 alexander engine", "50 random braids + family of 10")
@@ -198,8 +198,6 @@ def test_criterion_6_theorem_1_1_at_desk_scale():
         assert all(line.verdict == "pass" for line in pair_lines)
         tag1 = [line for line in report.lines if "component-1-standard" in line.name]
         assert len(tag1) == 10 and all(line.verdict == "pass" for line in tag1)
-        tag2 = [line for line in report.lines if "component-2-unchanged" in line.name]
-        assert len(tag2) == 10 and all(line.verdict == "pass" for line in tag2)
         groups = [line for line in report.lines if line.name.startswith("group-preserved")]
         assert len(groups) == 10 and all(line.verdict == "pass" for line in groups)
         assert any(line.verdict == "cited" for line in report.lines)

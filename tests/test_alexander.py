@@ -146,13 +146,13 @@ def test_invariance_under_conjugation_and_stabilization():
 
 def test_torus_knot_family():
     family = knot_family(10)
-    sizes = [len(coefficient_multiset(delta)) for _, delta in family]
+    sizes = [len(coefficient_multiset(delta)) for _, _, delta in family]
     assert sizes == [3, 5, 7, 9, 11, 13, 15, 17, 19, 21]
-    multisets = {coefficient_multiset(delta) for _, delta in family}
+    multisets = {coefficient_multiset(delta) for _, _, delta in family}
     assert len(multisets) == 10
-    assert family[0] == (TREFOIL, LaurentPoly(-1, (1, -1, 1)))
+    assert family[0] == (TREFOIL, braid_to_diagram(TREFOIL), LaurentPoly(-1, (1, -1, 1)))
     # second entry: 5 nonzero coefficients
-    assert len(coefficient_multiset(family[1][1])) == 5
+    assert len(coefficient_multiset(family[1][2])) == 5
     with pytest.raises(ValueError):
         knot_family(0)
 
@@ -174,7 +174,7 @@ def test_torus_knot_family_matches_closed_form():
     decides most of the work.
     """
     family = knot_family(40)
-    for r, (braid, delta) in enumerate(family, start=1):
+    for r, (braid, _, delta) in enumerate(family, start=1):
         assert braid == torus_knot(r)
         assert delta == LaurentPoly(-r, tuple((-1) ** (r - i) for i in range(-r, r + 1))), r
 

@@ -8,6 +8,7 @@ import pytest
 
 from dpsurgery import scenarios
 from dpsurgery.cli import main
+from dpsurgery.presentations import format_word
 from dpsurgery.reports import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, FAIL
 from dpsurgery.scenarios import (ParamError, ScenarioError, run_builtin,
                                  run_scenario, run_scenario_text)
@@ -513,8 +514,7 @@ _APPLICABLE = ("applicability\tpass\tnonzero-intersection: pass (component class
                "pass (symplectic with positive intersections: canonical nonvanishing "
                "invariant)\n")
 _MEMBER = ("group-preserved r={0} {1}\tpass\t{2}\n"
-           "component-1-standard r={0} {1}\tpass\tcomponent 1 embedding tag: Standard\n"
-           "component-2-unchanged r={0} {1}\tpass\tcomponent 2 embedding tag: Standard\n")
+           "component-1-standard r={0} {1}\tpass\tcomponent 1 embedding tag: Standard\n")
 _FAMILY_END = ("smoothly-distinct B2: 1 1 1 vs B2: 1 1 1 1 1\tpass\tverdict "
                "SmoothlyInequivalent; coefficient multisets differ: [-1, 1, 1] vs "
                "[-1, -1, 1, 1, 1]\n"
@@ -599,9 +599,7 @@ def test_cli_output_pinned_to_file(capsys, argv, code, pinned):
 
 def _configuration_lines(h1, group_evidence, prefix=""):
     return (f"{prefix}homology\tpass\tcomplement H1 = {h1}, expected {h1}\n"
-            f"{prefix}group\tpass\tabelianization matches target {h1}; {group_evidence}\n"
-            f"{prefix}h1-matches-abelianization\tpass\tpresentation abelianization {h1}, "
-            f"homology {h1}\n")
+            f"{prefix}group\tpass\tabelianization matches target {h1}; {group_evidence}\n")
 
 
 def _enumerated_abelian(order, allocated):
@@ -634,6 +632,66 @@ def test_cli_configuration_machine_output_pinned(capsys, argv, stdout):
     """Configuration builtins and a scenario file: the `N cosets allocated` evidence."""
     assert main(["--format", "machine", "verify", *argv]) == EXIT_OK
     assert capsys.readouterr().out == stdout
+
+
+def _inline(config):
+    """A scenario `configuration` block for `config`, its pi1 written through
+    `format_word`."""
+    pi1, names = config.pi1, config.pi1.generators
+    labels = " ".join(f"{role}={format_word(word, names).replace(' ', '.')}"
+                      for role, word in pi1.labels)
+    return {"ambient": {"name": config.ambient.name,
+                        "simply_connected": config.ambient.simply_connected,
+                        "form": [list(row) for row in config.ambient.form],
+                        "basis": list(config.ambient.basis_labels)},
+            "components": [{"label": c.label, "genus": c.genus, "class": list(c.homology_class)}
+                           for c in config.components],
+            "double_points": [list(point) for point in config.double_points],
+            "pi1": (f"gens: {' '.join(names)} ; rels: "
+                    + " , ".join(format_word(r, names) for r in pi1.relators)
+                    + f" ; labels: {labels} ;"),
+            "symplectic_positive": config.symplectic_positive}
+
+
+@pytest.mark.parametrize("builtin, params, config, expected, case", [
+    ("nodal", {"d1": 1, "d2": 3}, ("nodal", 1, 3), "Z", None),
+    ("rational", {"p": 1, "q": 3}, ("rational", 1, 3), "Z_3", None),
+    ("spheres", {"m": 2, "n": 3}, ("spheres", 2, 3), "Z_6", None),
+    ("tori", {"m": 3, "n": 2}, ("tori", 3, 2), "Z_6", None),
+    # `surgery case=` at the theorem-1-1 defaults, with the default knot
+    ("surgery", {"case": "F1", "d": 2, "k": 0}, ("nodal", 1, 2), "Z",
+     {"tag": "F1", "d": 2, "k": 0}),
+    ("surgery", {"case": "F2", "p": 1, "q": 3, "k": 1}, ("rational", 1, 3), "Z_3",
+     {"tag": "F2", "p": 1, "q": 3, "k": 1}),
+    ("surgery", {"case": "F3", "m": 3, "n": 2, "k": 1}, ("tori", 3, 2), "Z_6",
+     {"tag": "F3", "m": 3, "n": 2, "k": 1}),
+], ids=["nodal", "rational", "spheres", "tori", "surgery-F1", "surgery-F2", "surgery-F3"])
+def test_builtin_and_inline_configurations_print_the_same_checks(builtin, params, config,
+                                                                  expected, case):
+    """A configuration builtin prints the checks of one scenario entry that
+    gives the same configuration inline, with the same expectations and
+    surgery block."""
+    name, a, b = config
+    entry = {"configuration": _inline(getattr(scenarios, f"{name}_configuration")(a, b)),
+             "verify": {"homology": expected, "group": expected}}
+    if case is not None:
+        entry["surgery"] = {"point": 0, "knot": "B2: 1 1 1", "twist": case["k"], "case": case}
+    report = run_builtin(builtin, params)
+    inline = run_scenario_text(json.dumps({"checks": [entry]}))
+    assert inline.exit_code() == report.exit_code()
+    assert [(line.name.removeprefix("checks[0] "), line.verdict, line.evidence)
+            for line in inline.lines] == \
+        [(line.name, line.verdict, line.evidence) for line in report.lines]
+
+
+def test_configuration_builtins_are_looked_up_when_they_run(monkeypatch):
+    """A rebinding of `scenarios.tori_configuration`, as the tracer makes,
+    is what `surgery case=F3` runs."""
+    calls, tori = [], scenarios.tori_configuration
+    monkeypatch.setattr(scenarios, "tori_configuration",
+                        lambda *args, **kwargs: calls.append(kwargs) or tori(*args, **kwargs))
+    assert run_builtin("surgery", {"case": "F3", "m": 3, "n": 2, "k": 1}).exit_code() == EXIT_OK
+    assert calls == [{"m": 3, "n": 2}]
 
 
 def test_cli_snf(capsys):

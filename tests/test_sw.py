@@ -152,9 +152,9 @@ def test_family_report_tori():
     assert report.applicability.verdict == PASS
     assert len(report.knots) == 3
     assert len(report.pairs) == 3
-    assert all(group.verdict == PASS for group, _, _ in report.knots)
+    assert all(group.verdict == PASS for group, _ in report.knots)
     assert all(pair.verdict == PASS for pair in report.pairs)
-    assert len(report.lines()) == 1 + 3 * 3 + 3
+    assert len(report.lines()) == 1 + 3 * 2 + 3
 
 
 def test_family_report_single_knot_has_no_pairs():
@@ -166,7 +166,7 @@ def test_family_report_single_knot_has_no_pairs():
 def test_family_report_rational():
     report = family_report(rational_configuration(1, 3), 2, CaseParams("F2", 1, p=1, q=3))
     assert len(report.knots) == 2 and len(report.pairs) == 1
-    assert all(group.verdict == PASS for group, _, _ in report.knots)
+    assert all(group.verdict == PASS for group, _ in report.knots)
     assert report.applicability.verdict == PASS
     assert all(pair.verdict == PASS for pair in report.pairs)
 
