@@ -11,24 +11,14 @@ leaves a square matrix whose determinant is the polynomial up to a unit.
 The stored normal form is symmetric about degree zero with value +1 at
 t = 1; that choice makes coefficient multisets comparable across knots.
 
-The determinant is a fraction-free Bareiss elimination on the dense kernel
-of `laurent`: each update a_ij <- (a_ij a_kk - a_ik a_kj) / a_{k-1,k-1} is
-one multiply-accumulate and one exact division.  Crossing matrices are
-sparse, so the update is skipped when a_ij = 0 and a_ik = 0 or a_kj = 0:
-its numerator is then the zero polynomial, and zero divided by the nonzero
-previous pivot is exactly zero, so the skip changes no entry.  Each pivot
-is chosen by sparsity (Markowitz's rule): first the column with the fewest
-nonzero entries among the rows not yet eliminated, then, of its rows with a
-nonzero entry, the one with the fewest nonzero entries.  Each swap, of
-columns or of rows, flips the sign.  Pivoting on the diagonal lets the
-three-entry rows of a crossing matrix fill in; a sparse pivot leaves more
-updates to skip.
+The determinant is `laurent.laurent_determinant`, the package's one
+fraction-free Bareiss elimination, which pivots by sparsity.
 """
 
 from __future__ import annotations
 
 from .knots import BraidWord, KnotDiagram, braid_to_diagram, torus_knot
-from .laurent import LaurentPoly, div_exact, mul_add
+from .laurent import LaurentPoly, laurent_determinant, mul_add
 
 # crossing sign -> entries at the over, incoming under and outgoing under arc
 _CROSSING_ENTRIES = {1: ([1, -1], [0, 1], [-1]), -1: ([-1, 1], [1], [0, -1])}
@@ -45,64 +35,6 @@ def alexander_matrix(d: KnotDiagram) -> list[list[list[int]]]:
             mul_add(row[arc], 1, entry, [1])
         matrix.append(row[1:])
     return matrix
-
-
-def laurent_determinant(matrix: list[list[list[int]]]) -> LaurentPoly:
-    """Determinant over Z[t] of a square matrix of coefficient lists (lowest
-    degree first, `[]` for zero), exact, as a `LaurentPoly` at degree 0.
-
-    The rows are copied; the entries are only read.  Elimination is
-    fraction-free (Bareiss), with exact polynomial division at every step.
-    At step k the pivot column is, of columns k..n-1, the one with the
-    fewest nonzero entries in rows k..n-1 (then the lowest index); it swaps
-    into position k in rows k..n-1, flipping the sign.  With no nonzero
-    entry in it the determinant is zero.  The pivot row is then, of the
-    rows k..n-1 with a nonzero entry in column k, the one with the fewest
-    nonzero entries in columns k..n-1 (then the shortest entry in column k,
-    then the lowest index); it swaps into position k, flipping the sign
-    again.  Permuting the rows and columns not yet eliminated keeps every
-    entry a minor of the permuted matrix, so every division stays exact.
-    """
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    rows = [list(row) for row in matrix]
-
-    sign = 1
-    prev: list[int] = [1]
-    for k in range(n - 1):
-        active = rows[k:]
-        c = min(range(k, n), key=lambda j: sum(1 for row in active if row[j]))
-        if c != k:
-            for row in active:
-                row[k], row[c] = row[c], row[k]
-            sign = -sign
-        candidates = [i for i in range(k, n) if rows[i][k]]
-        if not candidates:
-            return LaurentPoly.zero()
-        r = min(candidates, key=lambda i: (sum(map(bool, rows[i][k:])), len(rows[i][k])))
-        if r != k:
-            rows[k], rows[r] = rows[r], rows[k]
-            sign = -sign
-        pivot = rows[k]
-        a_kk = pivot[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            a_ik = row[k]
-            for j in range(k + 1, n):
-                a_ij = row[j]
-                a_kj = pivot[j]
-                # with a_ij = 0 and a_ik * a_kj = 0 the update is exactly 0
-                if a_ij or (a_ik and a_kj):
-                    num = mul_add(mul_add([], 1, a_ij, a_kk), -1, a_ik, a_kj)
-                    row[j] = div_exact(num, prev)
-            row[k] = []
-        prev = a_kk
-
-    det = LaurentPoly.make(0, rows[n - 1][n - 1])
-    return -det if sign < 0 else det
 
 
 def normalize_alexander(raw: LaurentPoly) -> LaurentPoly:

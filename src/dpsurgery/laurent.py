@@ -6,8 +6,20 @@
 Dense arithmetic lives in one kernel on plain coefficient lists, lowest
 degree first, with no trailing zero; `[]` is the zero polynomial.
 `mul_add` is the one multiply-accumulate (`out += s*a*b`) and `div_exact`
-the one exact division.  `LaurentPoly.__mul__` and the Bareiss
-determinant in `alexander` both run on it.
+the one exact division.  `LaurentPoly.__mul__` and `laurent_determinant`
+both run on it.
+
+`laurent_determinant` is the package's one exact determinant, a
+fraction-free Bareiss elimination: each update
+a_ij <- (a_ij a_kk - a_ik a_kj) / a_{k-1,k-1} is one multiply-accumulate
+and one exact division.  `alexander` runs it on crossing matrices, and
+`snf.determinant` on integer matrices given as constant polynomials.
+Crossing matrices are sparse, so the update is skipped when a_ij = 0 and
+a_ik = 0 or a_kj = 0: its numerator is then the zero polynomial, and zero
+divided by the nonzero previous pivot is exactly zero, so the skip changes
+no entry.  Pivots are chosen by sparsity (Markowitz's rule, stated in the
+function's docstring): pivoting on the diagonal lets the three-entry rows
+of a crossing matrix fill in, and a sparse pivot leaves more updates to skip.
 """
 
 from __future__ import annotations
@@ -180,3 +192,61 @@ def div_exact(a, b) -> list[int]:
     if any(rest[:lb - 1]):
         raise ArithmeticError("inexact polynomial division")
     return quotient
+
+
+def laurent_determinant(matrix: list[list[list[int]]]) -> LaurentPoly:
+    """Determinant over Z[t] of a square matrix of coefficient lists (lowest
+    degree first, `[]` for zero), exact, as a `LaurentPoly` at degree 0.
+
+    The rows are copied; the entries are only read.  Elimination is
+    fraction-free (Bareiss), with exact polynomial division at every step.
+    At step k the pivot column is, of columns k..n-1, the one with the
+    fewest nonzero entries in rows k..n-1 (then the lowest index); it swaps
+    into position k in rows k..n-1, flipping the sign.  With no nonzero
+    entry in it the determinant is zero.  The pivot row is then, of the
+    rows k..n-1 with a nonzero entry in column k, the one with the fewest
+    nonzero entries in columns k..n-1 (then the shortest entry in column k,
+    then the lowest index); it swaps into position k, flipping the sign
+    again.  Permuting the rows and columns not yet eliminated keeps every
+    entry a minor of the permuted matrix, so every division stays exact.
+    """
+    n = len(matrix)
+    if n == 0:
+        return LaurentPoly.one()
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    rows = [list(row) for row in matrix]
+
+    sign = 1
+    prev: list[int] = [1]
+    for k in range(n - 1):
+        active = rows[k:]
+        c = min(range(k, n), key=lambda j: sum(1 for row in active if row[j]))
+        if c != k:
+            for row in active:
+                row[k], row[c] = row[c], row[k]
+            sign = -sign
+        candidates = [i for i in range(k, n) if rows[i][k]]
+        if not candidates:
+            return LaurentPoly.zero()
+        r = min(candidates, key=lambda i: (sum(map(bool, rows[i][k:])), len(rows[i][k])))
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        a_kk = pivot[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            a_ik = row[k]
+            for j in range(k + 1, n):
+                a_ij = row[j]
+                a_kj = pivot[j]
+                # with a_ij = 0 and a_ik * a_kj = 0 the update is exactly 0
+                if a_ij or (a_ik and a_kj):
+                    num = mul_add(mul_add([], 1, a_ij, a_kk), -1, a_ik, a_kj)
+                    row[j] = div_exact(num, prev)
+            row[k] = []
+        prev = a_kk
+
+    det = LaurentPoly.make(0, rows[n - 1][n - 1])
+    return -det if sign < 0 else det

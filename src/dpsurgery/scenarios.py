@@ -25,7 +25,10 @@ point.  All of it runs before any computation.
 A scenario file is a JSON object `{"bounds": {...}, "checks": [entry, ...]}`
 where each entry either names a builtin (`{"builtin": ..., "params": {...}}`)
 or describes a configuration inline, checked by ``_configuration_lines`` as a
-configuration builtin is; see the README for the schema.  A
+configuration builtin is; see the README for the schema.  Entries run
+and print in file order: a builtin entry's lines are named
+``<title> :: <check>``, an inline one's ``checks[i] <check>``, and a file
+whose only entry is a builtin prints that builtin's own report.  A
 refusal reads ``<where>: <block>: <rule>``: the file for the top level,
 ``bounds`` and each ``checks[i]``, and ``checks[i]`` for the blocks inside.
 """
@@ -46,7 +49,7 @@ from .knots import BraidWord, knot_group_from_braid, parse_int
 from .presentations import AbelianGroup, Presentation, abelianization, exponent_matrix, \
     parse_presentation
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
-from .snf import cokernel_invariants, mat_mul, smith_normal_form
+from .snf import cokernel_invariants, diagonal, mat_mul, smith_normal_form
 from .surgery import CASE_FIELDS, CaseParams, SurgerySpec, case_presentation, \
     check_case_hypothesis, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import distinguish, family_report
@@ -483,7 +486,6 @@ def _run_snf(params: dict, bounds: Bounds) -> Report:
         raise ParamError("ragged matrix rows")
     d, u, v = smith_normal_form(rows)
     ok = mat_mul(mat_mul(u, rows), v) == d
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
 
     def fmt(mat):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in mat) + "]"
@@ -491,7 +493,7 @@ def _run_snf(params: dict, bounds: Bounds) -> Report:
     return Report("snf", (CheckLine(
         "snf", PASS if ok else FAIL,
         (f"D = {fmt(d)}", f"U = {fmt(u)}", f"V = {fmt(v)}",
-         f"diagonal {diag}", f"U*M*V == D: {ok}")),))
+         f"diagonal {diagonal(d)}", f"U*M*V == D: {ok}")),))
 
 
 # builtin name -> runner(params, bounds)
@@ -596,8 +598,7 @@ def _run_configuration_entry(entry: dict, where: str, bounds: Bounds) -> list[Ch
                 _admit(case, config, spec.point, spec.twist)
         surgery = (spec, case)
     # outside the refusals: a ValueError of the engine is not an input error
-    return [CheckLine(f"{where} {line.name}", line.verdict, line.evidence)
-            for line in _configuration_lines(config, expected, surgery, bounds)]
+    return _configuration_lines(config, expected, surgery, bounds)
 
 
 def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
@@ -630,30 +631,26 @@ def run_scenario_text(text: str, overrides: dict[str, int] | None = None,
     except ValueError as err:
         raise ScenarioError(f"{source}: {err}") from None
 
-    reports: list[Report] = []
-    extra_lines: list[CheckLine] = []
+    lines: list[CheckLine] = []
     for index, entry in enumerate(top["checks"]):
         where = f"checks[{index}]"
         if "builtin" in entry:
             e = _block(entry, {"builtin": _BUILTIN, "params": (dict, {}, None, "")},
                        source, where)
             with _refusals(where, "params", ParamError):
-                reports.append(run_builtin(e["builtin"], e["params"], bounds))
+                report = run_builtin(e["builtin"], e["params"], bounds)
+            if len(top["checks"]) == 1:
+                return report
+            prefix, entry_lines = f"{report.title} :: ", report.lines
         elif "configuration" in entry:
             _block(entry, {"configuration": (dict, None, None, ""),
                            "verify": (dict, {}, None, ""), "surgery": (dict, {}, None, "")},
                    source, where)
-            extra_lines.extend(_run_configuration_entry(entry, where, bounds))
+            prefix, entry_lines = f"{where} ", _run_configuration_entry(entry, where, bounds)
         else:
             raise ScenarioError(f"{source}: {where}: needs 'builtin' or 'configuration'")
-
-    if len(reports) == 1 and not extra_lines:
-        return reports[0]
-    lines: list[CheckLine] = []
-    for rep in reports:
-        lines.extend(CheckLine(f"{rep.title} :: {line.name}", line.verdict, line.evidence)
-                     for line in rep.lines)
-    lines.extend(extra_lines)
+        lines.extend(CheckLine(prefix + line.name, line.verdict, line.evidence)
+                     for line in entry_lines)
     return Report(f"scenario ({len(top['checks'])} entries)", tuple(lines))
 
 

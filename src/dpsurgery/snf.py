@@ -22,11 +22,17 @@ relation matrix only.  Z^n / rowspace(M) depends on the row space alone,
 which neither a zero row nor a second copy of a row changes; a presentation's
 commutator relators give zero rows, and on large configuration groups they
 are most of the matrix.
+
+``determinant`` has no elimination of its own: it runs
+``laurent.laurent_determinant``, the package's one Bareiss elimination, on
+the matrix's entries as constant polynomials.
 """
 
 from __future__ import annotations
 
 from math import gcd
+
+from .laurent import laurent_determinant
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -164,30 +170,9 @@ def cokernel_invariants(m: list[list[int]], ncols: int) -> tuple[int, tuple[int,
 
 
 def determinant(m: list[list[int]]) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant: the Bareiss elimination of `laurent` on constants."""
+    det = laurent_determinant([[[x] if x else [] for x in row] for row in m])
+    return det.coeffs[0] if det else 0
 
 
 def element_order_in_cokernel(m: list[list[int]], ncols: int, vector: list[int]) -> int | None:

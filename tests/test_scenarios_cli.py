@@ -694,6 +694,21 @@ def test_configuration_builtins_are_looked_up_when_they_run(monkeypatch):
     assert calls == [{"m": 3, "n": 2}]
 
 
+def test_scenario_entries_print_in_file_order():
+    """`builtin_and_inline.json` with its two entries swapped (as
+    `inline_then_builtin.json` has them) prints the inline entry's lines first."""
+    with open(os.path.join(SCENARIO_DIR, "builtin_and_inline.json"), encoding="utf-8") as f:
+        data = json.load(f)
+    data["checks"].reverse()
+    with open(os.path.join(SCENARIO_DIR, "inline_then_builtin.json"), encoding="utf-8") as f:
+        assert json.load(f) == data
+    report = run_scenario_text(json.dumps(data))
+    assert [line.name for line in report.lines] == [
+        "checks[0] homology", "checks[0] group",
+        "spheres m=2 n=3 :: homology", "spheres m=2 n=3 :: group"]
+    assert report.exit_code() == EXIT_OK
+
+
 def test_cli_snf(capsys):
     code = main(["snf", "2 0; 0 3"])
     out = capsys.readouterr().out

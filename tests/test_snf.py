@@ -95,6 +95,39 @@ def test_bareiss_determinant_matches_cofactor():
         assert determinant(m) == cofactor_det(m)
 
 
+def test_determinant_of_empty_matrix_is_one():
+    assert determinant([]) == cofactor_det([]) == 1
+
+
+@pytest.mark.parametrize("m", [[[1, 2]], [[1], [2]], [[1, 2], [3]], [[1], [2, 3]], [[]]])
+def test_determinant_refuses_non_square_and_ragged(m):
+    with pytest.raises(ValueError, match="^determinant needs a square matrix$"):
+        determinant(m)
+
+
+@pytest.mark.parametrize("m", [[[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 0], [1, 1, 5]],
+                               [[0, 0, 1], [0, 1, 0], [1, 0, 0]]])
+def test_determinant_swaps_past_a_zero_leading_pivot(m):
+    assert determinant(m) == cofactor_det(m) != 0
+
+
+@pytest.mark.parametrize("m", [[[0]], [[1, 2], [2, 4]], [[0, 0], [0, 5]],
+                               [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+                               [[0, 1, 0], [0, 2, 0], [0, 3, 1]]])
+def test_determinant_of_singular_matrix_is_zero(m):
+    assert determinant(m) == cofactor_det(m) == 0
+
+
+def test_determinant_entries_beyond_64_bits():
+    big = 2 ** 64
+    assert determinant([[big, 1], [1, big]]) == cofactor_det([[big, 1], [1, big]]) == big ** 2 - 1
+    rng = random.Random(64)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-2 ** 80, 2 ** 80) for _ in range(n)] for _ in range(n)]
+        assert determinant(m) == cofactor_det(m)
+
+
 def test_cokernel_invariants():
     assert cokernel_invariants([[2, 3]], 2) == (1, ())
     assert cokernel_invariants([[2, 4]], 2) == (1, (2,))
