@@ -102,7 +102,7 @@ def exotic_action_certificate(config: Configuration, m: int, n: int, k: int, cou
 
     if check_a:
         family = family_report(config, count, CaseParams("F3", k, m=m, n=n), bounds)
-        groups = [lines[0].verdict for lines in family.knots]
+        groups = [line.verdict for line in family.groups]
         undecided = groups.count(INCONCLUSIVE)
         checks.append(CheckLine(
             "group-preserved-per-knot", combined(groups),

@@ -51,7 +51,7 @@ from .presentations import AbelianGroup, Presentation, abelianization, exponent_
 from .reports import CITED, FAIL, INCONCLUSIVE, PASS, CheckLine, Report, line_from_verdict
 from .snf import cokernel_invariants, diagonal, mat_mul, smith_normal_form
 from .surgery import CASE_FIELDS, CaseParams, SurgerySpec, case_presentation, \
-    check_case_hypothesis, surgered_components, surgered_presentation, verify_group_preserved
+    hypothesis_line, surgered_components, surgered_presentation, verify_group_preserved
 from .sw import distinguish, family_report
 from .verify import Bounds, DEFAULT_BOUNDS, decide_group, verify_abelian_isomorphism
 from .words import Word, commutator
@@ -293,11 +293,8 @@ def _surgery_lines(spec: SurgerySpec, case: CaseParams | None,
         for i, c in enumerate(surgered_components(spec))))
     if case is None:
         return [tags]
-    hypothesis = check_case_hypothesis(case)
-    lines = [CheckLine("hypothesis", PASS if hypothesis else FAIL,
-                       (f"{case.describe()}: arithmetic condition "
-                        f"{'holds' if hypothesis else 'fails'}",))]
-    if not hypothesis:
+    lines = [hypothesis_line(case)]
+    if lines[0].verdict != PASS:
         lines.append(CheckLine("group-preserved", FAIL,
                                ("refused: no claim is made when the hypothesis fails",)))
         return lines
@@ -415,7 +412,7 @@ def _run_theorem_1_1(params: dict, bounds: Bounds) -> Report:
     })
     values = [p[name] for name in names]
     case = CaseParams(tag, p["k"], **dict(zip(CASE_FIELDS[tag], values)))
-    if not check_case_hypothesis(case):
+    if hypothesis_line(case).verdict != PASS:
         raise ParamError(f"hypothesis of {case.describe()} fails; no claim is made")
     config = _configuration(builtin, {**fixed, **dict(zip(names, values))})
     if len(config.double_points) < 2:

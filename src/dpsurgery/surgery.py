@@ -13,7 +13,7 @@ to the fundamental group of the new complement are provided:
   labels, since only the group is checked.
 
 Both read the knot group through its meridian muK, generator 0, alone.  A
-case's target group is the abelianization of its `base_presentation`.
+report states a case's arithmetic condition once, by `hypothesis_line`.
 
 The two paths are cross-validated against each other by the test suite, on
 the Wirtinger knot group and on its meridian-kept simplification.  The
@@ -31,6 +31,7 @@ from math import gcd
 from .configurations import STANDARD, Configuration, SurfaceComponent, twist_spun_tag
 from .knots import BraidWord, KnotGroupData, knot_group_from_braid
 from .presentations import AbelianGroup, Presentation, abelianization
+from .reports import FAIL, PASS, CheckLine
 from .verify import Bounds, DEFAULT_BOUNDS, Verdict, verify_abelian_isomorphism
 from .words import Word, commutator, free_reduce
 
@@ -89,6 +90,12 @@ def check_case_hypothesis(c: CaseParams) -> bool:
     if c.tag == "F2":
         return gcd(c.p + c.k, c.q) == 1
     return gcd(c.m, c.k * c.n) == 1
+
+
+def hypothesis_line(c: CaseParams) -> CheckLine:
+    """The `hypothesis` line: whether the case's arithmetic condition holds."""
+    verdict, word = (PASS, "holds") if check_case_hypothesis(c) else (FAIL, "fails")
+    return CheckLine("hypothesis", verdict, (f"{c.describe()}: arithmetic condition {word}",))
 
 
 class HypothesisError(ValueError):
@@ -183,9 +190,7 @@ def verify_group_preserved(c: CaseParams, knot: KnotGroupData,
         raise HypothesisError(f"hypothesis of {c.describe()} fails; no claim is made")
     fallbacks = (("the unsimplified Wirtinger group", case_presentation(c, data))
                  for data in (raw,) if data is not None)
-    verdict = verify_abelian_isomorphism(case_presentation(c, knot), c.target(), bounds,
-                                         fallbacks)
-    return Verdict(verdict.status, (f"{c.describe()}: hypothesis holds",) + verdict.evidence)
+    return verify_abelian_isomorphism(case_presentation(c, knot), c.target(), bounds, fallbacks)
 
 
 @dataclass(frozen=True)

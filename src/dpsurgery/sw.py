@@ -11,8 +11,8 @@ agree; unequal multisets certify smooth inequivalence once the hypotheses
 are in place.
 
 Results are report `CheckLine`s: a pair passes exactly when the hypotheses
-hold and the multisets differ, and its evidence names the outcome
-`verdict SmoothlyInequivalent` or `verdict NotDistinguished`.
+hold and the multisets differ (`verdict SmoothlyInequivalent`, else `verdict
+NotDistinguished`), and a family states its case hypothesis and untwisting once.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .configurations import STANDARD, Configuration, algebraic_intersection
 from .knots import BraidWord, wirtinger_presentation
 from .laurent import LaurentPoly
 from .reports import FAIL, PASS, CheckLine, line_from_verdict
-from .surgery import CaseParams, HypothesisError, SurgerySpec, check_case_hypothesis, \
-    surgered_components, verify_group_preserved
+from .surgery import CaseParams, SurgerySpec, hypothesis_line, surgered_components, \
+    verify_group_preserved
 from .verify import Bounds, DEFAULT_BOUNDS
 
 
@@ -96,42 +96,40 @@ def distinguish(knot1: BraidWord, knot2: BraidWord, config: Configuration) -> Ch
 
 @dataclass(frozen=True)
 class FamilyReport:
-    """A knotted family's report lines, grouped: the applicability line; per
-    knot its (group-preserved, component-1-standard) lines; one
-    smoothly-distinct line per pair."""
+    """A knotted family's report lines: applicability, hypothesis, group-preserved
+    per knot, component-1-standard once, smoothly-distinct per pair."""
     applicability: CheckLine
-    knots: tuple[tuple[CheckLine, CheckLine], ...]
+    hypothesis: CheckLine
+    groups: tuple[CheckLine, ...]
+    standard: CheckLine
     pairs: tuple[CheckLine, ...]
 
     def lines(self) -> tuple[CheckLine, ...]:
-        return (self.applicability, *(line for knot in self.knots for line in knot),
-                *self.pairs)
+        return (self.applicability, self.hypothesis, *self.groups, self.standard, *self.pairs)
 
 
 def family_report(config: Configuration, count: int, case: CaseParams,
                   bounds: Bounds = DEFAULT_BOUNDS) -> FamilyReport:
     """Surger a family of torus knots at the first double point and certify the lot.
 
-    For each knot `r=<i> <braid>`: verify the group is preserved (on the
-    Tietze-reduced Wirtinger group of the diagram its polynomial came from;
-    for F1, on the raw one after a cap) and check that component 1 becomes
-    standard (at the point (0, 1, .) no other component changes); then
-    compare every pair through the invariant.  Requires the case hypothesis.
+    Per knot `r=<i> <braid>`, verify the group is preserved on the
+    Tietze-reduced Wirtinger group of the diagram its polynomial came from
+    (for F1, on the raw one after a cap; `HypothesisError` outside the case
+    hypothesis).  One line says whether component 1 untwists: the rule reads
+    the twist and the point (0, 1, .), never the knot.  Then every pair is compared.
     """
-    if not check_case_hypothesis(case):
-        raise HypothesisError(f"case hypothesis fails for {case.describe()}")
     applicability = applicability_check(config)
     family = knot_family(count)
-    knots = []
+    groups, tags = [], []
     for i, (braid, diagram, _) in enumerate(family, start=1):
-        prefix = f"r={i} {braid.format()}"
         knot = wirtinger_presentation(diagram)
-        tag = surgered_components(SurgerySpec(config, 0, braid, case.k))[0].embedding_tag
-        knots.append((
-            line_from_verdict(f"group-preserved {prefix}",
-                              verify_group_preserved(case, knot.simplified(), bounds, knot)),
-            CheckLine(f"component-1-standard {prefix}", PASS if tag == STANDARD else FAIL,
-                      (f"component 1 embedding tag: {tag}",))))
+        preserved = verify_group_preserved(case, knot.simplified(), bounds, knot)
+        groups.append(line_from_verdict(f"group-preserved r={i} {braid.format()}", preserved))
+        tags.append(surgered_components(SurgerySpec(config, 0, braid, case.k))[0].embedding_tag)
+    untwisted = all(tag == STANDARD for tag in tags)
+    members = [f"r=1..{count}"] if untwisted else [f"r={i}" for i in range(1, count + 1)]
+    standard = CheckLine("component-1-standard", PASS if untwisted else FAIL, tuple(
+        f"component 1 embedding tag for {member}: {tag}" for member, tag in zip(members, tags)))
     multisets = [(braid, _surgered_multiset(delta)) for braid, _, delta in family]
     pairs = []
     for i, (b1, m1) in enumerate(multisets):
@@ -139,4 +137,4 @@ def family_report(config: Configuration, count: int, case: CaseParams,
             verdict, outcome, fact = _compare(m1, m2, applicability)
             pairs.append(CheckLine(f"smoothly-distinct {b1.format()} vs {b2.format()}",
                                    verdict, (outcome, fact)))
-    return FamilyReport(applicability, tuple(knots), tuple(pairs))
+    return FamilyReport(applicability, hypothesis_line(case), tuple(groups), standard, tuple(pairs))

@@ -197,7 +197,8 @@ def test_criterion_6_theorem_1_1_at_desk_scale():
         assert len(pair_lines) == 45
         assert all(line.verdict == "pass" for line in pair_lines)
         tag1 = [line for line in report.lines if "component-1-standard" in line.name]
-        assert len(tag1) == 10 and all(line.verdict == "pass" for line in tag1)
+        assert [(line.verdict, line.evidence) for line in tag1] == [
+            ("pass", ("component 1 embedding tag for r=1..10: Standard",))]
         groups = [line for line in report.lines if line.name.startswith("group-preserved")]
         assert len(groups) == 10 and all(line.verdict == "pass" for line in groups)
         assert any(line.verdict == "cited" for line in report.lines)

@@ -144,6 +144,29 @@ def test_invariance_under_conjugation_and_stabilization():
             assert alexander_of_braid(stabilized) == delta
 
 
+def test_alexander_identities_on_random_knot_braids():
+    """Mirror image, reversal and an inserted cancelling pair keep the
+    polynomial; the connected sum (the second braid shifted onto strands
+    s..s+s2-1 of the first's last strand) multiplies two polynomials."""
+    rng = random.Random(2026)
+    braids = random_knot_braids(200, max_letters=10, max_strands=6, seed=5150)
+    deltas = [alexander_of_braid(braid) for braid in braids]
+    for braid, delta in zip(braids, deltas):
+        mirror = BraidWord(braid.strands, [-x for x in braid.letters])
+        assert alexander_of_braid(mirror) == delta
+        assert alexander_of_braid(BraidWord(braid.strands, braid.letters[::-1])) == delta
+        x = rng.choice((1, -1)) * rng.randint(1, braid.strands - 1)
+        at = rng.randint(0, len(braid.letters))
+        padded = braid.letters[:at] + (x, -x) + braid.letters[at:]
+        assert alexander_of_braid(BraidWord(braid.strands, padded)) == delta
+    for (b1, d1), (b2, d2) in zip(zip(braids, deltas), zip(braids[1:], deltas[1:])):
+        shift = b1.strands - 1
+        shifted = tuple(x + shift if x > 0 else x - shift for x in b2.letters)
+        total = BraidWord(b1.strands + b2.strands - 1, b1.letters + shifted)
+        assert total.is_knot_closure()
+        assert alexander_of_braid(total) == d1 * d2
+
+
 def test_torus_knot_family():
     family = knot_family(10)
     sizes = [len(coefficient_multiset(delta)) for _, _, delta in family]

@@ -38,7 +38,8 @@ def test_theorem_1_1_small():
     pair_lines = [line for line in report.lines if line.name.startswith("smoothly-distinct")]
     assert len(pair_lines) == 3
     tag_lines = [line for line in report.lines if "component-1-standard" in line.name]
-    assert len(tag_lines) == 3 and all(line.verdict == "pass" for line in tag_lines)
+    assert [(line.verdict, line.evidence) for line in tag_lines] == [
+        ("pass", ("component 1 embedding tag for r=1..3: Standard",))]
     cited = [line for line in report.lines if line.verdict == "cited"]
     assert len(cited) == 1
 
@@ -513,9 +514,9 @@ _APPLICABLE = ("applicability\tpass\tnonzero-intersection: pass (component class
                "{0}); at-least-two-points: pass ({0} double points); nonvanishing-invariant: "
                "pass (symplectic with positive intersections: canonical nonvanishing "
                "invariant)\n")
-_MEMBER = ("group-preserved r={0} {1}\tpass\t{2}\n"
-           "component-1-standard r={0} {1}\tpass\tcomponent 1 embedding tag: Standard\n")
-_FAMILY_END = ("smoothly-distinct B2: 1 1 1 vs B2: 1 1 1 1 1\tpass\tverdict "
+_GROUP = "group-preserved r={0} {1}\tpass\t{2}\n"
+_FAMILY_END = ("component-1-standard\tpass\tcomponent 1 embedding tag for r=1..2: Standard\n"
+               "smoothly-distinct B2: 1 1 1 vs B2: 1 1 1 1 1\tpass\tverdict "
                "SmoothlyInequivalent; coefficient multisets differ: [-1, 1, 1] vs "
                "[-1, -1, 1, 1, 1]\n"
                "topological-equivalence\tcited\tall family members are topologically "
@@ -523,32 +524,47 @@ _FAMILY_END = ("smoothly-distinct B2: 1 1 1 vs B2: 1 1 1 1 1\tpass\tverdict "
 
 
 def _f1_preserved(allocated):
-    return ("F1(d=2, k=0): hypothesis holds; abelianization matches target Z; s maps to a "
-            "generator of the abelianization Z; the subgroup it generates has index 1 "
-            f"({allocated} cosets allocated, cap 100000); group is cyclic, hence isomorphic to Z")
+    return ("abelianization matches target Z; s maps to a generator of the abelianization Z; "
+            f"the subgroup it generates has index 1 ({allocated} cosets allocated, cap 100000); "
+            "group is cyclic, hence isomorphic to Z")
 
 
-def _finite_preserved(case, order, allocated):
-    return (f"{case}: hypothesis holds; abelianization matches target Z_{order}; coset "
-            f"enumeration completed: index {order} ({allocated} cosets allocated, cap "
-            f"100000); group order {order} equals abelianization order: group is abelian, "
-            f"hence isomorphic to Z_{order}")
+def _finite_preserved(order, allocated):
+    return (f"abelianization matches target Z_{order}; coset enumeration completed: index "
+            f"{order} ({allocated} cosets allocated, cap 100000); group order {order} equals "
+            f"abelianization order: group is abelian, hence isomorphic to Z_{order}")
 
 
-@pytest.mark.parametrize("case, points, first, second", [
-    ("i", 2, _f1_preserved(2), _f1_preserved(3)),
-    ("ii", 3, _finite_preserved("F2(p=1, q=3, k=1)", 3, 10),
-     _finite_preserved("F2(p=1, q=3, k=1)", 3, 12)),
-    ("iii", 6, _finite_preserved("F3(m=3, n=2, k=1)", 6, 33),
-     _finite_preserved("F3(m=3, n=2, k=1)", 6, 40)),
-])
-def test_cli_theorem_1_1_machine_output_pinned(capsys, case, points, first, second):
-    """theorem-1-1 at its default parameters: the trefoil and T(2,5) members."""
+@pytest.mark.parametrize("case, points, described, first, second", [
+    ("i", 2, "F1(d=2, k=0)", _f1_preserved(2), _f1_preserved(3)),
+    ("ii", 3, "F2(p=1, q=3, k=1)", _finite_preserved(3, 10), _finite_preserved(3, 12)),
+    ("iii", 6, "F3(m=3, n=2, k=1)", _finite_preserved(6, 33), _finite_preserved(6, 40)),
+], ids=("i", "ii", "iii"))
+def test_cli_theorem_1_1_machine_output_pinned(capsys, case, points, described, first, second):
+    """theorem-1-1 at its default parameters: the trefoil and T(2,5) members,
+    with the case hypothesis and component 1's untwisting stated once."""
     assert main(["--format", "machine", "verify", "theorem-1-1", f"case={case}",
                  "count=2"]) == EXIT_OK
     assert capsys.readouterr().out == (
-        _APPLICABLE.format(points) + _MEMBER.format(1, "B2: 1 1 1", first)
-        + _MEMBER.format(2, "B2: 1 1 1 1 1", second) + _FAMILY_END)
+        _APPLICABLE.format(points)
+        + f"hypothesis\tpass\t{described}: arithmetic condition holds\n"
+        + _GROUP.format(1, "B2: 1 1 1", first) + _GROUP.format(2, "B2: 1 1 1 1 1", second)
+        + _FAMILY_END)
+
+
+def test_cli_theorem_1_1_knotted_component_fails_on_one_line(capsys):
+    """Twist 3 leaves component 1 knotted: one failing line names each
+    member's twist-spun tag, and the report exits 1."""
+    assert main(["--format", "machine", "verify", "theorem-1-1", "case=ii", "p=2", "q=3",
+                 "k=3", "count=2"]) == EXIT_FAIL
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _, _ in lines].count("hypothesis") == 1
+    assert [line for line in lines if line[0].startswith("component-1-standard")] == [[
+        "component-1-standard", "fail",
+        "component 1 embedding tag for r=1: ConnectSumTwistSpun(B2: 1 1 1, 3); component 1 "
+        "embedding tag for r=2: ConnectSumTwistSpun(B2: 1 1 1 1 1, 3)"]]
+    assert all(verdict in ("pass", "cited") for name, verdict, _ in lines
+               if name != "component-1-standard")
 
 
 PINNED_DIR = os.path.join(os.path.dirname(__file__), "pinned")
@@ -622,8 +638,7 @@ def _enumerated_abelian(order, allocated):
         "checks[0] group\tpass\tabelianization matches target Z_6; "
         + _enumerated_abelian(6, 6) + "\n"
         "checks[0] hypothesis\tpass\tF3(m=3, n=2, k=1): arithmetic condition holds\n"
-        "checks[0] group-preserved\tpass\t" + _finite_preserved("F3(m=3, n=2, k=1)", 6, 33)
-        + "\n"
+        "checks[0] group-preserved\tpass\t" + _finite_preserved(6, 33) + "\n"
         "checks[0] cross-validation\tpass\tamalgam abelianization Z_6, collapsed "
         "abelianization Z_6; enumerated orders 6 and 6\n"
         "checks[0] embedding-tags\tpass\tcomponent 1: Standard; component 2: Standard\n")),

@@ -150,27 +150,43 @@ def test_substitute_square_preserves_multisets():
 def test_family_report_tori():
     report = family_report(tori_configuration(3, 2), 3, CaseParams("F3", 1, m=3, n=2))
     assert report.applicability.verdict == PASS
-    assert len(report.knots) == 3
+    assert len(report.groups) == 3
     assert len(report.pairs) == 3
-    assert all(group.verdict == PASS for group, _ in report.knots)
+    assert all(group.verdict == PASS for group in report.groups)
     assert all(pair.verdict == PASS for pair in report.pairs)
-    assert len(report.lines()) == 1 + 3 * 2 + 3
+    assert len(report.lines()) == 2 + 3 + 1 + 3
+
+
+def test_family_report_states_hypothesis_and_untwisting_once():
+    """applicability, hypothesis, one group-preserved line per member, one
+    component-1-standard line for the family, then the pairs."""
+    report = family_report(tori_configuration(3, 2), 3, CaseParams("F3", 1, m=3, n=2))
+    names = [line.name.split(" ", 1)[0] for line in report.lines()]
+    assert names == ["applicability", "hypothesis", *["group-preserved"] * 3,
+                     "component-1-standard", *["smoothly-distinct"] * 3]
+    assert [line.name for line in report.groups] == [
+        "group-preserved r=1 B2: 1 1 1", "group-preserved r=2 B2: 1 1 1 1 1",
+        "group-preserved r=3 B2: 1 1 1 1 1 1 1"]
+    assert report.hypothesis.evidence == ("F3(m=3, n=2, k=1): arithmetic condition holds",)
+    assert not any("hypothesis" in fact for line in report.groups for fact in line.evidence)
+    assert (report.standard.verdict, report.standard.evidence) == (
+        PASS, ("component 1 embedding tag for r=1..3: Standard",))
 
 
 def test_family_report_single_knot_has_no_pairs():
     report = family_report(tori_configuration(3, 2), 1, CaseParams("F3", 1, m=3, n=2))
-    assert len(report.knots) == 1
+    assert len(report.groups) == 1
     assert report.pairs == ()
 
 
 def test_family_report_rational():
     report = family_report(rational_configuration(1, 3), 2, CaseParams("F2", 1, p=1, q=3))
-    assert len(report.knots) == 2 and len(report.pairs) == 1
-    assert all(group.verdict == PASS for group, _ in report.knots)
+    assert len(report.groups) == 2 and len(report.pairs) == 1
+    assert all(group.verdict == PASS for group in report.groups)
     assert report.applicability.verdict == PASS
     assert all(pair.verdict == PASS for pair in report.pairs)
 
 
 def test_family_report_requires_hypothesis():
-    with pytest.raises(HypothesisError, match=r"case hypothesis fails for F3\(m=2, n=3, k=2\)"):
+    with pytest.raises(HypothesisError, match=r"hypothesis of F3\(m=2, n=3, k=2\) fails"):
         family_report(tori_configuration(2, 3), 2, CaseParams("F3", 2, m=2, n=3))
